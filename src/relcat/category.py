@@ -250,7 +250,7 @@ def gram(field: Fq, s: int, k: int, mode: TMode = SYMBOLIC):
     Returns (relations, matrix) with the relations in canonical
     enumeration order and the matrix a list of PolyQ rows.
     """
-    rels = [Relation(field, s, k, b) for b in enumerate_subspaces(field, s + k)]
+    rels = [Relation._trusted(field, s, k, b) for b in enumerate_subspaces(field, s + k)]
     mats = []
     duals = [dual(Morphism.from_relation(r), mode) for r in rels]
     for ri in rels:
@@ -307,7 +307,7 @@ def superspaces(rel: Relation) -> list[Relation]:
         if b.rows < rel.dim:
             continue
         if b.vstack(rel.basis).rank() == b.rows:
-            out.append(Relation(rel.field, rel.s, rel.k, b))
+            out.append(Relation._trusted(rel.field, rel.s, rel.k, b))
     return out
 
 

@@ -18,20 +18,32 @@ from .concrete import specialize
 from .dsl import parse, parse_program
 from .errors import (
     ArityMismatch,
+    DegreeOutOfRange,
     FieldMismatch,
+    NotPrime,
     ParseError,
     RelcatError,
     RequiresEvaluation,
     ScalarParseError,
     TooLarge,
     UnknownGenerator,
+    UsageError,
 )
 from .field import parse_q
 from .matrix import subspace_count
 from .poly import det_poly, rational_roots
 from .suites import suite_axioms, suite_functor, suite_knop, suite_lemmas, suite_relinfty
 
-USAGE_ERRORS = (ParseError, ArityMismatch, UnknownGenerator, ScalarParseError, FieldMismatch)
+USAGE_ERRORS = (
+    ParseError,
+    ArityMismatch,
+    UnknownGenerator,
+    ScalarParseError,
+    FieldMismatch,
+    NotPrime,
+    DegreeOutOfRange,
+    UsageError,
+)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -50,24 +62,44 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
 
 
+def _check_counts(args):
+    """Reject negative sizes, and a trial count under which no trial runs."""
+    for flag in ("n", "s", "k", "max_arity"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+    if args.trials <= 0:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+
+
 def _emit(args, text: str):
     if args.output == "-":
         sys.stdout.write(text + "\n")
-    else:
+        return
+    try:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
 
 
 def _tmode(args) -> cat.TMode:
     if args.t is None or args.t == "sym":
         return cat.TMode.sym()
-    return cat.TMode.at(Fraction(args.t))
+    try:
+        value = Fraction(args.t)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScalarParseError(f"--t must be 'sym' or an exact rational, got {args.t!r}") from exc
+    return cat.TMode.at(value)
 
 
 def _read_expr(args) -> str:
     if args.file:
-        with open(args.expr) as handle:
-            return handle.read()
+        try:
+            with open(args.expr) as handle:
+                return handle.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.expr}: {exc.strerror}") from exc
     return args.expr
 
 
@@ -252,6 +284,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.fn(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -288,11 +288,10 @@ class _Parser:
         self.expect(";")
         rows = self.parse_rows()
         self.expect(")")
-        if rows:
-            rel = Relation.from_rows(field, s, k, rows)
-        else:
-            rel = Relation.zero_space(field, s, k)
-        return RelLit(rel)
+        for row in rows:
+            if len(row) != s + k:
+                self.fail(f"rel row of length {len(row)}, arities give {s + k} columns")
+        return RelLit(Relation.from_rows(field, s, k, rows))
 
     def parse_mu_literal(self) -> Term:
         self.expect("muM")

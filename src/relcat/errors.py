@@ -67,3 +67,7 @@ class ParseError(RelcatError):
 
 class ScalarParseError(RelcatError):
     pass
+
+
+class UsageError(RelcatError):
+    """Malformed or out-of-range input on the command line."""

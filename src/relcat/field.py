@@ -17,7 +17,7 @@ All values are immutable and all operations pure.
 
 from __future__ import annotations
 
-from .errors import DegreeOutOfRange, DivisionByZero, NotPrime
+from .errors import DegreeOutOfRange, DivisionByZero, NotPrime, UsageError
 
 MAX_DEGREE = 8
 
@@ -186,7 +186,7 @@ class Fq:
 
 def parse_q(text: str) -> Fq:
     """Parse "p" or "p^e" into a field."""
-    if "^" in text:
-        p, e = text.split("^", 1)
-        return Fq(int(p), int(e))
-    return Fq(int(text))
+    parts = text.split("^", 1)
+    if not all(part.isdecimal() for part in parts):
+        raise UsageError(f"field order must be 'p' or 'p^e', got {text!r}")
+    return Fq(*map(int, parts))

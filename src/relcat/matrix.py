@@ -1,13 +1,18 @@
 """Exact dense matrices over F_q.
 
-Row reduction, rank, kernel, row-space canonicalization, the orthogonal
-complement under the standard dot product, and deterministic subspace
-enumeration.  A subspace is always represented by its unique reduced
-row-echelon basis with zero rows dropped; two equal row spaces therefore
-have structurally equal representations.
+All row reduction goes through one loop, ``row_reduce``, which brings a
+list of rows to reduced row-echelon form and reports the pivot columns;
+``MatFq.rref``, ``MatFq.kernel`` and the relation composition in
+``relations`` call it.  On top of it: rank, kernel, inverse, the
+orthogonal complement under the standard dot product, and deterministic
+subspace enumeration.  A subspace is always represented by its unique
+reduced row-echelon basis with zero rows dropped; two equal row spaces
+therefore have structurally equal representations.
 
 Matrices are immutable: entries are stored row-major in a tuple of
-element codes.  Vectors are rows throughout.
+element codes.  Vectors are rows throughout.  The public constructors
+reduce every entry to a valid code; ``MatFq._trusted`` wraps entries that
+already are valid codes, for results computed inside the library.
 """
 
 from __future__ import annotations
@@ -36,6 +41,13 @@ class MatFq:
         self.entries = entries
 
     @classmethod
+    def _trusted(cls, field: Fq, rows: int, cols: int, entries: tuple) -> "MatFq":
+        """Wrap a tuple of valid element codes without checking or copying it."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.cols, m.entries = field, rows, cols, entries
+        return m
+
+    @classmethod
     def from_rows(cls, field: Fq, row_list, cols: int | None = None) -> "MatFq":
         row_list = [list(r) for r in row_list]
         if cols is None:
@@ -50,11 +62,11 @@ class MatFq:
 
     @classmethod
     def identity(cls, field: Fq, n: int) -> "MatFq":
-        return cls(field, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._trusted(field, n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, field: Fq, rows: int, cols: int) -> "MatFq":
-        return cls(field, rows, cols, [0] * (rows * cols))
+        return cls._trusted(field, rows, cols, (0,) * (rows * cols))
 
     def __getitem__(self, rc) -> int:
         i, j = rc
@@ -91,16 +103,12 @@ class MatFq:
 
     # -- block surgery --------------------------------------------------
 
-    def transpose(self) -> "MatFq":
-        ent = [self[j, i] for i in range(self.cols) for j in range(self.rows)]
-        return MatFq(self.field, self.cols, self.rows, ent)
-
     def vstack(self, other: "MatFq") -> "MatFq":
         if self.field != other.field:
             raise FieldMismatch("vstack over different fields")
         if self.cols != other.cols:
             raise ShapeMismatch("vstack with different column counts")
-        return MatFq(
+        return MatFq._trusted(
             self.field, self.rows + other.rows, self.cols, self.entries + other.entries
         )
 
@@ -111,20 +119,16 @@ class MatFq:
         for i in range(self.rows):
             ent.extend(self.row(i))
             ent.extend(other.row(i))
-        return MatFq(self.field, self.rows, self.cols + other.cols, ent)
+        return MatFq._trusted(self.field, self.rows, self.cols + other.cols, tuple(ent))
 
     def take_cols(self, idx) -> "MatFq":
         idx = list(idx)
-        ent = [self[i, j] for i in range(self.rows) for j in idx]
-        return MatFq(self.field, self.rows, len(idx), ent)
-
-    def scale(self, a: int) -> "MatFq":
-        F = self.field
-        return MatFq(F, self.rows, self.cols, [F.mul(a, x) for x in self.entries])
+        ent = tuple(self[i, j] for i in range(self.rows) for j in idx)
+        return MatFq._trusted(self.field, self.rows, len(idx), ent)
 
     def neg(self) -> "MatFq":
         F = self.field
-        return MatFq(F, self.rows, self.cols, [F.neg(x) for x in self.entries])
+        return MatFq._trusted(F, self.rows, self.cols, tuple(F.neg(x) for x in self.entries))
 
     # -- linear algebra --------------------------------------------------
 
@@ -143,60 +147,34 @@ class MatFq:
                     if ri[k]:
                         acc = F.add(acc, F.mul(ri[k], other[k, j]))
                 ent.append(acc)
-        return MatFq(F, self.rows, other.cols, ent)
+        return MatFq._trusted(F, self.rows, other.cols, tuple(ent))
 
     def __matmul__(self, other):
         return self.matmul(other)
 
     def rref(self) -> tuple["MatFq", int]:
         """Reduced row echelon form with zero rows dropped, plus the rank."""
-        F = self.field
-        mat = [list(self.row(i)) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-            if pivot is None:
-                continue
-            mat[r], mat[pivot] = mat[pivot], mat[r]
-            inv = F.inv(mat[r][c])
-            mat[r] = [F.mul(inv, x) for x in mat[r]]
-            for i in range(len(mat)):
-                if i != r and mat[i][c]:
-                    f = mat[i][c]
-                    mat[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(mat[i], mat[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(mat):
-                break
-        return MatFq.from_rows(F, mat[:r], self.cols), r
+        red, _ = row_reduce(self.field, self.tolist(), self.cols)
+        entries = tuple(x for row in red for x in row)
+        return MatFq._trusted(self.field, len(red), self.cols, entries), len(red)
 
     def rank(self) -> int:
         return self.rref()[1]
 
-    def pivot_cols(self) -> tuple[int, ...]:
-        """Pivot columns, assuming self is already in RREF."""
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            out.append(next(j for j in range(self.cols) if row[j]))
-        return tuple(out)
-
     def kernel(self) -> "MatFq":
         """RREF basis (as rows) of {x : self @ x^T = 0}."""
         F = self.field
-        red, rank = self.rref()
-        piv = list(red.pivot_cols())
+        red, piv = row_reduce(F, self.tolist(), self.cols)
         free = [c for c in range(self.cols) if c not in piv]
         rows = []
         for fc in free:
             vec = [0] * self.cols
             vec[fc] = 1
             for i, pc in enumerate(piv):
-                vec[pc] = F.neg(red[i, fc])
+                vec[pc] = F.neg(red[i][fc])
             rows.append(vec)
-        basis = MatFq.from_rows(F, rows, self.cols)
-        return basis.rref()[0]
+        basis, _ = row_reduce(F, rows, self.cols)
+        return MatFq._trusted(F, len(basis), self.cols, tuple(x for row in basis for x in row))
 
     def perp(self) -> "MatFq":
         """RREF basis of the orthogonal complement of the row space.
@@ -219,11 +197,32 @@ class MatFq:
         return aug.take_cols(range(n, 2 * n))
 
 
-def intersect_rowspaces(a: MatFq, b: MatFq) -> MatFq:
-    """RREF basis of Row(a) ∩ Row(b), via (U ∩ W) = (U^perp + W^perp)^perp."""
-    if a.cols != b.cols:
-        raise ShapeMismatch("intersection needs a common ambient space")
-    return a.perp().vstack(b.perp()).perp()
+def row_reduce(field: Fq, rows: list[list[int]], cols: int):
+    """Bring ``rows`` (lists of element codes, reduced in place) to RREF.
+
+    Returns (rows, pivots): the nonzero rows of the reduced row-echelon
+    form in order and the pivot column of each.  This is the library's
+    only elimination loop.
+    """
+    F = field
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
 
 
 def gaussian_binomial(field: Fq, r: int, d: int) -> int:
@@ -250,9 +249,14 @@ def enumerate_subspaces(field: Fq, r: int, d: int | None = None):
     least significant.  The order is a pure function of (q, r, d), so
     serialized output is byte-stable.
     """
-    if field.q**r > ENUMERATION_GUARD:
-        raise TooLarge(f"q^r = {field.q ** r} exceeds {ENUMERATION_GUARD}")
     dims = range(r + 1) if d is None else [d]
+    count = 0
+    for dim in dims:
+        count += gaussian_binomial(field, r, dim)
+        if count > ENUMERATION_GUARD:
+            raise TooLarge(
+                f"more than {ENUMERATION_GUARD} subspaces of F_{field.q}^{r} to enumerate"
+            )
     for dim in dims:
         if dim < 0 or dim > r:
             continue
@@ -264,11 +268,11 @@ def enumerate_subspaces(field: Fq, r: int, d: int | None = None):
                 if c not in piv
             ]
             for code in range(field.q ** len(free_pos)):
-                ent = [[0] * r for _ in range(dim)]
+                ent = [0] * (dim * r)
                 for i, pc in enumerate(piv):
-                    ent[i][pc] = 1
+                    ent[i * r + pc] = 1
                 rest = code
                 for (i, c) in free_pos:
-                    ent[i][c] = rest % field.q
+                    ent[i * r + c] = rest % field.q
                     rest //= field.q
-                yield MatFq.from_rows(field, ent, r)
+                yield MatFq._trusted(field, dim, r, tuple(ent))

@@ -6,6 +6,11 @@ structural.  This module implements the star composition with its defect,
 tensor products, the orthogonal-complement indexing with its fiber-product
 composition, membership and normal forms for the stable subfamily whose
 members surject onto the codomain block, and the generator table.
+
+``star`` and ``knop_diamond`` share one elimination, ``_compose``: the
+rows of both relations are stacked with the middle block in front and
+row-reduced once by ``matrix.row_reduce``.  The composite, the defect and
+the diamond's kernel dimension are all read off that one reduced form.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .field import Fq
-from .matrix import MatFq, intersect_rowspaces
+from .matrix import MatFq, row_reduce
 
 
 class Relation:
@@ -35,6 +40,13 @@ class Relation:
         self.s = s
         self.k = k
         self.basis = basis.rref()[0]
+
+    @classmethod
+    def _trusted(cls, field: Fq, s: int, k: int, basis: MatFq) -> "Relation":
+        """Wrap a basis that is already in RREF, without reducing it again."""
+        rel = object.__new__(cls)
+        rel.field, rel.s, rel.k, rel.basis = field, s, k, basis
+        return rel
 
     @classmethod
     def from_rows(cls, field: Fq, s: int, k: int, rows) -> "Relation":
@@ -80,11 +92,44 @@ class Relation:
         """The same subspace read with a different (s, k) split."""
         if s + k != self.s + self.k:
             raise ArityMismatch("retype must preserve the ambient dimension")
-        return Relation(self.field, s, k, self.basis)
+        return Relation._trusted(self.field, s, k, self.basis)
 
     def perp(self) -> "Relation":
         """Orthogonal complement in the same ambient space, same typing."""
-        return Relation(self.field, self.s, self.k, self.basis.perp())
+        return Relation._trusted(self.field, self.s, self.k, self.basis.perp())
+
+
+def _compose(r: Relation, s: Relation, sign: int, op: str) -> tuple[Relation, int, int]:
+    """The one elimination behind ``star`` and ``knop_diamond``.
+
+    r: [ns]->[nk] and s: [nk]->[nl].  Each row (v, w) of r becomes
+    [w | v | 0] and each row (w, u) of s becomes [sign*w | 0 | u], in
+    F_q^{nk+ns+nl}; one row reduction of the stack gives its RREF.  With
+    the middle block in front, the rows without a middle pivot are zero
+    there, so cutting the middle block off them leaves the RREF basis of
+    {(v, u) : (v, w) in r, (-sign*w, u) in s}.  Returns that relation,
+    the number of middle pivots (the rank of the middle projection) and
+    the rank of the stack.
+    """
+    if r.field != s.field:
+        raise FieldMismatch(f"{op} over different fields")
+    if r.k != s.s:
+        raise ArityMismatch(f"middle arity mismatch: {r.k} vs {s.s}")
+    F = r.field
+    ns, nk, nl = r.s, r.k, s.k
+    rows = []
+    for i in range(r.dim):
+        v = r.basis.row(i)
+        rows.append(list(v[ns:] + v[:ns]) + [0] * nl)
+    for i in range(s.dim):
+        v = s.basis.row(i)
+        mid = v[:nk] if sign == 1 else tuple(F.neg(x) for x in v[:nk])
+        rows.append(list(mid) + [0] * ns + list(v[nk:]))
+    red, pivots = row_reduce(F, rows, nk + ns + nl)
+    middle = sum(1 for c in pivots if c < nk)
+    outer = tuple(x for row in red[middle:] for x in row[nk:])
+    basis = MatFq._trusted(F, len(red) - middle, ns + nl, outer)
+    return Relation._trusted(F, ns, nl, basis), middle, len(red)
 
 
 def star(r: Relation, s: Relation) -> tuple[Relation, int]:
@@ -94,22 +139,8 @@ def star(r: Relation, s: Relation) -> tuple[Relation, int]:
     intersection with the middle-zero subspace, the middle block deleted;
     the defect is the middle-block codimension of the projection.
     """
-    if r.field != s.field:
-        raise FieldMismatch("star over different fields")
-    if r.k != s.s:
-        raise ArityMismatch(f"middle arity mismatch: {r.k} vs {s.s}")
-    F = r.field
-    ns, nk, nl = r.s, r.k, s.k
-    left = r.basis.hstack(MatFq.zeros(F, r.dim, nl))
-    right = MatFq.zeros(F, s.dim, ns).hstack(s.basis)
-    u = left.vstack(right).rref()[0]
-    mid = u.take_cols(range(ns, ns + nk))
-    d = nk - mid.rank()
-    # rows y with y @ mid = 0 give the middle-zero part of Row(u)
-    y = mid.transpose().kernel()
-    w = y.matmul(u)
-    outer = w.take_cols(list(range(ns)) + list(range(ns + nk, ns + nk + nl)))
-    return Relation(F, ns, nl, outer), d
+    composite, middle, _ = _compose(r, s, 1, "star")
+    return composite, r.k - middle
 
 
 def product(r1: Relation, r2: Relation) -> Relation:
@@ -132,9 +163,7 @@ def product(r1: Relation, r2: Relation) -> Relation:
         row[s1 : s1 + s2] = v[:s2]
         row[s1 + s2 + k1 :] = v[s2:]
         rows.append(row)
-    return Relation.from_rows(F, s1 + s2, k1 + k2, rows) if rows else Relation.zero_space(
-        F, s1 + s2, k1 + k2
-    )
+    return Relation.from_rows(F, s1 + s2, k1 + k2, rows)
 
 
 def knop_diamond(rp: Relation, sp: Relation) -> tuple[Relation, int]:
@@ -143,24 +172,12 @@ def knop_diamond(rp: Relation, sp: Relation) -> tuple[Relation, int]:
     ``rp``: [s]->[k] and ``sp``: [k]->[l] are composed by forming
     T = {(v,w,u) : (v,w) ∈ rp, (w,u) ∈ sp}, projecting to the outer
     coordinates, and reporting the kernel dimension e of that projection.
+    The kernel is {(0,w,0) ∈ T}, which is also the kernel of the map
+    rp ⊕ sp -> stack that ``_compose`` reduces, so e = dim rp + dim sp
+    minus the rank of the stack.
     """
-    if rp.field != sp.field:
-        raise FieldMismatch("diamond over different fields")
-    if rp.k != sp.s:
-        raise ArityMismatch(f"middle arity mismatch: {rp.k} vs {sp.s}")
-    F = rp.field
-    ns, nk, nl = rp.s, rp.k, sp.k
-    u1 = rp.basis.hstack(MatFq.zeros(F, rp.dim, nl)).vstack(
-        MatFq.zeros(F, nl, ns + nk).hstack(MatFq.identity(F, nl))
-    )
-    u2 = MatFq.identity(F, ns).hstack(MatFq.zeros(F, ns, nk + nl)).vstack(
-        MatFq.zeros(F, sp.dim, ns).hstack(sp.basis)
-    )
-    t = intersect_rowspaces(u1, u2)
-    outer = t.take_cols(list(range(ns)) + list(range(ns + nk, ns + nk + nl)))
-    image, rank = outer.rref()
-    e = t.rows - rank
-    return Relation(F, ns, nl, image), e
+    image, _, rank = _compose(rp, sp, -1, "diamond")
+    return image, rp.dim + sp.dim - rank
 
 
 # -- the stable subfamily (surjective onto the codomain block) ----------
@@ -182,12 +199,12 @@ def rel_infty_normal_form(r: Relation) -> tuple[MatFq, MatFq]:
         raise NotRelInfty(f"{r!r} does not surject onto the codomain block")
     F, s, k = r.field, r.s, r.k
     permuted = r.basis.take_cols(list(range(s, s + k)) + list(range(s)))
-    red, rank = permuted.rref()
+    red, _ = permuted.rref()
     # rank-k head: rows (e_i | a_i) ; tail rows (0 | a')
     a_rows = [red.row(i)[k:] for i in range(k)]
     a = MatFq.from_rows(F, a_rows, s).neg()
     ap_rows = [red.row(i)[k:] for i in range(k, red.rows)]
-    ap = MatFq.from_rows(F, ap_rows, s) if ap_rows else MatFq.from_rows(F, [], s)
+    ap = MatFq.from_rows(F, ap_rows, s)
     return a, ap
 
 
@@ -204,53 +221,29 @@ def rel_infty_from_parts(a: MatFq, ap: MatFq) -> Relation:
 
 
 def identity_relation(field: Fq, k: int) -> Relation:
-    rows = []
-    for i in range(k):
-        row = [0] * (2 * k)
-        row[i] = 1
-        row[k + i] = -1
-        rows.append(row)
-    return Relation.from_rows(field, k, k, rows) if rows else Relation.zero_space(field, 0, 0)
+    return permutation_relation(field, range(k))
 
 
 def sigma_relation(field: Fq, l: int, k: int) -> Relation:
     """The symmetry [l+k] -> [k+l] swapping the two blocks."""
-    n = l + k
-    rows = []
-    for i in range(l):
-        row = [0] * (2 * n)
-        row[i] = 1
-        row[n + k + i] = -1
-        rows.append(row)
-    for j in range(k):
-        row = [0] * (2 * n)
-        row[l + j] = 1
-        row[n + j] = -1
-        rows.append(row)
-    if not rows:
-        return Relation.zero_space(field, 0, 0)
-    return Relation.from_rows(field, n, n, rows)
+    return permutation_relation(field, [k + i for i in range(l)] + list(range(k)))
 
 
 def permutation_relation(field: Fq, p) -> Relation:
     """Relation of the strand permutation sending input i to output p[i].
 
     Concretely the induced map takes v_1 ⊗ ... ⊗ v_k to the tuple whose
-    p(i)-th slot is v_i.
+    p(i)-th slot is v_i.  The rows e_i - e_{k+p(i)} are already in RREF.
     """
     p = tuple(p)
     k = len(p)
     if sorted(p) != list(range(k)):
         raise InvalidPermutation(f"{p} is not a permutation of 0..{k - 1}")
-    rows = []
+    entries = [0] * (2 * k * k)
     for i in range(k):
-        row = [0] * (2 * k)
-        row[i] = 1
-        row[k + p[i]] = -1
-        rows.append(row)
-    if not rows:
-        return Relation.zero_space(field, 0, 0)
-    return Relation.from_rows(field, k, k, rows)
+        entries[i * 2 * k + i] = 1
+        entries[i * 2 * k + k + p[i]] = field.neg(1)
+    return Relation._trusted(field, k, k, MatFq._trusted(field, k, 2 * k, tuple(entries)))
 
 
 def mu_relation(a: MatFq) -> Relation:
@@ -263,13 +256,11 @@ def mu_relation(a: MatFq) -> Relation:
 
 def ev_bar_relation(field: Fq, k: int) -> Relation:
     """Strandwise pairing [2k] -> [0]: Row[I_k | -I_k]."""
-    m = MatFq.identity(field, k).hstack(MatFq.identity(field, k).neg())
-    return Relation(field, 2 * k, 0, m)
+    return identity_relation(field, k).retype(2 * k, 0)
 
 
 def coev_bar_relation(field: Fq, k: int) -> Relation:
-    m = MatFq.identity(field, k).hstack(MatFq.identity(field, k).neg())
-    return Relation(field, 0, 2 * k, m)
+    return identity_relation(field, k).retype(0, 2 * k)
 
 
 GENERATOR_ARITIES = {
@@ -305,9 +296,9 @@ def generator_relation(field: Fq, name: str, a: int | None = None) -> Relation:
     if name == "sigma":
         return sigma_relation(field, 1, 1)
     if name == "z":
-        return Relation(field, 0, 1, MatFq.identity(field, 1))
+        return Relation.full_space(field, 0, 1)
     if name == "z*":
-        return Relation(field, 1, 0, MatFq.identity(field, 1))
+        return Relation.full_space(field, 1, 0)
     if name == "plus":
         return Relation.from_rows(field, 2, 1, [[1, 1, -1]])
     if name == "mu":
@@ -328,8 +319,6 @@ def random_relation(rng, field: Fq, s: int, k: int) -> Relation:
     n = s + k
     nrows = rng.randrange(n + 1)
     rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(nrows)]
-    if not rows:
-        return Relation.zero_space(field, s, k)
     return Relation.from_rows(field, s, k, rows)
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from relcat.cli import main
 
@@ -149,3 +150,56 @@ def test_output_to_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "count", "--q", "2", "--output", str(target))
     assert code == 0 and out == ""
     assert target.read_text().strip() == "5"
+
+
+def assert_usage_error(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2, (argv, code, err)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_bad_field_orders_are_usage_errors(capsys):
+    for q in ("4", "2^9", "1", "abc", "2^x", "2^2^2"):
+        assert_usage_error(capsys, "count", "--q", q)
+
+
+def test_ragged_relation_literal_is_a_parse_error(capsys):
+    assert_usage_error(capsys, "eval", "--q", "2", "rel(2;1,1;[[1],[1,1]])")
+    _, _, err = run_cli(capsys, "eval", "--q", "2", "rel(2;1,1;[[1],[1,1]])")
+    assert "at position" in err
+
+
+def test_bad_t_values_are_usage_errors(capsys):
+    for t in ("abc", "1/0"):
+        assert_usage_error(capsys, "eval", "--q", "2", "--t", t, "eps* . eps")
+        assert_usage_error(capsys, "gram", "--q", "2", "--t", t)
+
+
+def test_unreadable_paths_are_usage_errors(tmp_path, capsys):
+    assert_usage_error(capsys, "eval", "--q", "2", "--file", str(tmp_path / "missing.rc"))
+    assert_usage_error(capsys, "count", "--output", str(tmp_path / "no" / "out.txt"))
+
+
+def test_negative_sizes_are_usage_errors(capsys):
+    assert_usage_error(capsys, "specialize", "--q", "2", "--n", "-1", "id(1)")
+    assert_usage_error(capsys, "gram", "--s", "-1")
+    assert_usage_error(capsys, "count", "--s", "-2")
+    assert_usage_error(capsys, "count", "--k", "-1")
+    assert_usage_error(capsys, "verify", "functor", "--max-arity", "-1", "--trials", "3")
+
+
+def test_zero_trials_never_pass(capsys):
+    # a suite that ran no trial must not print PASS
+    for suite in ("functor", "knop", "relinfty"):
+        for trials in ("0", "-3"):
+            assert_usage_error(capsys, "verify", suite, "--trials", trials)
+
+
+def test_gram_guard_counts_subspaces(capsys):
+    # q^r = 2^20 passes a q^r guard, but F_2^20 has about 2^103 subspaces
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gram", "--q", "2", "--s", "10", "--k", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,7 +11,6 @@ from relcat.matrix import (
     MatFq,
     enumerate_subspaces,
     gaussian_binomial,
-    intersect_rowspaces,
     subspace_count,
 )
 
@@ -147,12 +146,6 @@ def test_perp_brute_force_and_involution():
         assert perp.perp() == red
 
 
-def test_intersection():
-    a = MatFq.from_rows(F2, [[1, 0], [0, 1]])
-    b = MatFq.from_rows(F2, [[1, 1]])
-    assert intersect_rowspaces(a, b) == b.rref()[0]
-
-
 def test_enumerate_f2_squared():
     subs = list(enumerate_subspaces(F2, 2))
     assert len(subs) == 5
@@ -178,9 +171,11 @@ def test_enumeration_matches_binomials():
 
 
 def test_enumeration_unique_and_canonical():
-    # every enumerated basis is its own rref; distinct bases are distinct spaces
-    for m in enumerate_subspaces(F3, 3):
-        assert m.rref()[0] == m
+    # every enumerated basis is its own rref; distinct bases are distinct spaces.
+    # Relations wrap these bases without reducing them again.
+    for F in (F2, F3, F4, Fq(5)):
+        for m in enumerate_subspaces(F, 3):
+            assert m.rref()[0] == m
 
 
 def test_enumeration_deterministic():

@@ -1,10 +1,12 @@
 """Relation calculus: star composition, products, orthogonal indexing,
 and the codomain-surjective subfamily."""
 
+import itertools
 import random
 
 import pytest
 
+import relcat.relations as relations
 from relcat.errors import ArityMismatch, NotRelInfty, UnknownGenerator
 from relcat.field import Fq
 from relcat.matrix import MatFq
@@ -106,6 +108,83 @@ def test_diamond_matches_star_through_perp():
         image, e = knop_diamond(r.perp(), t.perp())
         assert image == sr.perp()
         assert e == d
+
+
+def _span(F, rows, n):
+    """Every vector of the span of rows, by running over all coefficients."""
+    out = set()
+    for coeffs in itertools.product(F.elements(), repeat=len(rows)):
+        vec = [0] * n
+        for c, row in zip(coeffs, rows):
+            vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, row)]
+        out.add(tuple(vec))
+    return out
+
+
+def _log_q(F, size):
+    dim = 0
+    while F.q**dim < size:
+        dim += 1
+    assert F.q**dim == size
+    return dim
+
+
+def test_star_and_diamond_brute_force():
+    # vector sets only: no elimination is involved on the oracle side
+    rng = random.Random(13)
+    for F in (F2, F3, F4):
+        for _ in range(60):
+            s, k, l = (rng.randrange(3) for _ in range(3))
+            r = random_relation(rng, F, s, k)
+            t = random_relation(rng, F, k, l)
+            rs = _span(F, r.basis.tolist(), s + k)
+            ts = _span(F, t.basis.tolist(), k + l)
+            by_mid = {}
+            for vec in ts:
+                by_mid.setdefault(vec[:k], []).append(vec[k:])
+            # star glues w to -w: (v, w) in r and (-w, u) in t
+            composite = {
+                v[:s] + u
+                for v in rs
+                for u in by_mid.get(tuple(F.neg(x) for x in v[s:]), [])
+            }
+            middle = {
+                tuple(F.add(x, y) for x, y in zip(a[s:], b[:k])) for a in rs for b in ts
+            }
+            sr, d = star(r, t)
+            assert _span(F, sr.basis.tolist(), s + l) == composite
+            assert d == k - _log_q(F, len(middle))
+            # the fiber product glues w to w
+            fiber = [v + u for v in rs for u in by_mid.get(v[s:], [])]
+            image = {vec[:s] + vec[s + k :] for vec in fiber}
+            img, e = knop_diamond(r, t)
+            assert _span(F, img.basis.tolist(), s + l) == image
+            assert e == _log_q(F, len(fiber) // len(image))
+
+
+def test_star_and_diamond_reduce_once(monkeypatch):
+    calls = []
+    real = relations.row_reduce
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the composite was validated or reduced again")
+
+    rng = random.Random(14)
+    pairs = [
+        (random_relation(rng, F3, 2, 2), random_relation(rng, F3, 2, 1)) for _ in range(20)
+    ]
+    monkeypatch.setattr(relations, "row_reduce", counting)
+    for cls, name in ((MatFq, "rref"), (MatFq, "__init__"), (Relation, "__init__")):
+        monkeypatch.setattr(cls, name, forbidden)
+    for r, t in pairs:
+        for compose in (star, knop_diamond):
+            calls.clear()
+            compose(r, t)
+            assert len(calls) == 1
 
 
 def test_perp_is_involution():
