@@ -12,24 +12,55 @@ smallest base-p integer (constant term least significant).  This makes
 ``Fq(p, e)`` a pure function of (p, e) and reproduces the classical tables
 (x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1, ... over F_2).
 
+A field with e > 1 and q <= TABLE_LIMIT answers add, sub, mul, neg and inv
+by one lookup in tables built once per (p, e) from the digit arithmetic:
+mul and inv from the powers of a primitive element (log/antilog tables,
+Lidl-Niederreiter, *Finite Fields*, ch. 9), add digit-wise (XOR in
+characteristic 2).  Larger fields with e > 1 compute on digits directly.
+The arithmetic methods take valid element codes; ``check`` makes them.
+
 All values are immutable and all operations pure.
 """
 
 from __future__ import annotations
 
-from .errors import DegreeOutOfRange, DivisionByZero, NotPrime, UsageError
+from functools import cache
+from itertools import chain
+from operator import itemgetter
+
+from .errors import DegreeOutOfRange, DivisionByZero, NotPrime, TooLarge, UsageError
 
 MAX_DEGREE = 8
+TABLE_LIMIT = 256
+
+# Miller-Rabin with these bases is exact below MR_LIMIT (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality below MR_LIMIT; above it TooLarge unless a base in MR_BASES divides n."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= MR_LIMIT:
+        raise TooLarge(f"primality of {n} is only decided below {MR_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -73,12 +104,69 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     return True
 
 
+@cache
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     for m in range(p**e):
         poly = [(m // p**i) % p for i in range(e)] + [1]
         if _is_irreducible(poly, p):
             return tuple(poly)
     raise AssertionError(f"no monic irreducible of degree {e} over F_{p}")
+
+
+def _digit_mul(a: int, b: int, p: int, e: int, modulus: tuple[int, ...]) -> int:
+    """Product of two codes of F_{p^e} by polynomial multiplication mod the modulus."""
+    da = [(a // p**i) % p for i in range(e)]
+    db = [(b // p**i) % p for i in range(e)]
+    rem = _poly_mod(_poly_mul(da, db, p), list(modulus), p)
+    return sum(d * p**i for i, d in enumerate(rem))
+
+
+@cache
+def _tables(p: int, e: int) -> tuple:
+    """(add, sub, mul, neg, inv) of F_{p^e}, e > 1, built once per (p, e).
+
+    add, sub and mul are lists of rows, so that ``mul[a][b]`` is a * b; neg
+    and inv are lists indexed by code, and inv[0] is None.
+    """
+    q = p**e
+    if p == 2:
+        add = [[a ^ b for b in range(q)] for a in range(q)]
+        neg, sub = list(range(q)), add
+    else:
+        # add digit by digit: a code below p^(k+1) is low + p^k * top with
+        # low below p^k, and the sum of two such codes is the sum of the
+        # lows plus p^k times the sum of the tops mod p
+        add, size = [[0]], 1
+        while size < q:
+            shifted = [[[x + size * t for x in row] for t in range(p)] for row in add]
+            add = [
+                list(chain.from_iterable(rows[(ta + tb) % p] for tb in range(p)))
+                for ta in range(p)
+                for rows in shifted
+            ]
+            size *= p
+        neg = [row.index(0) for row in add]
+        by_neg = itemgetter(*neg)
+        sub = [list(by_neg(row)) for row in add]
+    # log/antilog tables of the first primitive element g: exp[i] = g^i
+    modulus = _smallest_irreducible(p, e)
+    for g in range(2, q):
+        exp, x = [1], g
+        while x != 1:
+            exp.append(x)
+            x = _digit_mul(x, g, p, e, modulus)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    # row a of mul, read at b != 0, is g^(log a + log b): the powers of g
+    # rotated by log a, taken in the order of log b
+    exp2 = exp + exp
+    by_log = itemgetter(*log[1:])
+    mul = [[0] * q] + [[0, *by_log(exp2[log[a] :])] for a in range(1, q)]
+    inv = [None] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
+    return add, sub, mul, neg, inv
 
 
 class Fq:
@@ -91,7 +179,7 @@ class Fq:
     0
     """
 
-    __slots__ = ("p", "e", "q", "modulus")
+    __slots__ = ("p", "e", "q", "modulus", "_add", "_sub", "_mul", "_neg", "_inv")
 
     def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
@@ -102,6 +190,10 @@ class Fq:
         self.e = e
         self.q = p**e
         self.modulus = _smallest_irreducible(p, e) if e > 1 else None
+        tabulated = e > 1 and self.q <= TABLE_LIMIT
+        self._add, self._sub, self._mul, self._neg, self._inv = (
+            _tables(p, e) if tabulated else (None,) * 5
+        )
 
     def __eq__(self, other):
         return isinstance(other, Fq) and (self.p, self.e) == (other.p, other.e)
@@ -136,27 +228,40 @@ class Fq:
         return self.encode(self.digits(a))
 
     # -- arithmetic ---------------------------------------------------
+    # Each operation takes the first path that applies: arithmetic mod p
+    # (e = 1), a table lookup (q <= TABLE_LIMIT), digit arithmetic.
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        da, db = self.digits(a), self.digits(b)
-        return self.encode([x + y for x, y in zip(da, db)])
+        table = self._add
+        if table is not None:
+            return table[a][b]
+        return self.encode([x + y for x, y in zip(self.digits(a), self.digits(b))])
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
+        table = self._neg
+        if table is not None:
+            return table[a]
         return self.encode([-x for x in self.digits(a)])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.e == 1:
+            return (a - b) % self.p
+        table = self._sub
+        if table is not None:
+            return table[a][b]
+        return self.encode([x - y for x, y in zip(self.digits(a), self.digits(b))])
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        prod = _poly_mul(self.digits(a), self.digits(b), self.p)
-        rem = _poly_mod(prod, list(self.modulus), self.p)
-        return self.encode(rem + [0] * (self.e - len(rem)))
+        table = self._mul
+        if table is not None:
+            return table[a][b]
+        return _digit_mul(a, b, self.p, self.e, self.modulus)
 
     def pow(self, a: int, n: int) -> int:
         if self.e == 1:
@@ -174,6 +279,9 @@ class Fq:
             raise DivisionByZero("inverse of 0")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
+        table = self._inv
+        if table is not None:
+            return table[a]
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:

@@ -17,13 +17,14 @@ already are valid codes, for results computed inside the library.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import FieldMismatch, ShapeMismatch, Singular, TooLarge
 from .field import Fq
 
 ENUMERATION_GUARD = 2**20
+# Python prints no int of more digits than this (sys.get_int_max_str_digits)
+COUNT_DIGITS = 4300
 
 
 class MatFq:
@@ -230,15 +231,28 @@ def gaussian_binomial(field: Fq, r: int, d: int) -> int:
     if d < 0 or d > r:
         return 0
     q = field.q
-    out = Fraction(1)
-    for i in range(d):
-        out *= Fraction(q ** (r - i) - 1, q ** (d - i) - 1)
-    assert out.denominator == 1
-    return out.numerator
+    out = 1
+    for i in range(min(d, r - d)):
+        # out is the count for dimension i; times (q^(r-i) - 1) it is the
+        # count for i + 1 times (q^(i+1) - 1), so the division is exact.
+        # Dimensions d and r - d have the same count.
+        out = out * (q ** (r - i) - 1) // (q ** (i + 1) - 1)
+    return out
 
 
 def subspace_count(field: Fq, r: int) -> int:
-    return sum(gaussian_binomial(field, r, d) for d in range(r + 1))
+    """Number of subspaces of F_q^r; TooLarge if it has more than COUNT_DIGITS digits."""
+    limit = 10**COUNT_DIGITS
+    # the count for dimension m is at least q^(m(r-m)) >= 2^(m(r-m)), so a
+    # large r or q is refused before any count is formed
+    m = r // 2
+    if m * (r - m) < limit.bit_length() and field.q ** (m * (r - m)) < limit:
+        count = sum(gaussian_binomial(field, r, d) for d in range(r + 1))
+        if count < limit:
+            return count
+    raise TooLarge(
+        f"the number of subspaces of F_{field.q}^{r} has more than {COUNT_DIGITS} digits"
+    )
 
 
 def enumerate_subspaces(field: Fq, r: int, d: int | None = None):

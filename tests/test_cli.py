@@ -196,10 +196,48 @@ def test_zero_trials_never_pass(capsys):
             assert_usage_error(capsys, "verify", suite, "--trials", trials)
 
 
+def assert_guard_error(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0, argv
+    assert code == 3 and out == "", (argv, code, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_gram_guard_counts_subspaces(capsys):
     # q^r = 2^20 passes a q^r guard, but F_2^20 has about 2^103 subspaces
+    assert_guard_error(capsys, "gram", "--q", "2", "--s", "10", "--k", "10")
+
+
+def test_count_large_prime_field(capsys):
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "gram", "--q", "2", "--s", "10", "--k", "10")
+    code, out, _ = run_cli(capsys, "count", "--q", "1000000000000000003")
     assert time.perf_counter() - start < 1.0
-    assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert code == 0 and out == "1000000000000000006\n"  # 1 + (q + 1) + 1 subspaces of F_q^2
+
+
+def test_count_too_many_digits_is_a_guard_error(capsys):
+    # F_2^241 has a 4372-digit number of subspaces, more than Python prints
+    assert_guard_error(capsys, "count", "--q", "2", "--s", "240")
+    assert_guard_error(capsys, "count", "--q", "2", "--s", "2000")
+    # the primality of p is only decided below 3.3e24
+    assert_guard_error(capsys, "count", "--q", "100000000000000000000000000319")
+
+
+def test_count_large_value(capsys):
+    code, out, _ = run_cli(capsys, "count", "--q", "2", "--s", "100")
+    assert code == 0
+    # the exact text the earlier Fraction-based Gaussian binomials printed
+    assert out == (
+        "3709614607564461147236528124189364923750614764287748750449454440533026096473"
+        "6007176530248273825410152853473891129181830020967839766703823301947960732263"
+        "4017933494731601250331372547310218668856250708033727389891510813430603788629"
+        "3818645821166931535618269680101700786324463569245407583229306007421918214395"
+        "8277848024784875217027005698306364178111389280545842695796822136733633309441"
+        "5816189026937665715942712005713275759861492783871413044339144361163751671366"
+        "3438064294926077824682370666330030520622407705301464535586442670578456760742"
+        "1728207202257438597036361070727774553370551666013263003232843720391642035445"
+        "5546212219902877930441062834305428954765376708834836828655860182494077599823"
+        "8212557991328250087299340441413725959065326849445607322492216871960579090361"
+        "990958614\n"
+    )

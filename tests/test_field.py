@@ -1,10 +1,14 @@
 """Exact finite field arithmetic."""
 
+import math
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
-from relcat.errors import DegreeOutOfRange, DivisionByZero, NotPrime
-from relcat.field import Fq, is_prime, parse_q
+from relcat.errors import DegreeOutOfRange, DivisionByZero, NotPrime, TooLarge
+from relcat.field import TABLE_LIMIT, Fq, _poly_mod, _poly_mul, is_prime, parse_q
 
 
 def test_prime_fields_no_modulus():
@@ -46,26 +50,64 @@ def test_enumeration_order():
         assert list(F.elements()) == list(range(F.q))
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def assert_field_laws(F, a, b, c):
+    assert F.add(a, 0) == a
+    assert F.mul(a, 1) == a
+    assert F.add(a, F.neg(a)) == 0
+    assert F.sub(a, b) == F.add(a, F.neg(b))
+    if a:
+        assert F.mul(a, F.inv(a)) == 1
+    assert F.add(a, b) == F.add(b, a)
+    assert F.mul(a, b) == F.mul(b, a)
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)])
 def test_field_axioms_exhaustive(p, e):
     F = Fq(p, e)
     els = list(F.elements())
     for a in els:
-        assert F.add(a, 0) == a
-        assert F.mul(a, 1) == a
-        assert F.add(a, F.neg(a)) == 0
+        for b in els:
+            for c in els:
+                assert_field_laws(F, a, b, c)
+
+
+@pytest.mark.parametrize("p,e", [(17, 2), (3, 6)])
+def test_field_axioms_above_table_limit(p, e):
+    # these fields compute on digits: no tables are built for them
+    F = Fq(p, e)
+    assert F.q > TABLE_LIMIT and F._mul is None
+    rng = random.Random(f"{p}^{e}")
+    for _ in range(500):
+        assert_field_laws(F, *(rng.randrange(F.q) for _ in range(3)))
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (2, 8), (3, 5)])
+def test_tables_match_digit_arithmetic(p, e):
+    F = Fq(p, e)
+    assert F._mul is not None
+    digits = [F.digits(a) for a in F.elements()]
+    code = {tuple(d): a for a, d in enumerate(digits)}  # F.encode on reduced digits
+    modulus = list(F.modulus)
+    for a, da in enumerate(digits):
+        assert F.neg(a) == F.encode([-x for x in da])
         if a:
             assert F.mul(a, F.inv(a)) == 1
-        for b in els:
-            assert F.add(a, b) == F.add(b, a)
-            assert F.mul(a, b) == F.mul(b, a)
-            for c in els:
-                assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
-                assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
-                assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        for b, db in enumerate(digits):
+            assert F.add(a, b) == code[tuple([(x + y) % p for x, y in zip(da, db)])]
+            assert F.sub(a, b) == code[tuple([(x - y) % p for x, y in zip(da, db)])]
+            rem = _poly_mod(_poly_mul(da, db, p), modulus, p)
+            assert F.mul(a, b) == code[tuple(rem + [0] * (e - len(rem)))]
 
 
-@pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("p,e", [(2, 8), (3, 5)])
+def test_tables_are_built_once_per_field(p, e):
+    assert Fq(p, e)._mul is Fq(p, e)._mul
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 3), (5, 2), (2, 8)])
 def test_frobenius_endomorphism_additive(p, e):
     F = Fq(p, e)
     for a in F.elements():
@@ -105,6 +147,27 @@ def test_bad_parameters():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**4) if is_prime(n)] == [
+        n for n in range(10**4) if by_trial_division(n)
+    ]
+
+
+def test_is_prime_large():
+    start = time.perf_counter()
+    assert is_prime(1000000000000000003)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    # strong pseudoprimes to the prime bases up to 23 and up to 37
+    assert not is_prime(3825123056546413051) and not is_prime(318665857834031151167461)
+    assert not is_prime(10**30)  # a small factor decides it at any size
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(TooLarge):
+        is_prime(100000000000000000000000000319)  # a prime above the exact range
 
 
 def test_parse_q():
