@@ -7,9 +7,16 @@ absent the candidate is checked as a semi-Frobenius space: the checker's
 dependency list guarantees no unit-dependent map is ever formed.
 
 Tensor powers are interpreted by the library's Kronecker indexing (first
-factor least significant).  Terms are evaluated against a structure
-column-by-column, so wide intermediate tensor powers never materialize as
-full matrices.
+factor least significant).  A term is evaluated in two tiers.  It is
+compiled once per structure into a tree of nodes cached on the structure
+by term: atoms and relation literals hold their columns, a matrix literal
+points at the one compiled expansion of its matrix, a composition chain is
+one node over its factors, a tensor with an identity factor is one node
+over the other factor, and other composites hold their compiled children,
+so subterms shared between terms are compiled once.  Each call then asks
+the root for basis columns; every node memoizes the columns it computes for
+that call only, so wide intermediate tensor powers never materialize as
+full matrices and no column outlives its call.
 """
 
 from __future__ import annotations
@@ -34,9 +41,15 @@ STANDARD_GUARD = 2**12
 
 
 class FrobeniusData:
-    """Concrete structure maps on a D-dimensional space."""
+    """Concrete structure maps on a D-dimensional space.
 
-    __slots__ = ("field", "dim", "m", "m_star", "eps_star", "plus", "z", "mu", "eps")
+    The maps are fixed once built: compiled terms are cached on the
+    structure and read its maps when they are compiled.
+    """
+
+    __slots__ = (
+        "field", "dim", "m", "m_star", "eps_star", "plus", "z", "mu", "eps", "_compiled"
+    )
 
     def __init__(self, field: Fq, dim: int, m, m_star, eps_star, plus, z, mu, eps=None):
         self.field = field
@@ -48,6 +61,8 @@ class FrobeniusData:
         self.z = z
         self.mu = dict(mu)
         self.eps = eps
+        # t_value -> term -> compiled node (see _compile)
+        self._compiled: dict = {}
         shapes = {
             "m": (self.m, dim, dim * dim),
             "m_star": (self.m_star, dim * dim, dim),
@@ -117,22 +132,133 @@ def standard_target(field: Fq, n: int) -> FrobeniusData:
     return FrobeniusData(field, dim, m, m_star, eps_star, plus, z, mu, eps)
 
 
-# -- column-wise term evaluation -----------------------------------------
+# -- compiled term evaluation ---------------------------------------------
 
 
-def _apply_mat(mat: QMat, vec: dict) -> dict:
-    by_col: dict[int, list] = {}
-    for (r, c), v in mat.data.items():
-        by_col.setdefault(c, []).append((r, v))
-    out: dict[int, object] = {}
-    for c, coeff in vec.items():
-        for r, v in by_col.get(c, ()):
-            w = out.get(r, 0) + coeff * v
-            if w:
-                out[r] = w
-            else:
-                out.pop(r, None)
-    return out
+class _Cols:
+    """A fixed matrix held as its columns: an atom or a relation literal."""
+
+    __slots__ = ("cols",)
+
+    def __init__(self, mat: QMat):
+        cols = [{} for _ in range(mat.cols)]
+        for (r, c), v in mat.data.items():
+            cols[c][r] = v
+        self.cols = cols
+
+    def col(self, i: int, memo: dict) -> dict:
+        return self.cols[i]
+
+
+class _Id:
+    """id(k) for any k."""
+
+    __slots__ = ()
+
+    def col(self, i: int, memo: dict) -> dict:
+        return {i: 1}
+
+
+_ID = _Id()
+
+
+class _Chain:
+    """A composite f_n . ... . f_1, flattened; the factors apply in order."""
+
+    __slots__ = ("first", "rest")
+
+    def __init__(self, factors):
+        self.first = factors[0]
+        self.rest = factors[1:]
+
+    def col(self, i: int, memo: dict) -> dict:
+        seen = memo.get(self)
+        if seen is None:
+            seen = memo[self] = {}
+        elif i in seen:
+            return seen[i]
+        vec = self.first.col(i, memo)
+        for node in self.rest:
+            vec = _apply(node, vec, memo)
+        seen[i] = vec
+        return vec
+
+
+class _Tensor:
+    """left @ right, neither of them an identity."""
+
+    __slots__ = ("left", "right", "dl", "cl")
+
+    def __init__(self, left, right, dl: int, cl: int):
+        self.left = left
+        self.right = right
+        self.dl = dl  # D^dom and D^cod of the left factor
+        self.cl = cl
+
+    def col(self, i: int, memo: dict) -> dict:
+        seen = memo.get(self)
+        if seen is None:
+            seen = memo[self] = {}
+        elif i in seen:
+            return seen[i]
+        left = self.left.col(i % self.dl, memo)
+        right = self.right.col(i // self.dl, memo)
+        cl = self.cl
+        out = seen[i] = {
+            r1 + cl * r2: v1 * v2 for r2, v2 in right.items() for r1, v1 in left.items()
+        }
+        return out
+
+
+class _Whisker:
+    """id(a) @ node @ id(b): the node acting on the middle strands."""
+
+    __slots__ = ("node", "lo", "mid", "out")
+
+    def __init__(self, node, lo: int, mid: int, out: int):
+        self.node = node
+        self.lo = lo  # D^a
+        self.mid = mid  # D^dom and D^cod of the node
+        self.out = out
+
+    def col(self, i: int, memo: dict) -> dict:
+        lo, rest = self.lo, i // self.lo
+        base = i % lo
+        hi = lo * self.out * (rest // self.mid)
+        return {base + lo * r + hi: v for r, v in self.node.col(rest % self.mid, memo).items()}
+
+
+class _LinComb:
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts  # (nonzero scalar, node) pairs
+
+    def col(self, i: int, memo: dict) -> dict:
+        seen = memo.get(self)
+        if seen is None:
+            seen = memo[self] = {}
+        elif i in seen:
+            return seen[i]
+        acc: dict[int, object] = {}
+        for scalar, node in self.parts:
+            for r, v in node.col(i, memo).items():
+                acc[r] = acc.get(r, 0) + scalar * v
+        out = seen[i] = {r: v for r, v in acc.items() if v}
+        return out
+
+
+def _apply(node, vec: dict, memo: dict) -> dict:
+    """node applied to a sparse vector; may return one of node's own columns."""
+    if len(vec) == 1:
+        ((j, c),) = vec.items()
+        col = node.col(j, memo)
+        return col if c == 1 else {r: c * v for r, v in col.items()}
+    acc: dict[int, object] = {}
+    for j, c in vec.items():
+        for r, v in node.col(j, memo).items():
+            acc[r] = acc.get(r, 0) + c * v
+    return {r: v for r, v in acc.items() if v}
 
 
 def _atom_matrix(data: FrobeniusData, node: tm.Gen) -> QMat:
@@ -164,74 +290,88 @@ def _atom_matrix(data: FrobeniusData, node: tm.Gen) -> QMat:
     raise AssertionError(name)
 
 
-def term_apply(data: FrobeniusData, term: Term, vec: dict, t_value=None) -> dict:
-    """Apply a term to a sparse vector on the basis of D^dom indices."""
+def _compile(data: FrobeniusData, term: Term, t_value):
+    """The compiled node of a term, built once per (structure, t_value).
+
+    Every subterm is cached, so a subterm shared between terms (the atoms,
+    the pieces of matrix-literal expansions) is compiled once.  Missing-unit
+    and symbolic-t errors are raised here, for any part of the term whose
+    coefficient is not zero.
+    """
+    cache = data._compiled.get(t_value)
+    if cache is None:
+        cache = data._compiled[t_value] = {}
+    node = cache.get(term)
+    if node is None:
+        node = cache[term] = _build(data, term, t_value)
+    return node
+
+
+def _build(data: FrobeniusData, term: Term, t_value):
     if isinstance(term, tm.Gen):
-        return _apply_mat(_atom_matrix(data, term), vec)
+        return _Cols(_atom_matrix(data, term))
     if isinstance(term, tm.IdK):
-        return dict(vec)
+        return _ID
     if isinstance(term, tm.MuLit):
-        return term_apply(data, tm.mu_matrix_term(term.mat), vec, t_value)
+        # cached under the literal only: the expansion is a fresh term
+        return _build(data, tm.mu_matrix_term(term.mat), t_value)
     if isinstance(term, tm.RelLit):
-        return _apply_mat(rel_matrix(data, term.rel), vec)
+        return _Cols(rel_matrix(data, term.rel))
     if isinstance(term, tm.Compose):
-        return term_apply(data, term.left, term_apply(data, term.right, vec, t_value), t_value)
+        factors = []
+        stack = [term]
+        while stack:
+            sub = stack.pop()
+            if isinstance(sub, tm.Compose):
+                stack += (sub.left, sub.right)
+            else:
+                factors.append(_compile(data, sub, t_value))
+        return _Chain(factors)
     if isinstance(term, tm.Tensor):
-        dl = data.dim**term.left.dom
-        cl = data.dim**term.left.cod
-        split: dict[tuple[int, int], object] = {}
-        for idx, coeff in vec.items():
-            split[(idx % dl, idx // dl)] = coeff
-        left_cache: dict[int, dict] = {}
-        right_cache: dict[int, dict] = {}
-        out: dict[int, object] = {}
-        for (i1, i2), coeff in split.items():
-            if i1 not in left_cache:
-                left_cache[i1] = term_apply(data, term.left, {i1: 1}, t_value)
-            if i2 not in right_cache:
-                right_cache[i2] = term_apply(data, term.right, {i2: 1}, t_value)
-            for r1, v1 in left_cache[i1].items():
-                for r2, v2 in right_cache[i2].items():
-                    key = r1 + cl * r2
-                    w = out.get(key, 0) + coeff * v1 * v2
-                    if w:
-                        out[key] = w
-                    else:
-                        out.pop(key, None)
-        return out
+        left = _compile(data, term.left, t_value)
+        right = _compile(data, term.right, t_value)
+        D = data.dim
+        if left is not _ID and right is not _ID:
+            return _Tensor(left, right, D**term.left.dom, D**term.left.cod)
+        inner, a = (right, term.left.dom) if left is _ID else (left, 0)
+        if isinstance(inner, _Whisker):
+            return _Whisker(inner.node, D**a * inner.lo, inner.mid, inner.out)
+        sub = term.right if left is _ID else term.left
+        return _Whisker(inner, D**a, D**sub.dom, D**sub.cod)
     if isinstance(term, tm.LinComb):
-        out: dict[int, object] = {}
+        parts = []
         for coeff, sub in term.parts:
             if coeff.degree() > 0 and t_value is None:
                 raise RequiresEvaluation("term has symbolic t coefficients")
             scalar = coeff.evaluate(t_value) if t_value is not None else coeff.constant_value()
-            if not scalar:
-                continue
-            for r, v in term_apply(data, sub, vec, t_value).items():
-                w = out.get(r, 0) + scalar * v
-                if w:
-                    out[r] = w
-                else:
-                    out.pop(r, None)
-        return out
+            if scalar:
+                parts.append((scalar, _compile(data, sub, t_value)))
+        return _LinComb(parts)
     raise TypeError(f"not a Term: {term!r}")
 
 
+def term_apply(data: FrobeniusData, term: Term, vec: dict, t_value=None) -> dict:
+    """Apply a term to a sparse vector on the basis of D^dom indices."""
+    return dict(_apply(_compile(data, term, t_value), vec, {}))
+
+
 def term_eval(data: FrobeniusData, term: Term, t_value=None) -> QMat:
-    """Evaluate a term to its D^cod x D^dom matrix, column by column."""
-    rows = data.dim**term.cod
-    cols = data.dim**term.dom
+    """Evaluate a term to its D^cod x D^dom matrix, column by column.
+
+    Column results of every node are memoized for this call only.
+    """
+    node = _compile(data, term, t_value)
+    memo: dict = {}
     out = {}
-    for c in range(cols):
-        col = term_apply(data, term, {c: 1}, t_value)
-        for r, v in col.items():
+    for c in range(data.dim**term.dom):
+        for r, v in node.col(c, memo).items():
             out[(r, c)] = v
-    return QMat(rows, cols, out)
+    return QMat(data.dim**term.cod, data.dim**term.dom, out)
 
 
 def mu_A_eval(data: FrobeniusData, a: MatFq) -> QMat:
     """The matrix-action composite assembled from the structure maps."""
-    return term_eval(data, tm.mu_matrix_term(a))
+    return term_eval(data, tm.MuLit(a))
 
 
 def hat_f(data: FrobeniusData, rel: Relation) -> QMat:

@@ -20,10 +20,23 @@ from .errors import (
     FieldMismatch,
     InvalidPermutation,
     NotRelInfty,
+    TooLarge,
     UnknownGenerator,
 )
 from .field import Fq
 from .matrix import MatFq, row_reduce
+
+# A relation on n = s + k strands and its orthogonal complement have n basis
+# rows of n cells between them.  Literals and generators are refused above
+# this many cells: id(512) is the largest identity, and id(400) still
+# evaluates and prints (640 kB of text) in well under a second.
+RELATION_CELLS = 2**20
+
+
+def _check_cells(s: int, k: int):
+    n = s + k
+    if n * n > RELATION_CELLS:
+        raise TooLarge(f"a relation on {n} strands needs {n * n} matrix cells (limit {RELATION_CELLS})")
 
 
 class Relation:
@@ -36,6 +49,7 @@ class Relation:
             raise FieldMismatch("basis field differs from the relation field")
         if basis.cols != s + k:
             raise ArityMismatch(f"basis has {basis.cols} columns, arities give {s + k}")
+        _check_cells(s, k)
         self.field = field
         self.s = s
         self.k = k
@@ -58,6 +72,7 @@ class Relation:
 
     @classmethod
     def full_space(cls, field: Fq, s: int, k: int) -> "Relation":
+        _check_cells(s, k)
         return cls(field, s, k, MatFq.identity(field, s + k))
 
     @property
@@ -221,6 +236,7 @@ def rel_infty_from_parts(a: MatFq, ap: MatFq) -> Relation:
 
 
 def identity_relation(field: Fq, k: int) -> Relation:
+    _check_cells(k, k)
     return permutation_relation(field, range(k))
 
 
@@ -237,6 +253,7 @@ def permutation_relation(field: Fq, p) -> Relation:
     """
     p = tuple(p)
     k = len(p)
+    _check_cells(k, k)
     if sorted(p) != list(range(k)):
         raise InvalidPermutation(f"{p} is not a permutation of 0..{k - 1}")
     entries = [0] * (2 * k * k)

@@ -20,12 +20,28 @@ _CANONICAL = {"eps_star": "eps*", "m_star": "m*", "z_star": "z*"}
 
 
 class Term:
-    """Base class; every node has .dom and .cod strand counts."""
+    """Base class; every node has .dom and .cod strand counts.
 
-    __slots__ = ("dom", "cod")
+    Equality is structural, on the tuple ``_key()``.  Every constructor ends
+    with ``_seal()``, which stores the hash from the stored hashes of the
+    children, so hashing a term never recurses, however deep it is.
+    """
+
+    __slots__ = ("dom", "cod", "_hash")
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def _seal(self):
+        self._hash = hash((type(self), self._key()))
 
     def __eq__(self, other):
-        raise NotImplementedError
+        return self is other or (
+            type(self) is type(other) and self._hash == other._hash and self._key() == other._key()
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return to_text(self)
@@ -43,12 +59,10 @@ class Gen(Term):
         self.name = name
         self.a = a
         self.dom, self.cod = GENERATOR_ARITIES[name]
+        self._seal()
 
-    def __eq__(self, other):
-        return isinstance(other, Gen) and (self.name, self.a) == (other.name, other.a)
-
-    def __hash__(self):
-        return hash((Gen, self.name, self.a))
+    def _key(self) -> tuple:
+        return (self.name, self.a)
 
 
 class RelLit(Term):
@@ -57,12 +71,10 @@ class RelLit(Term):
     def __init__(self, rel: Relation):
         self.rel = rel
         self.dom, self.cod = rel.s, rel.k
+        self._seal()
 
-    def __eq__(self, other):
-        return isinstance(other, RelLit) and self.rel == other.rel
-
-    def __hash__(self):
-        return hash((RelLit, self.rel))
+    def _key(self) -> tuple:
+        return (self.rel,)
 
 
 class MuLit(Term):
@@ -71,12 +83,10 @@ class MuLit(Term):
     def __init__(self, mat: MatFq):
         self.mat = mat
         self.dom, self.cod = mat.cols, mat.rows
+        self._seal()
 
-    def __eq__(self, other):
-        return isinstance(other, MuLit) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash((MuLit, self.mat))
+    def _key(self) -> tuple:
+        return (self.mat,)
 
 
 class IdK(Term):
@@ -87,12 +97,10 @@ class IdK(Term):
             raise ArityMismatch("id needs k >= 0")
         self.k = k
         self.dom = self.cod = k
+        self._seal()
 
-    def __eq__(self, other):
-        return isinstance(other, IdK) and self.k == other.k
-
-    def __hash__(self):
-        return hash((IdK, self.k))
+    def _key(self) -> tuple:
+        return (self.k,)
 
 
 class Compose(Term):
@@ -109,15 +117,10 @@ class Compose(Term):
         self.left = left
         self.right = right
         self.dom, self.cod = right.dom, left.cod
+        self._seal()
 
-    def __eq__(self, other):
-        return isinstance(other, Compose) and (self.left, self.right) == (
-            other.left,
-            other.right,
-        )
-
-    def __hash__(self):
-        return hash((Compose, self.left, self.right))
+    def _key(self) -> tuple:
+        return (self.left, self.right)
 
 
 class Tensor(Term):
@@ -130,15 +133,10 @@ class Tensor(Term):
         self.right = right
         self.dom = left.dom + right.dom
         self.cod = left.cod + right.cod
+        self._seal()
 
-    def __eq__(self, other):
-        return isinstance(other, Tensor) and (self.left, self.right) == (
-            other.left,
-            other.right,
-        )
-
-    def __hash__(self):
-        return hash((Tensor, self.left, self.right))
+    def _key(self) -> tuple:
+        return (self.left, self.right)
 
 
 class LinComb(Term):
@@ -153,12 +151,10 @@ class LinComb(Term):
             raise ArityMismatch(f"linear combination mixes arities {sorted(arities)}")
         self.parts = parts
         self.dom, self.cod = parts[0][1].dom, parts[0][1].cod
+        self._seal()
 
-    def __eq__(self, other):
-        return isinstance(other, LinComb) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash((LinComb, self.parts))
+    def _key(self) -> tuple:
+        return self.parts
 
 
 # -- printing ---------------------------------------------------------------

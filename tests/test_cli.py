@@ -241,3 +241,31 @@ def test_count_large_value(capsys):
         "8212557991328250087299340441413725959065326849445607322492216871960579090361"
         "990958614\n"
     )
+
+
+def test_oversized_identities_are_guard_errors(capsys):
+    # id(k) needs a k x 2k basis; id(5000) alone would print 5e7 cells
+    assert_guard_error(capsys, "eval", "--q", "2", "id(100000000)")
+    assert_guard_error(capsys, "specialize", "--q", "2", "--n", "1", "id(100000000)")
+    assert_guard_error(capsys, "eval", "--q", "2", "id(5000)")
+    # a literal with no rows still has an orthogonal complement to build
+    assert_guard_error(capsys, "knop-convert", "--q", "2", "rel(2;100000000,0;[])")
+
+
+def test_largest_allowed_identity_prints(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--q", "2", "id(400)")
+    assert code == 0
+    assert out.startswith("rel(2;400,400;[[1,") and out.count("[") == 401
+
+
+def test_count_over_large_extension_fields(capsys):
+    # the modulus of F_{p^e} is found by Rabin's test, not by trial division
+    for q, count in (
+        ("1000000007^2", "1000000014000000052"),
+        ("10007^3", "1002101470346"),
+        ("101^8", "10828567056280804"),
+    ):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "count", "--q", q)
+        assert time.perf_counter() - start < 1.0, q
+        assert code == 0 and out == count + "\n"

@@ -7,8 +7,17 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from relcat import field as field_module
 from relcat.errors import DegreeOutOfRange, DivisionByZero, NotPrime, TooLarge
-from relcat.field import TABLE_LIMIT, Fq, _poly_mod, _poly_mul, is_prime, parse_q
+from relcat.field import (
+    TABLE_LIMIT,
+    Fq,
+    _poly_mod,
+    _poly_mul,
+    _smallest_irreducible,
+    is_prime,
+    parse_q,
+)
 
 
 def test_prime_fields_no_modulus():
@@ -27,6 +36,47 @@ def test_classical_moduli_table():
     assert Fq(2, 3).modulus == (1, 1, 0, 1)  # x^3+x+1
     assert Fq(2, 4).modulus == (1, 1, 0, 0, 1)  # x^4+x+1
     assert Fq(3, 2).modulus == (1, 0, 1)  # x^2+1
+
+
+def trial_division_modulus(p, e):
+    """The first monic irreducible of degree e in code order, by trial division."""
+    for m in range(p**e):
+        poly = [(m // p**i) % p for i in range(e)] + [1]
+        if all(
+            _poly_mod(poly, [(n // p**i) % p for i in range(d)] + [1], p)
+            for d in range(1, e // 2 + 1)
+            for n in range(p**d)
+        ):
+            return tuple(poly)
+
+
+def test_moduli_match_trial_division():
+    cases = [(p, e) for p in range(2, 28) if is_prime(p) for e in range(2, 10) if p**e <= 3**6]
+    assert len(cases) == 23
+    for p, e in cases:
+        assert _smallest_irreducible(p, e) == trial_division_modulus(p, e), (p, e)
+
+
+@pytest.mark.parametrize("p,e", [(1000000007, 2), (10007, 3), (101, 8)])
+def test_moduli_of_large_characteristic(p, e):
+    start = time.perf_counter()
+    modulus = _smallest_irreducible.__wrapped__(p, e)
+    assert time.perf_counter() - start < 1.0
+    assert len(modulus) == e + 1 and modulus[-1] == 1
+    assert field_module._is_irreducible(list(modulus), p)
+    # the 50 candidates just before it are reducible
+    code = sum(c * p**i for i, c in enumerate(modulus[:-1]))
+    for m in range(max(0, code - 50), code):
+        poly = [(m // p**i) % p for i in range(e)] + [1]
+        assert not field_module._is_irreducible(poly, p), poly
+
+
+def test_modulus_search_is_guarded(monkeypatch):
+    # x^3 + a always has a root when p = 2 mod 3, so the search must scan
+    # the whole first block of p candidates
+    monkeypatch.setattr(field_module, "IRREDUCIBLE_WORK", 1000)
+    with pytest.raises(TooLarge):
+        _smallest_irreducible.__wrapped__(1000037, 3)
 
 
 def test_char2_add_is_self_inverse():

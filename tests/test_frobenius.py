@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from relcat import category as cat
+from relcat import terms as tm
 from relcat.concrete import f_r_matrix
 from relcat.dsl import parse
 from relcat.errors import MissingUnit, NotRelInfty, ShapeMismatch
@@ -21,15 +22,20 @@ from relcat.frobenius import (
     term_eval,
 )
 from relcat.matrix import MatFq
+from relcat.poly import PolyQ
 from relcat.qmat import QMat
 from relcat.relations import (
+    GENERATOR_ARITIES,
     Relation,
+    is_rel_infty,
     mu_relation,
     product,
     random_rel_infty,
     random_relation,
+    rel_infty_normal_form,
     star,
 )
+from relcat.suites import suite_lemmas
 
 F2, F3, F4 = Fq(2), Fq(3), Fq(2, 2)
 
@@ -200,3 +206,133 @@ def test_term_eval_with_scalars():
     with pytest.raises(RequiresEvaluation):
         term_eval(data, sym)
     assert term_eval(data, sym, t_value=Fraction(2)) == QMat.identity(2).scale(2)
+
+
+# -- the compiled evaluator against a dense reference ---------------------------
+
+
+def dense(data, term, t_value):
+    """The matrix of a term built from the structure's QMats by @ and kron."""
+    D = data.dim
+    if isinstance(term, tm.Gen):
+        if term.name == "mu":
+            return data.mu[term.a]
+        maps = {"m": data.m, "m*": data.m_star, "eps*": data.eps_star, "plus": data.plus,
+                "z": data.z, "eps": data.eps}
+        built = {"z*": data.z_star, "sigma": data.swap, "ev": data.ev, "coev": data.coev}
+        return maps[term.name] if term.name in maps else built[term.name]()
+    if isinstance(term, tm.IdK):
+        return QMat.identity(D**term.k)
+    if isinstance(term, tm.MuLit):
+        return dense(data, tm.mu_matrix_term(term.mat), t_value)
+    if isinstance(term, tm.RelLit):
+        rel = term.rel
+        if not is_rel_infty(rel):
+            return dense(data, cat.decompose_generators(rel), t_value)
+        a, ap = rel_infty_normal_form(rel)
+        cap = QMat.identity(D**rel.k)
+        for _ in range(ap.rows):
+            cap = cap.kron(data.z_star())
+        return cap @ dense(data, tm.mu_matrix_term(a.vstack(ap)), t_value)
+    if isinstance(term, tm.Compose):
+        return dense(data, term.left, t_value) @ dense(data, term.right, t_value)
+    if isinstance(term, tm.Tensor):
+        return dense(data, term.left, t_value).kron(dense(data, term.right, t_value))
+    out = QMat.zero(D**term.cod, D**term.dom)
+    for coeff, sub in term.parts:
+        out = out.add(dense(data, sub, t_value).scale(coeff.evaluate(t_value)))
+    return out
+
+
+def random_term(rng, field, dom, cod, depth):
+    """A well-typed random term [dom] -> [cod] with at most two strands between factors.
+
+    Relation literals stay at two strands: the dense reference of one that is
+    not codomain-surjective expands its basis into a wide tensor power.
+    """
+    kind = rng.choice(("leaf", "leaf", "compose", "tensor", "lincomb") if depth else ("leaf",))
+    if kind == "compose":
+        mid = rng.randrange(3)
+        left = random_term(rng, field, mid, cod, depth - 1)
+        return tm.Compose(left, random_term(rng, field, dom, mid, depth - 1))
+    if kind == "tensor" and dom + cod > 0:
+        d1, c1 = rng.randrange(dom + 1), rng.randrange(cod + 1)
+        return tm.Tensor(
+            random_term(rng, field, d1, c1, depth - 1),
+            random_term(rng, field, dom - d1, cod - c1, depth - 1),
+        )
+    if kind == "lincomb":
+        parts = [
+            (PolyQ({0: rng.randrange(-3, 4), 1: rng.randrange(3)}),
+             random_term(rng, field, dom, cod, depth - 1))
+            for _ in range(rng.randrange(1, 3))
+        ]
+        return tm.LinComb(parts)
+    leaves = ["mulit"] + ["rellit"] * (dom + cod <= 2)
+    gens = [name for name, arity in GENERATOR_ARITIES.items() if arity == (dom, cod)]
+    leaves += ["gen"] * 2 * bool(gens) + ["id"] * 2 * (dom == cod)
+    leaf = rng.choice(leaves)
+    if leaf == "gen":
+        name = rng.choice(gens)
+        return tm.Gen(name, rng.randrange(field.q) if name == "mu" else None)
+    if leaf == "id":
+        return tm.IdK(dom)
+    if leaf == "mulit":
+        return tm.MuLit(MatFq(field, cod, dom, [rng.randrange(field.q) for _ in range(dom * cod)]))
+    return tm.RelLit(random_relation(rng, field, dom, cod))
+
+
+def node_kinds(term):
+    if isinstance(term, (tm.Compose, tm.Tensor)):
+        return {type(term).__name__} | node_kinds(term.left) | node_kinds(term.right)
+    if isinstance(term, tm.LinComb):
+        return {"LinComb"}.union(*(node_kinds(sub) for _, sub in term.parts))
+    return {type(term).__name__}
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_term_eval_matches_dense_reference(field):
+    rng = random.Random(60 + field.q)
+    data = standard_target(field, 1)
+    kinds = set()
+    for trial in range(60):
+        dom, cod = rng.randrange(3), rng.randrange(3)
+        term = random_term(rng, field, dom, cod, 4)
+        t_value = Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
+        kinds |= node_kinds(term)
+        assert term_eval(data, term, t_value=t_value) == dense(data, term, t_value), (trial, term)
+    assert kinds == {"Gen", "IdK", "MuLit", "RelLit", "Compose", "Tensor", "LinComb"}
+
+
+def test_mu_matrix_term_expanded_once_per_matrix(monkeypatch):
+    expanded = []
+    swaps = []
+    real_expand = tm.mu_matrix_term
+    real_swap = FrobeniusData.swap
+
+    def counting_expand(mat):
+        expanded.append(mat)
+        return real_expand(mat)
+
+    def counting_swap(self):
+        swaps.append(self)
+        return real_swap(self)
+
+    monkeypatch.setattr(tm, "mu_matrix_term", counting_expand)
+    monkeypatch.setattr(FrobeniusData, "swap", counting_swap)
+    results = suite_lemmas(F3, seed=7)
+    assert all(r.passed for r in results)
+    assert expanded and len(expanded) == len(set(expanded))
+    # one structure, and its swap matrix is built once
+    assert len(swaps) == 1
+
+
+def test_deep_composite_evaluates():
+    # a chain deeper than the interpreter's recursion limit: hashing, compiling
+    # and evaluating it all walk it without recursion
+    data = standard_target(F2, 1)
+    chain = tm.Gen("sigma")
+    for i in range(3000):
+        chain = tm.Compose(tm.Gen("sigma"), chain) if i % 2 else tm.Compose(chain, tm.Gen("sigma"))
+    assert term_eval(data, chain) == data.swap()
+    assert hash(chain) == hash(tm.Compose(chain.left, chain.right))
