@@ -333,6 +333,7 @@ def generator_relation(field: Fq, name: str, a: int | None = None) -> Relation:
 
 
 def random_relation(rng, field: Fq, s: int, k: int) -> Relation:
+    _check_cells(s, k)
     n = s + k
     nrows = rng.randrange(n + 1)
     rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(nrows)]
@@ -340,6 +341,7 @@ def random_relation(rng, field: Fq, s: int, k: int) -> Relation:
 
 
 def random_rel_infty(rng, field: Fq, s: int, k: int) -> Relation:
+    _check_cells(s, k)
     a = MatFq(field, k, s, [rng.randrange(field.q) for _ in range(k * s)])
     nrows = rng.randrange(s + 1)
     ap = MatFq(field, nrows, s, [rng.randrange(field.q) for _ in range(nrows * s)])

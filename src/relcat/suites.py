@@ -1,11 +1,12 @@
 """Named verification suites shared by the CLI and the acceptance tests.
 
-Each suite returns a list of CheckResult-like (name, passed, detail)
-tuples, assembled deterministically from a seed.  The axiom and lemma
-suites are built as pairs of generator terms, so the same pair can be
-checked both as an exact formal identity (symbolic t) and as an exact
-matrix identity on a concrete structure; the functor and stability suites
-compare the formal category against its specializations.
+Each suite returns a list of SuiteResult lines (name, passed, detail),
+assembled deterministically from a seed.  The axiom and lemma suites are
+built as pairs of generator terms, so the same pair can be checked both as
+an exact formal identity (symbolic t) and as an exact matrix identity on
+the standard target: the axiom pairs (``frobenius.frobenius_axiom_terms``)
+through the structure checker, the lemma pairs here.  The functor and
+stability suites compare the formal category against its specializations.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from . import terms as tm
 from .concrete import f_r_matrix, rel_infty_stability
 from .dsl import eval_formal
 from .field import Fq
-from .frobenius import check_axioms, hat_f, standard_target, term_eval
+from .frobenius import (
+    FrobeniusData,
+    check_axioms,
+    frobenius_axiom_terms,
+    hat_f,
+    standard_target,
+    term_eval,
+)
 from .matrix import MatFq
 from .relations import (
     is_rel_infty,
@@ -53,94 +61,6 @@ def _block_diag(a: MatFq, b: MatFq) -> MatFq:
     for i in range(b.rows):
         rows.append([0] * a.cols + list(b.row(i)))
     return MatFq.from_rows(a.field, rows, a.cols + b.cols)
-
-
-# -- axiom suite -------------------------------------------------------------
-
-
-def frobenius_axiom_terms(field: Fq):
-    """The defining axioms of a field-linear Frobenius space, as term pairs."""
-    g = tm.Gen
-    I1 = tm.t_id(1)
-    pairs = [
-        ("Fr1 m associative", tm.t_compose(g("m"), tm.t_tensor(g("m"), I1)),
-         tm.t_compose(g("m"), tm.t_tensor(I1, g("m")))),
-        ("Fr1 m commutative", tm.t_compose(g("m"), g("sigma")), g("m")),
-        ("Fr1 unit left", tm.t_compose(g("m"), tm.t_tensor(g("eps"), I1)), I1),
-        ("Fr1 unit right", tm.t_compose(g("m"), tm.t_tensor(I1, g("eps"))), I1),
-        ("Fr1 m* coassociative", tm.t_compose(tm.t_tensor(g("m*"), I1), g("m*")),
-         tm.t_compose(tm.t_tensor(I1, g("m*")), g("m*"))),
-        ("Fr1 m* cocommutative", tm.t_compose(g("sigma"), g("m*")), g("m*")),
-        ("Fr1 counit left", tm.t_compose(tm.t_tensor(g("eps*"), I1), g("m*")), I1),
-        ("Fr1 counit right", tm.t_compose(tm.t_tensor(I1, g("eps*")), g("m*")), I1),
-        ("Fr2 frobenius left", tm.t_compose(g("m*"), g("m")),
-         tm.t_compose(tm.t_tensor(I1, g("m")), tm.t_tensor(g("m*"), I1))),
-        ("Fr2 frobenius right", tm.t_compose(g("m*"), g("m")),
-         tm.t_compose(tm.t_tensor(g("m"), I1), tm.t_tensor(I1, g("m*")))),
-        ("Fr2 speciality", tm.t_compose(g("m"), g("m*")), I1),
-        ("Lin1 plus associative", tm.t_compose(g("plus"), tm.t_tensor(g("plus"), I1)),
-         tm.t_compose(g("plus"), tm.t_tensor(I1, g("plus")))),
-        ("Lin1 plus commutative", tm.t_compose(g("plus"), g("sigma")), g("plus")),
-        ("Lin2 zero left", tm.t_compose(g("plus"), tm.t_tensor(g("z"), I1)), I1),
-        ("Lin2 zero right", tm.t_compose(g("plus"), tm.t_tensor(I1, g("z"))), I1),
-        ("Lin3 mu(1) = Id", g("mu", 1), I1),
-        ("Lin3 mu(0) = z . eps*", g("mu", 0), tm.t_compose(g("z"), g("eps*"))),
-    ]
-    for a in field.elements():
-        for b in field.elements():
-            pairs.append((
-                f"Lin3 mu({a}).mu({b}) = mu(ab)",
-                tm.t_compose(g("mu", a), g("mu", b)),
-                g("mu", field.mul(a, b)),
-            ))
-            pairs.append((
-                f"Lin4 mu({a}+{b}) = plus.(mu@mu).m*",
-                g("mu", field.add(a, b)),
-                tm.t_compose(g("plus"), tm.t_tensor(g("mu", a), g("mu", b)), g("m*")),
-            ))
-    for a in field.elements():
-        pairs.append((
-            f"Lin4 mu({a}) distributes",
-            tm.t_compose(g("mu", a), g("plus")),
-            tm.t_compose(g("plus"), tm.t_tensor(g("mu", a), g("mu", a))),
-        ))
-        if a != 0:
-            pairs.append((
-                f"Rel1 m*.mu({a})",
-                tm.t_compose(g("m*"), g("mu", a)),
-                tm.t_compose(tm.t_tensor(g("mu", a), g("mu", a)), g("m*")),
-            ))
-            pairs.append((f"Rel1 eps*.mu({a})", tm.t_compose(g("eps*"), g("mu", a)), g("eps*")))
-            pairs.append((
-                f"Rel1 mu({a}).m",
-                tm.t_compose(g("mu", a), g("m")),
-                tm.t_compose(g("m"), tm.t_tensor(g("mu", a), g("mu", a))),
-            ))
-    pairs += [
-        ("Rel2 m*.z = z @ z", tm.t_compose(g("m*"), g("z")), tm.t_tensor(g("z"), g("z"))),
-        ("Rel2 eps*.z = Id", tm.t_compose(g("eps*"), g("z")), tm.t_id(0)),
-        ("Rel2 m.(z@z) = z", tm.t_compose(g("m"), tm.t_tensor(g("z"), g("z"))), g("z")),
-        ("Rel3 m*.plus", tm.t_compose(g("m*"), g("plus")),
-         tm.t_compose(tm.t_tensor(g("plus"), g("plus")),
-                      tm.t_tensor(I1, g("sigma"), I1),
-                      tm.t_tensor(g("m*"), g("m*")))),
-        ("Rel3 eps*.plus", tm.t_compose(g("eps*"), g("plus")),
-         tm.t_tensor(g("eps*"), g("eps*"))),
-        ("Rel4 cancellation",
-         tm.t_compose(g("m"), tm.t_tensor(g("plus"), g("plus")),
-                      tm.t_tensor(I1, g("m*"), I1)),
-         tm.t_compose(g("plus"), tm.t_tensor(I1, g("m")), tm.t_tensor(g("sigma"), I1))),
-        ("snake left",
-         tm.t_compose(tm.t_tensor(g("ev"), I1), tm.t_tensor(I1, g("coev"))), I1),
-        ("snake right",
-         tm.t_compose(tm.t_tensor(I1, g("ev")), tm.t_tensor(g("coev"), I1)), I1),
-        ("ev = eps* . m", g("ev"), tm.t_compose(g("eps*"), g("m"))),
-        ("coev = m* . eps", g("coev"), tm.t_compose(g("m*"), g("eps"))),
-        ("z* = ev . (Id @ z)", g("z*"), tm.t_compose(g("ev"), tm.t_tensor(I1, g("z")))),
-        ("eps = (eps* @ Id) . coev", g("eps"),
-         tm.t_compose(tm.t_tensor(g("eps*"), I1), g("coev"))),
-    ]
-    return pairs
 
 
 # -- lemma suite -------------------------------------------------------------
@@ -304,10 +224,9 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
 # -- suite runners ------------------------------------------------------------
 
 
-def run_term_pairs(field: Fq, pairs, n: int | None = 1):
-    """Check term pairs formally and, when n is given, on the standard target."""
+def run_term_pairs(field: Fq, pairs, data: FrobeniusData | None):
+    """Check term pairs formally and, when data is given, on that structure."""
     out = []
-    data = standard_target(field, n) if n is not None else None
     for name, lhs, rhs in pairs:
         formal_ok = eval_formal(lhs, field) == eval_formal(rhs, field)
         detail = "" if formal_ok else "formal mismatch"
@@ -315,15 +234,17 @@ def run_term_pairs(field: Fq, pairs, n: int | None = 1):
         if data is not None:
             concrete_ok = term_eval(data, lhs) == term_eval(data, rhs)
             if not concrete_ok:
-                detail = (detail + "; " if detail else "") + f"matrix mismatch at n={n}"
+                detail = (detail + "; " if detail else "") + f"matrix mismatch at D={data.dim}"
         out.append(SuiteResult(name, formal_ok and concrete_ok, detail))
     return out
 
 
 def suite_axioms(field: Fq, n: int = 1):
-    """Formal + concrete axiom suite, plus the concrete structure checker."""
-    out = run_term_pairs(field, frobenius_axiom_terms(field), n)
-    report = check_axioms(standard_target(field, n))
+    """Each axiom pair formally, then on the standard target by the structure checker."""
+    # the target's q^n guard runs before the pair list loops over F_q x F_q
+    data = standard_target(field, n)
+    out = run_term_pairs(field, frobenius_axiom_terms(field), None)
+    report = check_axioms(data)
     for check in report.checks:
         out.append(SuiteResult(f"standard target {check.name}", check.passed,
                                "" if check.passed else str(check.counterexample)))
@@ -336,7 +257,9 @@ def suite_axioms(field: Fq, n: int = 1):
 
 
 def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
-    return run_term_pairs(field, mu_lemma_terms(field, seed), n)
+    # the target's q^n guard runs before the pair list loops over F_q
+    data = standard_target(field, n)
+    return run_term_pairs(field, mu_lemma_terms(field, seed), data)
 
 
 def _arity_guard(field: Fq, n: int, *pairs) -> bool:

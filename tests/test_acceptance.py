@@ -111,7 +111,7 @@ def test_criterion_04_knop_equivalence():
 
 def test_criterion_05_frobenius_axiom_suite():
     for field in (F2, F3, F4):
-        results = run_term_pairs(field, frobenius_axiom_terms(field), n=None)
+        results = run_term_pairs(field, frobenius_axiom_terms(field), None)
         failures = [r.name for r in results if not r.passed]
         assert not failures, (field.q, failures)
     _ok("criterion 5: all Frobenius-space axioms hold formally for q in {2,3,4}, all a,b")
@@ -119,7 +119,7 @@ def test_criterion_05_frobenius_axiom_suite():
 
 def test_criterion_06_lemma_suite():
     for field in (F2, F3):
-        results = run_term_pairs(field, mu_lemma_terms(field, seed=106), n=1)
+        results = run_term_pairs(field, mu_lemma_terms(field, seed=106), standard_target(field, 1))
         failures = [r.name for r in results if not r.passed]
         assert not failures, (field.q, failures)
     _ok("criterion 6: matrix-action lemma suite holds formally and on the standard target")

@@ -252,6 +252,19 @@ def test_oversized_identities_are_guard_errors(capsys):
     assert_guard_error(capsys, "knop-convert", "--q", "2", "rel(2;100000000,0;[])")
 
 
+def test_pair_suites_guard_before_building_pairs(capsys):
+    # the axiom and lemma pairs loop over F_q x F_q and F_q; q^n is refused first
+    assert_guard_error(capsys, "verify", "axioms", "--q", "101^8")
+    assert_guard_error(capsys, "verify", "lemmas", "--q", "101^8")
+
+
+def test_random_relations_guard_before_building_rows(capsys):
+    assert_guard_error(capsys, "verify", "knop", "--q", "2", "--max-arity", "3000", "--trials", "1")
+    assert_guard_error(
+        capsys, "verify", "relinfty", "--q", "2", "--max-arity", "3000", "--trials", "1"
+    )
+
+
 def test_largest_allowed_identity_prints(capsys):
     code, out, _ = run_cli(capsys, "eval", "--q", "2", "id(400)")
     assert code == 0

@@ -15,6 +15,7 @@ from relcat.field import Fq
 from relcat.frobenius import (
     FrobeniusData,
     check_axioms,
+    frobenius_axiom_terms,
     hat_f,
     mu_A_eval,
     rel_matrix,
@@ -72,17 +73,53 @@ def test_corrupted_scaling_fails_named_check():
     )
     report = check_axioms(bad)
     failed = [c.name for c in report.checks if not c.passed]
-    assert "Lin3 mu(0)=z.eps*" in failed
-    bad_check = next(c for c in report.checks if c.name == "Lin3 mu(0)=z.eps*")
+    assert "Lin3 mu(0) = z . eps*" in failed
+    bad_check = next(c for c in report.checks if c.name == "Lin3 mu(0) = z . eps*")
     assert bad_check.counterexample is not None
 
 
+UNIT_PAIRS = {
+    "Fr1 unit left",
+    "Fr1 unit right",
+    "snake left",
+    "snake right",
+    "coev = m* . eps",
+    "eps = (eps* @ Id) . coev",
+}
+
+
 def test_semi_mode_on_unitless_data():
-    report = check_axioms(drop_unit(standard_target(F3, 1)))
-    assert report.semi and report.all_passed
-    assert report.dim_value is None
-    names = {c.name for c in report.checks}
-    assert not names & {"Fr1 unit left", "Fr1 unit right", "self-dual snake left", "self-dual snake right"}
+    for field, count in ((F2, 36), (F3, 50)):
+        report = check_axioms(drop_unit(standard_target(field, 1)))
+        assert report.semi and report.all_passed
+        assert report.dim_value is None
+        names = {c.name for c in report.checks}
+        assert not names & UNIT_PAIRS
+        assert len(report.checks) == len(frobenius_axiom_terms(field)) - len(UNIT_PAIRS) == count
+
+
+def _wrong(mat: QMat) -> QMat:
+    """A matrix of the same shape that differs from mat in cell (0, 0)."""
+    data = dict(mat.data)
+    data[(0, 0)] = data.get((0, 0), 0) + 1
+    return QMat(mat.rows, mat.cols, data)
+
+
+@pytest.mark.parametrize("name", ["m", "m_star", "eps_star", "plus", "z", "mu", "eps"])
+def test_each_corrupted_map_fails_a_named_check(name):
+    data = standard_target(F3, 1)
+    maps = {
+        "m": data.m, "m_star": data.m_star, "eps_star": data.eps_star, "plus": data.plus,
+        "z": data.z, "mu": dict(data.mu), "eps": data.eps,
+    }
+    if name == "mu":
+        maps["mu"][2] = _wrong(data.mu[2])
+    else:
+        maps[name] = _wrong(maps[name])
+    report = check_axioms(FrobeniusData(F3, data.dim, **maps))
+    failed = [c for c in report.checks if not c.passed]
+    assert failed, name
+    assert all(c.counterexample is not None for c in failed), failed
 
 
 def test_semi_mode_never_touches_unit():
