@@ -51,10 +51,6 @@ class TMode:
     def at(cls, value) -> "TMode":
         return cls(Fraction(value))
 
-    @property
-    def is_symbolic(self) -> bool:
-        return self.value is None
-
     def t_power(self, d: int) -> PolyQ:
         if self.value is None:
             return PolyQ.t_power(d)

@@ -7,6 +7,13 @@ are indexed by integers: a vector v in F_q^n has code sum_j v_j q^j
 sum_i code(v_i) q^{n(i-1)}, so strand 1 is the least significant block,
 matching QMat.kron.
 
+A relation's basis rows are equations on one coordinate slot of the
+(domain | codomain) tuple, and the n slots obey them independently, so
+f_R at rank n is the slotwise product of the kernel points: its nonzero
+cells are the sums of one kernel point per slot, q^{n·dim ker} of them,
+built directly without solving for any column.  Only ``matrix`` and
+``field`` are used, never ``star``, ``product`` or ``category``.
+
 These matrices are the ground-truth oracle for every formal identity:
 composition becomes exact matrix product scaled by q^{n·defect}, tensor
 becomes the Kronecker product, and t evaluates to q^n.
@@ -85,71 +92,36 @@ def code_tuple(field: Fq, n: int, code: int, count: int):
 
 
 def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
-    """The 0/1 matrix of a basis arrow at rank n.
+    """The 0/1 matrix of a basis arrow at rank n, as a slotwise product.
 
-    Per input column the constraint system on the output tuple is solved
-    once over F_q and its solution coset is enumerated, so the cost is
-    q^{ns} * q^{n(k - rank)} rather than a full double enumeration.
+    The basis rows are equations on one coordinate slot of the
+    (domain | codomain) tuple, and each of the n slots obeys them on its
+    own.  The q^{dim ker} kernel points are enumerated once, as
+    combinations of the kernel rows; a point with domain part x and
+    codomain part y sits at slot 0 as the (row, col) offset
+    (sum_i y_i q^{n i}, sum_i x_i q^{n i}) and at slot j shifted by q^j.
+    The cells are the sums of one offset per slot, built in n rounds, so
+    the cost is the q^{n dim ker} cells themselves: no column is solved.
     """
     F, s, k = rel.field, rel.s, rel.k
     _guard(F, n, s, k)
     q = F.q
-    dom = rel.basis.take_cols(range(s))
-    cod = rel.basis.take_cols(range(s, s + k))
-    # RREF the codomain block once; record how the domain block transforms.
-    aug, _ = cod.hstack(dom).rref()
-    cod_red = aug.take_cols(range(k))
-    dom_red = aug.take_cols(range(k, k + s))
-    pivots = []
-    seen = set()
-    for i in range(cod_red.rows):
-        row = cod_red.row(i)
-        piv = next((j for j in range(k) if row[j]), None)
-        pivots.append(piv)
-        if piv is not None:
-            seen.add(piv)
-    free_cols = [j for j in range(k) if j not in seen]
-    data = {}
-    for col in range(q ** (n * s)):
-        vin = code_tuple(F, n, col, s)
-        # solve slot-by-slot: slot j of the outputs satisfies the same
-        # reduced system with rhs = -dom_red @ (slot j of the inputs)
-        particular = [[0] * k for _ in range(n)]
-        consistent = True
-        for slot in range(n):
-            rhs = [
-                F.neg(
-                    _dot(F, dom_red.row(i), [vin[x][slot] for x in range(s)])
-                )
-                for i in range(dom_red.rows)
-            ]
-            for i in range(cod_red.rows):
-                if pivots[i] is None:
-                    if rhs[i] != 0:
-                        consistent = False
-                        break
-                else:
-                    particular[slot][pivots[i]] = rhs[i]
-            if not consistent:
-                break
-        if not consistent:
-            continue
-        for combo in range(q ** (n * len(free_cols))):
-            free_vals = code_tuple(F, n, combo, len(free_cols))
-            wout = [list(particular[slot]) for slot in range(n)]
-            for fi, j in enumerate(free_cols):
-                for slot in range(n):
-                    x = free_vals[fi][slot]
-                    wout[slot][j] = x
-                    for i in range(cod_red.rows):
-                        if pivots[i] is not None and cod_red[i, j]:
-                            wout[slot][pivots[i]] = F.sub(
-                                wout[slot][pivots[i]], F.mul(cod_red[i, j], x)
-                            )
-            vectors = [tuple(wout[slot][j] for slot in range(n)) for j in range(k)]
-            row = tuple_code(F, n, vectors)
-            data[(row, col)] = 1
-    return ConcreteMap(F, n, s, k, QMat(q ** (n * k), q ** (n * s), data))
+    points = [(0,) * (s + k)]
+    for b in rel.basis.kernel().tolist():
+        multiples = [[F.mul(c, x) for x in b] for c in range(1, q)]
+        points += [
+            tuple(F.add(x, y) for x, y in zip(p, m)) for p in points for m in multiples
+        ]
+    weights = [q ** (n * i) for i in range(max(s, k))]
+    offsets = [
+        (sum(y * w for y, w in zip(p[s:], weights)), sum(x * w for x, w in zip(p[:s], weights)))
+        for p in points
+    ]
+    cells = [(0, 0)]
+    for j in range(n):
+        shift = q**j
+        cells = [(r + ro * shift, c + co * shift) for r, c in cells for ro, co in offsets]
+    return ConcreteMap(F, n, s, k, QMat._trusted(q ** (n * k), q ** (n * s), dict.fromkeys(cells, 1)))
 
 
 def _dot(F: Fq, coeffs, values) -> int:

@@ -352,9 +352,6 @@ class Fq:
             return table[a]
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> range:
         """All q element codes, in increasing order (deterministic)."""
         return range(self.q)

@@ -40,7 +40,10 @@ from .qmat import QMat
 from .relations import Relation, is_rel_infty, rel_infty_normal_form
 from .terms import Term
 
+# The standard target's largest map, plus, has q^(2n) cells; more are refused.
 STANDARD_GUARD = 2**12
+# frobenius_axiom_terms has 2q^2 + 4q + 26 pairs; it refuses to build more.
+AXIOM_PAIR_GUARD = 2**12
 
 
 class FrobeniusData:
@@ -107,9 +110,13 @@ class FrobeniusData:
 def standard_target(field: Fq, n: int) -> FrobeniusData:
     """The structure on the free vector space over F_q^n basis tuples."""
     q = field.q
+    # q >= 2, so 2n past the guard's bit length already gives too many cells
+    if 2 * n > STANDARD_GUARD.bit_length() or q ** (2 * n) > STANDARD_GUARD:
+        raise TooLarge(
+            f"the standard target at q = {field}, n = {n} has q^(2n) plus cells, "
+            f"more than {STANDARD_GUARD}"
+        )
     dim = q**n
-    if dim > STANDARD_GUARD:
-        raise TooLarge(f"q^n = {dim} exceeds {STANDARD_GUARD}")
 
     def vec_add(a: int, b: int) -> int:
         da = [(a // q**i) % q for i in range(n)]
@@ -418,6 +425,10 @@ def rel_matrix(data: FrobeniusData, rel: Relation) -> QMat:
 
 def frobenius_axiom_terms(field: Fq):
     """The defining axioms of a field-linear Frobenius space, as term pairs."""
+    q = field.q
+    count = 2 * q * q + 4 * q + 26
+    if count > AXIOM_PAIR_GUARD:
+        raise TooLarge(f"F_{field} has {count} axiom pairs, more than {AXIOM_PAIR_GUARD}")
     g = tm.Gen
     I1 = tm.t_id(1)
     pairs = [

@@ -1,8 +1,12 @@
 """Sparse exact matrices over the rationals.
 
 Entries are Python ints or Fractions keyed by (row, col); zeros are never
-stored.  The Kronecker convention throughout the library is that the
-FIRST factor is the least significant index block: kron(a, b) has entry
+stored.  The public constructor checks every entry; ``QMat._trusted``
+wraps results computed here, which are nonzero and in range already.
+Rank is computed fraction-free, on integer rows.
+
+The Kronecker convention throughout the library is that the FIRST factor
+is the least significant index block: kron(a, b) has entry
 ((ra + a.rows * rb), (ca + a.cols * cb)) = a[ra,ca] * b[rb,cb].  This
 matches the tuple encoding used for tensor-power bases, where strand 1
 contributes the lowest digits.
@@ -10,7 +14,7 @@ contributes the lowest digits.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ShapeMismatch
 
@@ -30,23 +34,19 @@ class QMat:
                     self.data[(r, c)] = v
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, data: dict) -> "QMat":
+        """Wrap a dict of nonzero in-range entries without checking or copying it."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "QMat":
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMat":
         return cls(rows, cols)
-
-    @classmethod
-    def from_dense(cls, rows_list) -> "QMat":
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        data = {}
-        for i, row in enumerate(rows_list):
-            for j, v in enumerate(row):
-                if v:
-                    data[(i, j)] = v
-        return cls(rows, cols, data)
 
     def to_dense(self):
         out = [[0] * self.cols for _ in range(self.rows)]
@@ -71,7 +71,7 @@ class QMat:
         return sorted(self.data.items())
 
     def transpose(self) -> "QMat":
-        return QMat(self.cols, self.rows, {(c, r): v for (r, c), v in self.data.items()})
+        return QMat._trusted(self.cols, self.rows, {(c, r): v for (r, c), v in self.data.items()})
 
     def add(self, other: "QMat") -> "QMat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -83,12 +83,12 @@ class QMat:
                 data[key] = w
             else:
                 data.pop(key, None)
-        return QMat(self.rows, self.cols, data)
+        return QMat._trusted(self.rows, self.cols, data)
 
     def scale(self, c) -> "QMat":
         if not c:
             return QMat.zero(self.rows, self.cols)
-        return QMat(self.rows, self.cols, {k: c * v for k, v in self.data.items()})
+        return QMat._trusted(self.rows, self.cols, {k: c * v for k, v in self.data.items()})
 
     def matmul(self, other: "QMat") -> "QMat":
         if self.cols != other.rows:
@@ -108,7 +108,7 @@ class QMat:
             for c, v in acc.items():
                 if v:
                     out[(r, c)] = v
-        return QMat(self.rows, other.cols, out)
+        return QMat._trusted(self.rows, other.cols, out)
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -119,31 +119,42 @@ class QMat:
         for (r1, c1), v1 in self.data.items():
             for (r2, c2), v2 in other.data.items():
                 data[(r1 + self.rows * r2, c1 + self.cols * c2)] = v1 * v2
-        return QMat(self.rows * other.rows, self.cols * other.cols, data)
+        return QMat._trusted(self.rows * other.rows, self.cols * other.cols, data)
 
     def rank(self) -> int:
-        """Rank over Q, by fraction-exact Gaussian elimination on rows."""
-        rows = {}
+        """Rank over Q, by fraction-free elimination on integer rows.
+
+        Each row is scaled by the lcm of its denominators; a row meeting a
+        pivot on its leading column is cross-multiplied with the pivot row
+        to cancel it, then divided by the gcd of its entries.
+        """
+        rows: dict[int, dict] = {}
         for (r, c), v in self.data.items():
-            rows.setdefault(r, {})[c] = Fraction(v)
-        work = [row for row in rows.values() if row]
-        pivots: dict[int, dict[int, Fraction]] = {}
-        rank = 0
-        for row in work:
-            row = dict(row)
+            rows.setdefault(r, {})[c] = v
+        pivots: dict[int, dict[int, int]] = {}
+        for row in rows.values():
+            den = lcm(*(v.denominator for v in row.values()))
+            row = _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items()})
             while row:
                 lead = min(row)
-                if lead in pivots:
-                    piv = pivots[lead]
-                    f = row[lead] / piv[lead]
-                    for c, v in piv.items():
-                        w = row.get(c, Fraction(0)) - f * v
-                        if w:
-                            row[c] = w
-                        else:
-                            row.pop(c, None)
-                else:
+                piv = pivots.get(lead)
+                if piv is None:
                     pivots[lead] = row
-                    rank += 1
                     break
-        return rank
+                g = gcd(piv[lead], row[lead])
+                a, b = piv[lead] // g, row[lead] // g
+                row = {c: a * v for c, v in row.items()}
+                for c, v in piv.items():
+                    w = row.get(c, 0) - b * v
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+                row = _primitive(row)
+        return len(pivots)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g <= 1 else {c: v // g for c, v in row.items()}

@@ -258,6 +258,18 @@ def test_pair_suites_guard_before_building_pairs(capsys):
     assert_guard_error(capsys, "verify", "lemmas", "--q", "101^8")
 
 
+def test_standard_target_guard_counts_cells_and_pairs(capsys):
+    # plus has q^(2n) cells and the axiom list 2q^2 + 4q + 26 pairs; q^n alone
+    # let these through to run past 10 s
+    assert_guard_error(capsys, "verify", "axioms", "--q", "4093")
+    assert_guard_error(capsys, "verify", "axioms", "--q", "2^8")
+    assert_guard_error(capsys, "verify", "axioms", "--q", "2^6", "--n", "2")
+    assert_guard_error(capsys, "verify", "lemmas", "--q", "2^6", "--n", "2")
+    assert_guard_error(capsys, "verify", "axioms", "--q", "2", "--n", "100000000")
+    # q = 61 has 3721 plus cells but 7713 axiom pairs
+    assert_guard_error(capsys, "verify", "axioms", "--q", "61")
+
+
 def test_random_relations_guard_before_building_rows(capsys):
     assert_guard_error(capsys, "verify", "knop", "--q", "2", "--max-arity", "3000", "--trials", "1")
     assert_guard_error(

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from relcat import category as cat
+from relcat import relations
 from relcat.category import Morphism
 from relcat.concrete import (
     ConcreteMap,
@@ -34,7 +36,7 @@ from relcat.relations import (
     star,
 )
 
-F2, F3 = Fq(2), Fq(3)
+F2, F3, F4, F5 = Fq(2), Fq(3), Fq(2, 2), Fq(5)
 
 
 def test_codec_round_trip():
@@ -44,6 +46,88 @@ def test_codec_round_trip():
         n, count = rng.randrange(1, 3), rng.randrange(4)
         code = rng.randrange(F.q ** (n * count))
         assert tuple_code(F, n, code_tuple(F, n, code, count)) == code
+
+
+def _reference_cells(rel: Relation, n: int) -> dict:
+    """Cells of f_R at rank n by double enumeration of input and output tuples.
+
+    Digit n*i + j of a tuple index is coordinate j of vector i; a pair is
+    kept when, in every coordinate slot j, the (domain | codomain) vector of
+    slot j satisfies every basis equation.
+    """
+    F, s, k, q = rel.field, rel.s, rel.k, rel.field.q
+    equations = rel.basis.tolist()
+    satisfied = {}
+
+    def ok(vec):
+        if vec not in satisfied:
+            satisfied[vec] = all(
+                reduce(F.add, (F.mul(b, v) for b, v in zip(eq, vec)), 0) == 0 for eq in equations
+            )
+        return satisfied[vec]
+
+    def digits(code, count):
+        return [(code // q**d) % q for d in range(count)]
+
+    cells = {}
+    for col in range(q ** (n * s)):
+        x = digits(col, n * s)
+        for row in range(q ** (n * k)):
+            y = digits(row, n * k)
+            if all(
+                ok(tuple(x[n * i + j] for i in range(s)) + tuple(y[n * i + j] for i in range(k)))
+                for j in range(n)
+            ):
+                cells[(row, col)] = 1
+    return cells
+
+
+def _assert_matches_reference(rel: Relation, n: int):
+    got = f_r_matrix(rel, n)
+    q = rel.field.q
+    assert (got.mat.rows, got.mat.cols) == (q ** (n * rel.k), q ** (n * rel.s))
+    assert got.mat.data == _reference_cells(rel, n), (rel, n)
+
+
+def test_f_r_matrix_matches_reference():
+    # every relation of every type with s + k <= 2
+    for F in (F2, F3, F4):
+        for r in range(3):
+            for basis in enumerate_subspaces(F, r):
+                for s in range(r + 1):
+                    rel = Relation(F, s, r - s, basis)
+                    for n in (1, 2):
+                        _assert_matches_reference(rel, n)
+    # seeded random relations with s, k <= 3; the double enumeration is kept
+    # to at most 2^12 pairs
+    rng = random.Random(47)
+    for F in (F2, F3, F5, F4):
+        for n in (1, 2, 3):
+            done = 0
+            while done < 8:
+                s, k = rng.randrange(4), rng.randrange(4)
+                if F.q ** (n * (s + k)) > 2**12:
+                    continue
+                _assert_matches_reference(random_relation(rng, F, s, k), n)
+                done += 1
+
+
+def test_f_r_matrix_is_independent_oracle(monkeypatch):
+    # f_R is the oracle for star, product and the formal category, so it
+    # must be built without any of them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("f_r_matrix called the formal layer")
+
+    rng = random.Random(48)
+    rels = [random_relation(rng, F, rng.randrange(3), rng.randrange(3)) for F in (F2, F3, F4)
+            for _ in range(5)]
+    expected = [_reference_cells(rel, 2) for rel in rels]
+    monkeypatch.setattr(relations, "star", forbidden)
+    monkeypatch.setattr(relations, "product", forbidden)
+    monkeypatch.setattr(cat, "compose", forbidden)
+    monkeypatch.setattr(cat, "tensor", forbidden)
+    for rel, cells in zip(rels, expected):
+        assert f_r_matrix(rel, 2).mat.data == cells
 
 
 def test_all_ones_map():

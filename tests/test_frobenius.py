@@ -10,7 +10,7 @@ from relcat import category as cat
 from relcat import terms as tm
 from relcat.concrete import f_r_matrix
 from relcat.dsl import parse
-from relcat.errors import MissingUnit, NotRelInfty, ShapeMismatch
+from relcat.errors import MissingUnit, NotRelInfty, ShapeMismatch, TooLarge
 from relcat.field import Fq
 from relcat.frobenius import (
     FrobeniusData,
@@ -55,6 +55,22 @@ def test_standard_target_maps():
     assert data.z.to_dense() == [[1], [0]]
     # addition table of F_2: 0+0=0, 0+1=1, 1+0=1, 1+1=0
     assert data.plus.to_dense() == [[1, 0, 0, 1], [0, 1, 1, 0]]
+
+
+def test_guards_count_pairs_and_cells():
+    for field in (F2, F3, F4, Fq(5), Fq(7), Fq(2, 3), Fq(43)):
+        q = field.q
+        assert len(frobenius_axiom_terms(field)) == 2 * q * q + 4 * q + 26
+    with pytest.raises(TooLarge):
+        frobenius_axiom_terms(Fq(47))
+    # the golden corpus and the benchmark check axioms and lemmas at these q
+    for field in (F2, F3, Fq(5), Fq(7), F4):
+        assert standard_target(field, 1).dim == field.q
+    assert standard_target(F2, 6).dim == 2**6
+    with pytest.raises(TooLarge):
+        standard_target(F2, 7)
+    with pytest.raises(TooLarge):
+        standard_target(Fq(2, 8), 1)
 
 
 @pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F4, 1), (F2, 2)])
