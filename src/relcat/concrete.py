@@ -11,8 +11,10 @@ A relation's basis rows are equations on one coordinate slot of the
 (domain | codomain) tuple, and the n slots obey them independently, so
 f_R at rank n is the slotwise product of the kernel points: its nonzero
 cells are the sums of one kernel point per slot, q^{n·dim ker} of them,
-built directly without solving for any column.  Only ``matrix`` and
-``field`` are used, never ``star``, ``product`` or ``category``.
+built directly without solving for any column.  The basis is already in
+RREF, so the kernel is read off it (``matrix.null_rows``) and no
+elimination runs.  Only ``matrix`` and ``field`` are used, never
+``star``, ``product`` or ``category``.
 
 These matrices are the ground-truth oracle for every formal identity:
 composition becomes exact matrix product scaled by q^{n·defect}, tensor
@@ -26,7 +28,7 @@ from fractions import Fraction
 from .category import Morphism
 from .errors import ArityMismatch, FieldMismatch, NotRelInfty, TooLarge
 from .field import Fq
-from .matrix import MatFq, enumerate_subspaces, subspace_count
+from .matrix import MatFq, enumerate_subspaces, null_rows, subspace_count
 from .qmat import QMat
 from .relations import Relation, is_rel_infty
 
@@ -96,8 +98,11 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
 
     The basis rows are equations on one coordinate slot of the
     (domain | codomain) tuple, and each of the n slots obeys them on its
-    own.  The q^{dim ker} kernel points are enumerated once, as
-    combinations of the kernel rows; a point with domain part x and
+    own.  The basis is already in RREF, so ``null_rows`` reads a kernel
+    basis off it and no elimination runs.  The q^{dim ker} kernel points
+    are its combinations, held as one list per coordinate: a kernel
+    vector b grows coordinate j by the translates of the list by c·b_j,
+    c = 1..q-1 (a copy where b_j = 0).  A point with domain part x and
     codomain part y sits at slot 0 as the (row, col) offset
     (sum_i y_i q^{n i}, sum_i x_i q^{n i}) and at slot j shifted by q^j.
     The cells are the sums of one offset per slot, built in n rounds, so
@@ -106,17 +111,27 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
     F, s, k = rel.field, rel.s, rel.k
     _guard(F, n, s, k)
     q = F.q
-    points = [(0,) * (s + k)]
-    for b in rel.basis.kernel().tolist():
-        multiples = [[F.mul(c, x) for x in b] for c in range(1, q)]
-        points += [
-            tuple(F.add(x, y) for x, y in zip(p, m)) for p in points for m in multiples
-        ]
-    weights = [q ** (n * i) for i in range(max(s, k))]
-    offsets = [
-        (sum(y * w for y, w in zip(p[s:], weights)), sum(x * w for x, w in zip(p[:s], weights)))
-        for p in points
-    ]
+    kernel = null_rows(F, rel.basis.tolist(), s + k)
+    coords = [[0] for _ in range(s + k)]
+    for b in kernel:
+        for j, x in enumerate(b):
+            old = coords[j]
+            if x:
+                grown = old[:]
+                for c in range(1, q):
+                    grown += F.translate(old, F.mul(c, x))
+                coords[j] = grown
+            else:
+                coords[j] = old * q
+
+    def flat(block):
+        out = [0] * q ** len(kernel)
+        for i, coord in enumerate(block):
+            weight = q ** (n * i)
+            out = [o + weight * v for o, v in zip(out, coord)]
+        return out
+
+    offsets = list(zip(flat(coords[s:]), flat(coords[:s])))
     cells = [(0, 0)]
     for j in range(n):
         shift = q**j

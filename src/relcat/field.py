@@ -307,6 +307,22 @@ class Fq:
             return table[a][b]
         return self.encode([x + y for x, y in zip(self.digits(a), self.digits(b))])
 
+    def translate(self, values: list[int], a: int) -> list[int]:
+        """[add(v, a) for v in values], in one pass on the path that applies.
+
+        Characteristic 2 adds by XOR, before the table path.
+        """
+        if self.e == 1:
+            p = self.p
+            return [(v + a) % p for v in values]
+        if self.p == 2:
+            return [v ^ a for v in values]
+        table = self._add
+        if table is not None:
+            return list(map(table[a].__getitem__, values))
+        da = self.digits(a)
+        return [self.encode([x + y for x, y in zip(self.digits(v), da)]) for v in values]
+
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p

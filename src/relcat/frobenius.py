@@ -44,6 +44,23 @@ from .terms import Term
 STANDARD_GUARD = 2**12
 # frobenius_axiom_terms has 2q^2 + 4q + 26 pairs; it refuses to build more.
 AXIOM_PAIR_GUARD = 2**12
+# hat_f evaluates the expansion of a rows x cols matrix literal column by
+# column: D^cols columns, each through rows*cols strands (cols when rows is
+# 0) whose indices carry as many base-D digits, so D^cols * strands^2 steps.
+# A step takes about 0.4 us (2-vCPU x86-64 VM, Python 3.11); more steps are
+# refused.
+HAT_F_GUARD = 2**22
+
+
+def hat_f_guard(dim: int, rows: int, cols: int, source: str = "hat_f"):
+    """TooLarge if hat_f of a rows x cols normal form at D = dim is too much work."""
+    strands = max(rows, 1) * cols
+    # dim >= 2, so cols past the guard's bit length already gives too many columns
+    if cols > HAT_F_GUARD.bit_length() or dim**cols * strands**2 > HAT_F_GUARD:
+        raise TooLarge(
+            f"{source}: a {rows}x{cols} normal form at D = {dim} takes "
+            f"D^{cols} * {strands}^2 evaluation steps, more than {HAT_F_GUARD}"
+        )
 
 
 class FrobeniusData:
@@ -394,6 +411,7 @@ def hat_f(data: FrobeniusData, rel: Relation) -> QMat:
         raise NotRelInfty(f"{rel!r} does not surject onto the codomain block")
     a, ap = rel_infty_normal_form(rel)
     stacked = a.vstack(ap)
+    hat_f_guard(data.dim, stacked.rows, stacked.cols)
     body = mu_A_eval(data, stacked)
     cap = QMat.identity(data.dim**rel.k)
     zs = data.z_star()

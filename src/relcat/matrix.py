@@ -3,9 +3,11 @@
 All row reduction goes through one loop, ``row_reduce``, which brings a
 list of rows to reduced row-echelon form and reports the pivot columns;
 ``MatFq.rref``, ``MatFq.kernel`` and the relation composition in
-``relations`` call it.  On top of it: rank, kernel, inverse, the
-orthogonal complement under the standard dot product, and deterministic
-subspace enumeration.  A subspace is always represented by its unique
+``relations`` call it.  ``null_rows`` reads a null-space basis off rows
+that are already reduced, with no elimination; ``MatFq.kernel``, the
+relation complement and the f_R matrices in ``concrete`` share it.  On
+top of these: rank, kernel, inverse, the orthogonal complement under the
+standard dot product, and deterministic subspace enumeration.  A subspace is always represented by its unique
 reduced row-echelon basis with zero rows dropped; two equal row spaces
 therefore have structurally equal representations.
 
@@ -47,6 +49,11 @@ class MatFq:
         m = object.__new__(cls)
         m.field, m.rows, m.cols, m.entries = field, rows, cols, entries
         return m
+
+    @classmethod
+    def _trusted_rows(cls, field: Fq, rows, cols: int) -> "MatFq":
+        """Wrap rows of valid element codes, e.g. the output of ``row_reduce``."""
+        return cls._trusted(field, len(rows), cols, tuple(x for row in rows for x in row))
 
     @classmethod
     def from_rows(cls, field: Fq, row_list, cols: int | None = None) -> "MatFq":
@@ -156,8 +163,7 @@ class MatFq:
     def rref(self) -> tuple["MatFq", int]:
         """Reduced row echelon form with zero rows dropped, plus the rank."""
         red, _ = row_reduce(self.field, self.tolist(), self.cols)
-        entries = tuple(x for row in red for x in row)
-        return MatFq._trusted(self.field, len(red), self.cols, entries), len(red)
+        return MatFq._trusted_rows(self.field, red, self.cols), len(red)
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -166,16 +172,8 @@ class MatFq:
         """RREF basis (as rows) of {x : self @ x^T = 0}."""
         F = self.field
         red, piv = row_reduce(F, self.tolist(), self.cols)
-        free = [c for c in range(self.cols) if c not in piv]
-        rows = []
-        for fc in free:
-            vec = [0] * self.cols
-            vec[fc] = 1
-            for i, pc in enumerate(piv):
-                vec[pc] = F.neg(red[i][fc])
-            rows.append(vec)
-        basis, _ = row_reduce(F, rows, self.cols)
-        return MatFq._trusted(F, len(basis), self.cols, tuple(x for row in basis for x in row))
+        basis, _ = row_reduce(F, null_rows(F, red, self.cols, piv), self.cols)
+        return MatFq._trusted_rows(F, basis, self.cols)
 
     def perp(self) -> "MatFq":
         """RREF basis of the orthogonal complement of the row space.
@@ -224,6 +222,30 @@ def row_reduce(field: Fq, rows: list[list[int]], cols: int):
         pivots.append(c)
         r += 1
     return rows[:r], pivots
+
+
+def null_rows(field: Fq, rows, cols: int, pivots=None) -> list[list[int]]:
+    """A basis of the null space of RREF ``rows``, one vector per free column.
+
+    The vector for free column f has a 1 at f, the negated entry
+    -rows[i][f] at the pivot column of row i, and 0 elsewhere.  The pivots
+    default to each row's first nonzero entry, which is the pivot of an
+    RREF row.  No elimination runs, so the vectors are not in RREF.
+    """
+    if pivots is None:
+        pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    pivot_set = set(pivots)
+    out = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        vec = [0] * cols
+        vec[fc] = 1
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                vec[pc] = field.neg(row[fc])
+        out.append(vec)
+    return out
 
 
 def gaussian_binomial(field: Fq, r: int, d: int) -> int:

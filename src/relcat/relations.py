@@ -24,7 +24,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .field import Fq
-from .matrix import MatFq, row_reduce
+from .matrix import MatFq, null_rows, row_reduce
 
 # A relation on n = s + k strands and its orthogonal complement have n basis
 # rows of n cells between them.  Literals and generators are refused above
@@ -110,8 +110,15 @@ class Relation:
         return Relation._trusted(self.field, s, k, self.basis)
 
     def perp(self) -> "Relation":
-        """Orthogonal complement in the same ambient space, same typing."""
-        return Relation._trusted(self.field, self.s, self.k, self.basis.perp())
+        """Orthogonal complement in the same ambient space, same typing.
+
+        The complement of a row space under the standard dot product is its
+        null space; ``null_rows`` reads it off the RREF basis and one
+        reduction makes it canonical.
+        """
+        F, n = self.field, self.s + self.k
+        basis, _ = row_reduce(F, null_rows(F, self.basis.tolist(), n), n)
+        return Relation._trusted(F, self.s, self.k, MatFq._trusted_rows(F, basis, n))
 
 
 def _compose(r: Relation, s: Relation, sign: int, op: str) -> tuple[Relation, int, int]:

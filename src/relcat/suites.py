@@ -22,6 +22,7 @@ from .frobenius import (
     check_axioms,
     frobenius_axiom_terms,
     hat_f,
+    hat_f_guard,
     standard_target,
     term_eval,
 )
@@ -268,11 +269,24 @@ def _arity_guard(field: Fq, n: int, *pairs) -> bool:
     return all(field.q ** (n * (a + b)) <= 2**12 for a, b in pairs)
 
 
+def _failures(bad: int, seed: int, first) -> str:
+    """The failure count and, if any trial failed, the witness of the first."""
+    if not bad:
+        return "0 failures"
+    trial, witness = first
+    return f"{bad} failures; first at trial {trial} of seed {seed}: {witness}"
+
+
 def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3):
-    """Composition and monoidality of the specialization, randomized."""
+    """Composition and monoidality of the specialization, randomized.
+
+    A failing line names its first failing trial (counted from 1), the
+    seed and the relation texts, which ``relcat specialize`` accepts.
+    """
     rng = random.Random(seed)
     comp_bad = ten_bad = 0
     comp_n = ten_n = 0
+    comp_first = ten_first = None
     attempts = 0
     while comp_n < trials and attempts < trials * 20:
         attempts += 1
@@ -287,6 +301,7 @@ def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3)
         comp_n += 1
         if lhs != rhs:
             comp_bad += 1
+            comp_first = comp_first or (comp_n, f"s . r with r = {r.to_text()}, s = {s.to_text()}")
     while ten_n < trials and attempts < trials * 40:
         attempts += 1
         s1, k1, s2, k2 = (rng.randrange(max_arity + 1) for _ in range(4))
@@ -299,16 +314,17 @@ def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3)
         ten_n += 1
         if lhs != rhs:
             ten_bad += 1
+            ten_first = ten_first or (ten_n, f"r1 @ r2 with r1 = {r1.to_text()}, r2 = {r2.to_text()}")
     return [
         SuiteResult(
             f"composition oracle q={field.q} n={n} ({comp_n} trials)",
             comp_bad == 0 and comp_n == trials,
-            f"{comp_bad} failures",
+            _failures(comp_bad, seed, comp_first),
         ),
         SuiteResult(
             f"monoidality oracle q={field.q} n={n} ({ten_n} trials)",
             ten_bad == 0 and ten_n == trials,
-            f"{ten_bad} failures",
+            _failures(ten_bad, seed, ten_first),
         ),
     ]
 
@@ -334,6 +350,9 @@ def suite_knop(field: Fq, trials: int, seed: int, max_arity: int = 3):
 
 def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3):
     """Closure, zero defect, concrete realization, and rank stability."""
+    # the widest relation realized is a product of two draws, [2m] -> [2m]
+    # of dimension up to 4m; refuse its work before anything is built
+    hat_f_guard(field.q, 4 * max_arity, 2 * max_arity, f"relinfty at max-arity {max_arity}")
     rng = random.Random(seed)
     closure_bad = hat_bad = stab_bad = 0
     data = standard_target(field, 1)

@@ -1,11 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 import time
 
+from relcat import suites
 from relcat.cli import main
+from relcat.concrete import ConcreteMap, f_r_matrix
 
 
 def run_cli(capsys, *argv):
@@ -294,3 +297,43 @@ def test_count_over_large_extension_fields(capsys):
         code, out, _ = run_cli(capsys, "count", "--q", q)
         assert time.perf_counter() - start < 1.0, q
         assert code == 0 and out == count + "\n"
+
+
+def test_relinfty_guard_counts_hat_f_work(capsys):
+    # hat_f expands a product of two draws, a 12x6 normal form at max-arity
+    # 3: D^6 * 72^2 steps, which ran past 40 s at these fields
+    assert_guard_error(capsys, "verify", "relinfty", "--q", "2^3", "--trials", "2")
+    assert_guard_error(capsys, "verify", "relinfty", "--q", "2^4", "--trials", "1")
+
+
+WITNESS = re.compile(
+    r"\[(\d+) failures; first at trial (\d+) of seed 7: "
+    r"(s \. r|r1 @ r2) with (?:r|r1) = (rel\([^)]*\)), (?:s|r2) = (rel\([^)]*\))\]$"
+)
+
+
+def test_functor_failure_names_a_witness(capsys, monkeypatch):
+    # a corrupted f_R doubles the matrix of each line (a relation of
+    # dimension 1), so some trials of both checks fail
+    def corrupted(rel, n):
+        m = f_r_matrix(rel, n)
+        return ConcreteMap(m.field, n, m.s, m.k, m.mat.scale(2)) if rel.dim == 1 else m
+
+    monkeypatch.setattr(suites, "f_r_matrix", corrupted)
+    argv = ["verify", "functor", "--q", "2", "--n", "1", "--seed", "7"]
+    code, out, _ = run_cli(capsys, *argv, "--trials", "20")
+    assert code == 1
+    comp, mono, last = out.splitlines()
+    assert last == "FAIL suite functor"
+    for line, shape in ((comp, "s . r"), (mono, "r1 @ r2")):
+        assert line.startswith("FAIL "), line
+        bad, trial, expr, left, right = WITNESS.search(line).groups()
+        assert int(bad) >= 1 and 1 <= int(trial) <= 20 and expr == shape
+        # the relation texts are input to relcat specialize
+        text = f"{right} . {left}" if expr == "s . r" else f"{left} @ {right}"
+        code, _, err = run_cli(capsys, "specialize", "--q", "2", "--n", "1", text)
+        assert code == 0, err
+    # the trial index reproduces the first composition failure on its own
+    _, trial, _, left, right = WITNESS.search(comp).groups()
+    _, out, _ = run_cli(capsys, *argv, "--trials", trial)
+    assert f"[1 failures; first at trial {trial} of seed 7: s . r with r = {left}, s = {right}]" in out

@@ -7,7 +7,7 @@ from functools import reduce
 import pytest
 
 from relcat import category as cat
-from relcat import relations
+from relcat import matrix, relations
 from relcat.category import Morphism
 from relcat.concrete import (
     ConcreteMap,
@@ -98,6 +98,12 @@ def test_f_r_matrix_matches_reference():
                     rel = Relation(F, s, r - s, basis)
                     for n in (1, 2):
                         _assert_matches_reference(rel, n)
+    # the zero and full spaces, s + k = 0 included, by name
+    for F in (F2, F3, F4):
+        for s, k in ((0, 0), (1, 0), (0, 1), (1, 2), (2, 1)):
+            for rel in (Relation.zero_space(F, s, k), Relation.full_space(F, s, k)):
+                for n in (1, 2):
+                    _assert_matches_reference(rel, n)
     # seeded random relations with s, k <= 3; the double enumeration is kept
     # to at most 2^12 pairs
     rng = random.Random(47)
@@ -128,6 +134,22 @@ def test_f_r_matrix_is_independent_oracle(monkeypatch):
     monkeypatch.setattr(cat, "tensor", forbidden)
     for rel, cells in zip(rels, expected):
         assert f_r_matrix(rel, 2).mat.data == cells
+
+
+def test_f_r_matrix_does_no_elimination(monkeypatch):
+    # a relation's basis is already in RREF, so its kernel is read off it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("f_r_matrix ran an elimination")
+
+    rng = random.Random(49)
+    rels = [random_relation(rng, F, rng.randrange(4), rng.randrange(4)) for F in (F2, F3, F4)
+            for _ in range(8)]
+    rels += [Relation.zero_space(F3, 0, 0), Relation.full_space(F4, 1, 1)]
+    expected = [_reference_cells(rel, 1) for rel in rels]
+    monkeypatch.setattr(matrix, "row_reduce", forbidden)
+    monkeypatch.setattr(MatFq, "kernel", forbidden)
+    for rel, cells in zip(rels, expected):
+        assert f_r_matrix(rel, 1).mat.data == cells
 
 
 def test_all_ones_map():

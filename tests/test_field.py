@@ -152,6 +152,27 @@ def test_tables_match_digit_arithmetic(p, e):
             assert F.mul(a, b) == code[tuple(rem + [0] * (e - len(rem)))]
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (2, 8)])
+def test_translate_matches_add(p, e):
+    # e = 1 adds mod p, F_8 and F_256 by XOR, F_9 by a row of its add table
+    F = Fq(p, e)
+    values = list(F.elements())
+    for a in F.elements():
+        assert F.translate(values, a) == [F.add(v, a) for v in values]
+
+
+@pytest.mark.parametrize("p,e", [(17, 2), (3, 6)])
+def test_translate_matches_add_on_digits(p, e):
+    # above the table limit translate adds digit by digit
+    F = Fq(p, e)
+    assert F._add is None
+    rng = random.Random(f"translate {p}^{e}")
+    for _ in range(500):
+        v, a = rng.randrange(F.q), rng.randrange(F.q)
+        assert F.translate([v], a) == [F.add(v, a)]
+    assert F.translate([], 1) == []
+
+
 @pytest.mark.parametrize("p,e", [(2, 8), (3, 5)])
 def test_tables_are_built_once_per_field(p, e):
     assert Fq(p, e)._mul is Fq(p, e)._mul

@@ -211,6 +211,21 @@ def test_hat_f_rejects_non_members():
         hat_f(standard_target(F2, 1), Relation.zero_space(F2, 1, 1))
 
 
+def test_hat_f_guard_counts_expansion_work():
+    # an 8x8 normal form at D = 4 takes 4^8 * 64^2 = 2^28 steps; the zero
+    # relation [20] -> [0] has no rows but still runs 2^20 columns through
+    # 20 strands
+    data = standard_target(F4, 1)
+    big = Relation.full_space(F4, 8, 0)
+    assert rel_infty_normal_form(big)[1].rows == 8
+    with pytest.raises(TooLarge):
+        hat_f(data, big)
+    with pytest.raises(TooLarge):
+        hat_f(standard_target(F2, 1), Relation.zero_space(F2, 20, 0))
+    small = Relation.full_space(F4, 2, 1)
+    assert hat_f(data, small) == f_r_matrix(small, 1).mat
+
+
 def test_term_eval_examples():
     data = standard_target(F2, 1)
     assert term_eval(data, parse("m . m*", F2)) == QMat.identity(2)
