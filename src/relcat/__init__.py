@@ -4,8 +4,6 @@ representations."""
 
 from .category import (
     Morphism,
-    SYMBOLIC,
-    TMode,
     compose,
     decompose_generators,
     dual,

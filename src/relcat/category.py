@@ -2,9 +2,10 @@
 
 A ``Morphism`` [s] -> [k] is a finitely supported map from relations to
 polynomials in t: composing two basis arrows scales the composite relation
-by t to the power of the defect, and everything else is bilinear.  In
-``Evaluated`` mode t is replaced by an exact rational before powers are
-taken, so specialized arithmetic stays exact as well.
+by t to the power of the defect, and everything else is Q[t]-bilinear.
+Substituting an exact rational for t is a ring map Q[t] -> Q, so it
+commutes with every operation here: ``Morphism.evaluate`` applies it once
+to a finished result.
 
 Besides the category structure (compose, tensor, identities, symmetries)
 this module provides duals by snake composites, the categorical trace and
@@ -33,40 +34,6 @@ from .relations import (
     sigma_relation,
     star,
 )
-
-
-class TMode:
-    """Either symbolic t, or t evaluated at an exact rational."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value=None):
-        self.value = None if value is None else Fraction(value)
-
-    @classmethod
-    def sym(cls) -> "TMode":
-        return cls()
-
-    @classmethod
-    def at(cls, value) -> "TMode":
-        return cls(Fraction(value))
-
-    def t_power(self, d: int) -> PolyQ:
-        if self.value is None:
-            return PolyQ.t_power(d)
-        return PolyQ.const(self.value**d)
-
-    def resolve(self, coeff: PolyQ) -> PolyQ:
-        """In evaluated mode, collapse a polynomial to its value."""
-        if self.value is None:
-            return coeff
-        return PolyQ.const(coeff.evaluate(self.value))
-
-    def __repr__(self):
-        return "TMode(sym)" if self.value is None else f"TMode(t={self.value})"
-
-
-SYMBOLIC = TMode.sym()
 
 
 class Morphism:
@@ -150,8 +117,14 @@ class Morphism:
     def __sub__(self, other):
         return self.add(other.scale(-1))
 
+    def evaluate(self, value) -> "Morphism":
+        """Substitute the exact rational value for t in every coefficient."""
+        return Morphism(
+            self.field, self.s, self.k, {r: c.evaluate(value) for r, c in self.terms.items()}
+        )
 
-def compose(f: Morphism, g: Morphism, mode: TMode = SYMBOLIC) -> Morphism:
+
+def compose(f: Morphism, g: Morphism) -> Morphism:
     """f after g: for f: [k]->[l] and g: [s]->[k], the composite [s]->[l]."""
     if f.field != g.field:
         raise FieldMismatch("compose over different fields")
@@ -161,7 +134,7 @@ def compose(f: Morphism, g: Morphism, mode: TMode = SYMBOLIC) -> Morphism:
     for rg, cg in g.terms.items():
         for rf, cf in f.terms.items():
             sr, d = star(rg, rf)
-            coeff = cf * cg * mode.t_power(d)
+            coeff = cf * cg * PolyQ.t_power(d)
             out[sr] = out.get(sr, PolyQ.zero()) + coeff
     return Morphism(f.field, g.s, f.k, out)
 
@@ -206,7 +179,7 @@ def generator(field: Fq, name: str, a: int | None = None) -> Morphism:
     return Morphism.from_relation(generator_relation(field, name, a))
 
 
-def dual(f: Morphism, mode: TMode = SYMBOLIC) -> Morphism:
+def dual(f: Morphism) -> Morphism:
     """The snake transpose [k] -> [s] of f: [s] -> [k].
 
     (Id ⊗ ev̄_k) ∘ (Id ⊗ f ⊗ Id) ∘ (coev̄_s ⊗ Id); all t-bookkeeping goes
@@ -216,7 +189,7 @@ def dual(f: Morphism, mode: TMode = SYMBOLIC) -> Morphism:
     top = tensor(identity(F, s), ev_bar(F, k))
     mid = tensor(tensor(identity(F, s), f), identity(F, k))
     bottom = tensor(coev_bar(F, s), identity(F, k))
-    return compose(top, compose(mid, bottom, mode), mode)
+    return compose(top, compose(mid, bottom))
 
 
 def as_scalar(f: Morphism) -> PolyQ:
@@ -229,18 +202,16 @@ def as_scalar(f: Morphism) -> PolyQ:
     return coeff
 
 
-def trace(h: Morphism, mode: TMode = SYMBOLIC) -> PolyQ:
+def trace(h: Morphism) -> PolyQ:
     """Categorical trace of h: [s] -> [s], via the strandwise pairing."""
     if h.s != h.k:
         raise ArityMismatch("trace needs equal arities")
     F, s = h.field, h.s
-    loop = compose(
-        ev_bar(F, s), compose(tensor(h, identity(F, s)), coev_bar(F, s), mode), mode
-    )
+    loop = compose(ev_bar(F, s), compose(tensor(h, identity(F, s)), coev_bar(F, s)))
     return as_scalar(loop)
 
 
-def gram(field: Fq, s: int, k: int, mode: TMode = SYMBOLIC):
+def gram(field: Fq, s: int, k: int):
     """Gram matrix of the relation basis under trace(dual(f_Rj) ∘ f_Ri).
 
     Returns (relations, matrix) with the relations in canonical
@@ -248,10 +219,10 @@ def gram(field: Fq, s: int, k: int, mode: TMode = SYMBOLIC):
     """
     rels = [Relation._trusted(field, s, k, b) for b in enumerate_subspaces(field, s + k)]
     mats = []
-    duals = [dual(Morphism.from_relation(r), mode) for r in rels]
+    duals = [dual(Morphism.from_relation(r)) for r in rels]
     for ri in rels:
         fi = Morphism.from_relation(ri)
-        mats.append([trace(compose(dj, fi, mode), mode) for dj in duals])
+        mats.append([trace(compose(dj, fi)) for dj in duals])
     return rels, mats
 
 
@@ -263,22 +234,20 @@ def phi(rel: Relation) -> Morphism:
     return Morphism.from_relation(rel.retype(rel.s + rel.k, 0))
 
 
-def t_iso(f: Morphism, mode: TMode = SYMBOLIC) -> Morphism:
+def t_iso(f: Morphism) -> Morphism:
     """Hom([s],[k]) -> Hom([s+k],[0]): pair the output strands away."""
-    return compose(ev_bar(f.field, f.k), tensor(f, identity(f.field, f.k)), mode)
+    return compose(ev_bar(f.field, f.k), tensor(f, identity(f.field, f.k)))
 
 
-def t_inv(form: Morphism, s: int, k: int, mode: TMode = SYMBOLIC) -> Morphism:
+def t_inv(form: Morphism, s: int, k: int) -> Morphism:
     """Inverse of t_iso; needs the (s, k) split of the s+k input strands."""
     if form.s != s + k or form.k != 0:
         raise ArityMismatch(f"form has type [{form.s}]->[{form.k}], expected [{s + k}]->[0]")
     F = form.field
-    return compose(
-        tensor(form, identity(F, k)), tensor(identity(F, s), coev_bar(F, k)), mode
-    )
+    return compose(tensor(form, identity(F, k)), tensor(identity(F, s), coev_bar(F, k)))
 
 
-def ast(form1: Morphism, form2: Morphism, middle: int, mode: TMode = SYMBOLIC) -> Morphism:
+def ast(form1: Morphism, form2: Morphism, middle: int) -> Morphism:
     """The induced product on pairing forms, gluing `middle` strands.
 
     form1: [s+middle] -> [0], form2: [middle+l] -> [0]; the result is the
@@ -290,7 +259,7 @@ def ast(form1: Morphism, form2: Morphism, middle: int, mode: TMode = SYMBOLIC) -
     if s < 0 or l < 0 or form1.k or form2.k:
         raise ArityMismatch("ast needs forms into [0] with enough strands")
     glue = tensor(tensor(identity(F, s), coev_bar(F, middle)), identity(F, l))
-    return compose(tensor(form1, form2), glue, mode)
+    return compose(tensor(form1, form2), glue)
 
 
 # -- orbit basis -----------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import category as cat
 from .concrete import specialize
-from .dsl import parse, parse_program
+from .dsl import eval_formal, parse, parse_program
 from .errors import (
     ArityMismatch,
     DegreeOutOfRange,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .field import parse_q
 from .matrix import subspace_count
-from .poly import det_poly, rational_roots
+from .poly import PolyQ, det_poly, rational_roots
 from .suites import suite_axioms, suite_functor, suite_knop, suite_lemmas, suite_relinfty
 
 USAGE_ERRORS = (
@@ -83,14 +83,14 @@ def _emit(args, text: str):
         raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
 
 
-def _tmode(args) -> cat.TMode:
+def _t_value(args) -> Fraction | None:
+    """The exact rational given by --t, or None when t stays symbolic."""
     if args.t is None or args.t == "sym":
-        return cat.TMode.sym()
+        return None
     try:
-        value = Fraction(args.t)
+        return Fraction(args.t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarParseError(f"--t must be 'sym' or an exact rational, got {args.t!r}") from exc
-    return cat.TMode.at(value)
 
 
 def _read_expr(args) -> str:
@@ -101,6 +101,15 @@ def _read_expr(args) -> str:
         except OSError as exc:
             raise UsageError(f"cannot read {args.expr}: {exc.strerror}") from exc
     return args.expr
+
+
+def _eval_expr(args, field) -> cat.Morphism:
+    """Parse the expression, evaluate it over Q[t], then substitute --t if given."""
+    text = _read_expr(args)
+    term = parse_program(text, field) if args.file else parse(text, field)
+    value = _t_value(args)
+    morphism = eval_formal(term, field)
+    return morphism if value is None else morphism.evaluate(value)
 
 
 def _morphism_json(m: cat.Morphism) -> dict:
@@ -116,10 +125,7 @@ def _morphism_json(m: cat.Morphism) -> dict:
 
 def cmd_eval(args) -> int:
     field = parse_q(args.q)
-    term = parse_program(_read_expr(args), field) if args.file else parse(_read_expr(args), field)
-    from .dsl import eval_formal
-
-    morphism = eval_formal(term, field, _tmode(args))
+    morphism = _eval_expr(args, field)
     if args.format == "json":
         _emit(args, json.dumps(_morphism_json(morphism), sort_keys=True))
     else:
@@ -129,11 +135,7 @@ def cmd_eval(args) -> int:
 
 def cmd_specialize(args) -> int:
     field = parse_q(args.q)
-    term = parse_program(_read_expr(args), field) if args.file else parse(_read_expr(args), field)
-    from .dsl import eval_formal
-
-    mode = _tmode(args)
-    morphism = eval_formal(term, field, mode)
+    morphism = _eval_expr(args, field)
     if args.t == "sym" and any(c.degree() > 0 for c in morphism.terms.values()):
         raise RequiresEvaluation(
             "expression has symbolic t coefficients but --t sym was requested; "
@@ -183,7 +185,10 @@ def cmd_verify(args) -> int:
 
 def cmd_gram(args) -> int:
     field = parse_q(args.q)
-    rels, mat = cat.gram(field, args.s, args.k, _tmode(args))
+    value = _t_value(args)
+    rels, mat = cat.gram(field, args.s, args.k)
+    if value is not None:
+        mat = [[PolyQ.const(entry.evaluate(value)) for entry in row] for row in mat]
     det = det_poly(mat)
     roots = [] if det.is_zero() else rational_roots(det)
     if args.format == "json":

@@ -14,7 +14,7 @@ Grammar (loosest binding first):
              | '(' expr ')'
 
     scalar  := sfactor ('*' sfactor)* | '(' polynomial ')'
-    sfactor := rational | 't' ['^' int]
+    sfactor := rational | 't' ['^' nat]
 
 '.' is composition with the right argument applied first, '@' is the
 tensor with the left factor on the left strands.  Files may contain
@@ -29,8 +29,8 @@ import re
 from fractions import Fraction
 
 from . import category as cat
-from .category import Morphism, SYMBOLIC, TMode
-from .errors import FieldMismatch, ParseError
+from .category import Morphism
+from .errors import FieldMismatch, ParseError, ScalarParseError
 from .field import Fq, parse_q
 from .matrix import MatFq
 from .poly import PolyQ
@@ -152,13 +152,21 @@ class _Parser:
         return out
 
     def parse_poly_factor(self) -> PolyQ:
+        """A rational or a power of t.  A negative power or a zero denominator
+        raises ScalarParseError, not ParseError: the scalar prefix backtracks
+        on ParseError, and no other reading of such input is valid."""
         tok = self.peek()
         if tok == "t":
             self.advance()
             deg = 1
             if self.peek() == "^":
                 self.advance()
-                deg = int(self.expect_int())
+                at = self.pos()
+                deg = self.expect_int()
+                if deg < 0:
+                    raise ScalarParseError(
+                        f"negative power t^{deg} (at position {at}); scalars are polynomials in t"
+                    )
             return PolyQ.t_power(deg)
         if tok == "-":
             self.advance()
@@ -167,7 +175,10 @@ class _Parser:
             num = int(self.advance())
             if self.peek() == "/":
                 self.advance()
+                at = self.pos()
                 den = self.expect_int()
+                if den == 0:
+                    raise ScalarParseError(f"zero denominator in {num}/0 (at position {at})")
                 return PolyQ.const(Fraction(num, den))
             return PolyQ.const(num)
         self.fail(f"expected a scalar factor, found {tok!r}")
@@ -341,7 +352,7 @@ def parse_program(src: str, field: Fq) -> Term:
     return last
 
 
-def eval_formal(term: Term, field: Fq, mode: TMode = SYMBOLIC) -> Morphism:
+def eval_formal(term: Term, field: Fq) -> Morphism:
     """Interpret a Term in the formal category."""
     if isinstance(term, Gen):
         return cat.generator(field, term.name, term.a)
@@ -356,14 +367,12 @@ def eval_formal(term: Term, field: Fq, mode: TMode = SYMBOLIC) -> Morphism:
             raise FieldMismatch("matrix literal over a different field")
         return cat.mu_morphism(term.mat)
     if isinstance(term, Compose):
-        return cat.compose(
-            eval_formal(term.left, field, mode), eval_formal(term.right, field, mode), mode
-        )
+        return cat.compose(eval_formal(term.left, field), eval_formal(term.right, field))
     if isinstance(term, Tensor):
-        return cat.tensor(eval_formal(term.left, field, mode), eval_formal(term.right, field, mode))
+        return cat.tensor(eval_formal(term.left, field), eval_formal(term.right, field))
     if isinstance(term, LinComb):
         out = Morphism.zero(field, term.dom, term.cod)
         for coeff, sub in term.parts:
-            out = out.add(eval_formal(sub, field, mode).scale(mode.resolve(coeff)))
+            out = out.add(eval_formal(sub, field).scale(coeff))
         return out
     raise TypeError(f"not a Term: {term!r}")

@@ -152,9 +152,12 @@ def parse_poly(text: str) -> PolyQ:
                     deg += 1
                 elif factor.startswith("t^"):
                     try:
-                        deg += int(factor[2:])
+                        power = int(factor[2:])
                     except ValueError as exc:
                         raise ScalarParseError(f"bad power {factor!r} in {text!r}") from exc
+                    if power < 0:
+                        raise ScalarParseError(f"negative power {factor!r} in {text!r}")
+                    deg += power
                 else:
                     raise ScalarParseError(f"bad power {factor!r} in {text!r}")
             else:

@@ -301,6 +301,9 @@ GENERATOR_ARITIES = {
     "coev": (0, 2),
 }
 
+# Identifier-safe spellings of the starred generators.
+GENERATOR_ALIASES = {"eps_star": "eps*", "m_star": "m*", "z_star": "z*"}
+
 
 def generator_relation(field: Fq, name: str, a: int | None = None) -> Relation:
     """The defining subspace of a named generator, canonicalized.
@@ -308,7 +311,7 @@ def generator_relation(field: Fq, name: str, a: int | None = None) -> Relation:
     Names: eps, eps*, m, m*, sigma, z, z*, plus, mu (needs the scalar a),
     ev, coev.  Aliases eps_star/m_star/z_star are accepted.
     """
-    name = {"eps_star": "eps*", "m_star": "m*", "z_star": "z*"}.get(name, name)
+    name = GENERATOR_ALIASES.get(name, name)
     if name == "eps":
         return Relation.zero_space(field, 0, 1)
     if name == "eps*":

@@ -14,9 +14,7 @@ from .errors import ArityMismatch, UnknownGenerator
 from .field import Fq
 from .matrix import MatFq
 from .poly import PolyQ
-from .relations import GENERATOR_ARITIES, Relation
-
-_CANONICAL = {"eps_star": "eps*", "m_star": "m*", "z_star": "z*"}
+from .relations import GENERATOR_ALIASES, GENERATOR_ARITIES, Relation
 
 
 class Term:
@@ -51,7 +49,7 @@ class Gen(Term):
     __slots__ = ("name", "a")
 
     def __init__(self, name: str, a: int | None = None):
-        name = _CANONICAL.get(name, name)
+        name = GENERATOR_ALIASES.get(name, name)
         if name not in GENERATOR_ARITIES:
             raise UnknownGenerator(f"unknown generator {name!r}")
         if (name == "mu") != (a is not None):

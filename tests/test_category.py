@@ -8,7 +8,7 @@ import pytest
 
 from relcat.errors import ArityMismatch
 from relcat import category as cat
-from relcat.category import Morphism, TMode
+from relcat.category import Morphism
 from relcat.dsl import eval_formal
 from relcat.field import Fq
 from relcat.matrix import MatFq, enumerate_subspaces
@@ -51,11 +51,29 @@ def test_compose_speciality():
     assert cat.compose(m, m_star) == cat.identity(F2, 1)
 
 
-def test_compose_evaluated_mode():
+def test_compose_then_evaluate():
     eps = cat.generator(F2, "eps")
     eps_star = cat.generator(F2, "eps*")
-    loop = cat.compose(eps_star, eps, TMode.at(4))
+    loop = cat.compose(eps_star, eps).evaluate(4)
     assert loop == Morphism(F2, 0, 0, {Relation.zero_space(F2, 0, 0): PolyQ.const(4)})
+
+
+def test_evaluate_commutes_with_compose_and_tensor():
+    # t -> v is a ring map Q[t] -> Q, so it may be applied to the inputs too
+    rng = random.Random(24)
+    t = PolyQ.t_power(1)
+    for _ in range(100):
+        F = rng.choice([F2, F3])
+        s, k, l = (rng.randrange(3) for _ in range(3))
+        v = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        f = rel_morphism(F, s, k, []).scale(t - PolyQ.one()) + Morphism.from_relation(
+            random_relation(rng, F, s, k)
+        ).scale(t * t)
+        g = Morphism.from_relation(random_relation(rng, F, k, l)).scale(t)
+        fv, gv = f.evaluate(v), g.evaluate(v)
+        assert cat.compose(g, f).evaluate(v) == cat.compose(gv, fv).evaluate(v)
+        assert cat.tensor(g, f).evaluate(v) == cat.tensor(gv, fv)
+        assert cat.dual(f).evaluate(v) == cat.dual(fv).evaluate(v)
 
 
 def test_category_axioms_random():
@@ -193,7 +211,7 @@ def test_trace_values():
     assert cat.trace(cat.identity(F2, 0)) == PolyQ.one()
     assert cat.trace(cat.identity(F2, 1)) == PolyQ.t_power(1)
     assert cat.trace(cat.identity(F3, 2)) == PolyQ.t_power(2)
-    assert cat.trace(cat.identity(F2, 1), TMode.at(8)) == PolyQ.const(8)
+    assert cat.trace(cat.identity(F2, 1)).evaluate(8) == 8
     with pytest.raises(ArityMismatch):
         cat.trace(cat.generator(F2, "m"))
 

@@ -179,6 +179,12 @@ def test_bad_t_values_are_usage_errors(capsys):
         assert_usage_error(capsys, "gram", "--q", "2", "--t", t)
 
 
+def test_bad_scalars_are_usage_errors(capsys):
+    assert_usage_error(capsys, "eval", "--q", "2", "--t", "0", "t^-1 * id(1)")
+    assert_usage_error(capsys, "specialize", "--q", "2", "--n", "1", "--t", "sym", "t^-1 * id(1)")
+    assert_usage_error(capsys, "eval", "--q", "2", "(t + 1/0) * id(1)")
+
+
 def test_unreadable_paths_are_usage_errors(tmp_path, capsys):
     assert_usage_error(capsys, "eval", "--q", "2", "--file", str(tmp_path / "missing.rc"))
     assert_usage_error(capsys, "count", "--output", str(tmp_path / "no" / "out.txt"))

@@ -10,7 +10,13 @@ from relcat import category as cat
 from relcat import terms as tm
 from relcat.concrete import specialize
 from relcat.dsl import eval_formal, parse, parse_program
-from relcat.errors import ArityMismatch, FieldMismatch, ParseError, UnknownGenerator
+from relcat.errors import (
+    ArityMismatch,
+    FieldMismatch,
+    ParseError,
+    ScalarParseError,
+    UnknownGenerator,
+)
 from relcat.field import Fq
 from relcat.frobenius import standard_target, term_eval
 from relcat.matrix import MatFq
@@ -77,6 +83,12 @@ def test_parse_scalar_prefixes():
     assert term.parts[0][0] == PolyQ.t_power(2, Fraction(3, 2))
     term = parse("(3/2*t^2 - 1) * id(1)", F2)
     assert term.parts[0][0] == PolyQ({2: Fraction(3, 2), 0: -1})
+
+
+def test_parse_rejects_negative_powers_and_zero_denominators():
+    for src in ("t^-1 * id(1)", "(1 + t^-2) * id(1)", "2 * t^-1 * id(1)", "1/0 * id(1)"):
+        with pytest.raises(ScalarParseError):
+            parse(src, F2)
 
 
 def test_parse_minus_folds_into_coefficient():
@@ -175,8 +187,8 @@ def Morphism_scalar(field, coeff):
     return cat.Morphism(field, 0, 0, {Relation.zero_space(field, 0, 0): coeff})
 
 
-def test_evaluated_mode():
-    loop = eval_formal(parse("eps* . eps", F2), F2, cat.TMode.at(4))
+def test_evaluate_after_formal_evaluation():
+    loop = eval_formal(parse("eps* . eps", F2), F2).evaluate(4)
     assert loop == Morphism_scalar(F2, PolyQ.const(4))
 
 

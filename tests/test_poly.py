@@ -57,6 +57,8 @@ def test_parse_values():
         parse_poly("t^")
     with pytest.raises(ScalarParseError):
         parse_poly("")
+    with pytest.raises(ScalarParseError):
+        parse_poly("t^-1")
 
 
 def test_constant_value():
