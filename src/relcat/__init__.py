@@ -21,11 +21,11 @@ from .category import (
     trace,
 )
 from .concrete import ConcreteMap, f_r_matrix, independence_check, rel_infty_stability, specialize
-from .dsl import eval_formal, parse, parse_program
+from .dsl import eval_formal, parse, parse_poly, parse_program
 from .field import Fq, parse_q
 from .frobenius import FrobeniusData, check_axioms, hat_f, mu_A_eval, standard_target, term_eval
 from .matrix import MatFq, enumerate_subspaces, gaussian_binomial
-from .poly import PolyQ, parse_poly
+from .poly import PolyQ
 from .relations import (
     Relation,
     generator_relation,

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .field import parse_q
 from .matrix import subspace_count
-from .poly import PolyQ, det_poly, rational_roots
+from .poly import PolyQ, det_poly, printable, rational_roots
 from .suites import suite_axioms, suite_functor, suite_knop, suite_lemmas, suite_relinfty
 
 USAGE_ERRORS = (
@@ -43,33 +43,20 @@ USAGE_ERRORS = (
     NotPrime,
     DegreeOutOfRange,
     UsageError,
+    RequiresEvaluation,
 )
 
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--q", default="2", help="field order, 'p' or 'p^e' (default 2)")
-    p.add_argument(
-        "--t",
-        default=None,
-        help="'sym' or an exact rational value for t; unset means symbolic "
-        "for eval and t=q^n for specialize",
-    )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-arity", type=int, default=3)
-    p.add_argument("--n", type=int, default=1, help="specialization rank")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--output", default="-", help="output path, '-' for stdout")
+# the least value of each size flag; below --trials 1 no trial runs, and a
+# suite that ran none must not pass
+_FLOORS = {"n": 0, "s": 0, "k": 0, "max_arity": 0, "trials": 1}
 
 
 def _check_counts(args):
-    """Reject negative sizes, and a trial count under which no trial runs."""
-    for flag in ("n", "s", "k", "max_arity"):
-        value = getattr(args, flag, 0)
-        if value < 0:
-            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
-    if args.trials <= 0:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    """Reject a size flag of the command below its floor."""
+    for flag, floor in _FLOORS.items():
+        value = getattr(args, flag, floor)
+        if value < floor:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= {floor}, got {value}")
 
 
 def _emit(args, text: str):
@@ -123,6 +110,12 @@ def _morphism_json(m: cat.Morphism) -> dict:
     }
 
 
+def _json_rational(v):
+    """An exact rational for JSON: an int when it is one, else its text."""
+    v = printable(Fraction(v))
+    return v.numerator if v.denominator == 1 else str(v)
+
+
 def cmd_eval(args) -> int:
     field = parse_q(args.q)
     morphism = _eval_expr(args, field)
@@ -142,10 +135,7 @@ def cmd_specialize(args) -> int:
             "drop --t to substitute t = q^n"
         )
     conc = specialize(morphism, args.n)
-    entries = [
-        [r, c, int(v) if Fraction(v).denominator == 1 else str(v)]
-        for (r, c), v in conc.mat.entries_sorted()
-    ]
+    entries = [[r, c, _json_rational(v)] for (r, c), v in conc.mat.entries_sorted()]
     payload = {"q": str(field), "n": args.n, "s": conc.s, "k": conc.k, "entries": entries}
     _emit(args, json.dumps(payload, sort_keys=True))
     return 0
@@ -235,6 +225,47 @@ def cmd_knop_convert(args) -> int:
     return 0
 
 
+# Every flag of every subcommand, defined once; COMMANDS gives each
+# subcommand the ones its cmd_* reads.
+FLAGS = {
+    "expr": dict(help="expression text, or a path with --file"),
+    "suite": dict(choices=SUITES),
+    "rel": dict(help="a rel(q;s,k;[[...]]) literal"),
+    "--file": dict(action="store_true", help="treat expr as a file of bindings"),
+    "--q": dict(default="2", help="field order, 'p' or 'p^e' (default 2)"),
+    "--t": dict(
+        help="'sym' or an exact rational value for t; unset means symbolic, "
+        "except that specialize substitutes t = q^n"
+    ),
+    "--n": dict(type=int, default=1, help="specialization rank"),
+    "--s": dict(type=int, default=1, help="source arity"),
+    "--k": dict(type=int, default=1, help="target arity"),
+    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "--trials": dict(type=int, default=100),
+    "--max-arity": dict(type=int, default=3),
+    "--format": dict(choices=["text", "json"], default="text"),
+    "--output": dict(default="-", help="output path, '-' for stdout"),
+}
+
+# (name, function, help, flags, defaults that differ from FLAGS)
+COMMANDS = (
+    ("eval", cmd_eval, "evaluate an expression to a canonical morphism",
+     ("expr", "--file", "--q", "--t", "--format", "--output"), {}),
+    ("specialize", cmd_specialize, "evaluate and specialize to a rank-n matrix",
+     ("expr", "--file", "--q", "--t", "--n", "--format", "--output"), {}),
+    ("verify", cmd_verify, "run a verification suite",
+     ("suite", "--q", "--n", "--seed", "--trials", "--max-arity", "--format", "--output"), {}),
+    ("gram", cmd_gram, "Gram matrix, determinant, and rational roots",
+     ("--s", "--k", "--q", "--t", "--format", "--output"), {"s": 0}),
+    ("count", cmd_count, "dimension of the Hom space [s] -> [k]",
+     ("--s", "--k", "--q", "--format", "--output"), {}),
+    ("knop-convert", cmd_knop_convert,
+     "convert a relation literal between the two basis indexings (the "
+     "conversion is the orthogonal complement, an involution)",
+     ("rel", "--q", "--format", "--output"), {}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="relcat",
@@ -242,46 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
         "category, and its specializations to finite-rank matrix representations",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate an expression to a canonical morphism")
-    p.add_argument("expr", help="expression text, or a path with --file")
-    p.add_argument("--file", action="store_true", help="treat expr as a file of bindings")
-    _add_common(p)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("specialize", help="evaluate and specialize to a rank-n matrix")
-    p.add_argument("expr")
-    p.add_argument("--file", action="store_true")
-    _add_common(p)
-    p.set_defaults(fn=cmd_specialize)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=SUITES)
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("gram", help="Gram matrix, determinant, and rational roots")
-    p.add_argument("--s", type=int, default=0)
-    p.add_argument("--k", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(fn=cmd_gram)
-
-    p = sub.add_parser("count", help="dimension of the Hom space [s] -> [k]")
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(fn=cmd_count)
-
-    p = sub.add_parser(
-        "knop-convert",
-        help="convert a relation literal between the two basis indexings "
-        "(the conversion is the orthogonal complement, an involution, so "
-        "--direction only documents intent)",
-    )
-    p.add_argument("rel", help="a rel(q;s,k;[[...]]) literal")
-    p.add_argument("--direction", choices=["to-knop", "from-knop"], default="to-knop")
-    _add_common(p)
-    p.set_defaults(fn=cmd_knop_convert)
+    for name, fn, text, flags, defaults in COMMANDS:
+        # no prefix matching, or verify would read --t as --trials
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(fn=fn, **defaults)
     return top
 
 
@@ -297,9 +294,6 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RequiresEvaluation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RelcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,11 +30,11 @@ from fractions import Fraction
 
 from . import category as cat
 from .category import Morphism
-from .errors import FieldMismatch, ParseError, ScalarParseError
+from .errors import FieldMismatch, ParseError, ScalarParseError, TooLarge
 from .field import Fq, parse_q
-from .matrix import MatFq
+from .matrix import COUNT_DIGITS, MatFq
 from .poly import PolyQ
-from .relations import Relation
+from .relations import GENERATOR_ARITIES, Relation
 from .terms import Compose, Gen, IdK, LinComb, MuLit, RelLit, Tensor, Term
 
 _TOKEN_RE = re.compile(
@@ -47,8 +47,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_STARRED = {"eps*", "m*", "z*"}
-_ATOMS = {"eps", "eps*", "m", "m*", "sigma", "z", "z*", "plus", "ev", "coev"}
+# every generator but mu(a), which takes an argument, is an atom
+_ATOMS = set(GENERATOR_ARITIES) - {"mu"}
+_STARRED = {name for name in _ATOMS if name.endswith("*")}
 
 
 def _tokenize(src: str):
@@ -60,8 +61,12 @@ def _tokenize(src: str):
             raise ParseError(f"unexpected character {src[pos]!r}", pos)
         if match.lastgroup != "ws":
             text = match.group()
+            if match.lastgroup == "num" and len(text) > COUNT_DIGITS:
+                # Python reads no int of more digits
+                raise TooLarge(f"a number of {len(text)} digits (at position {pos}); "
+                               f"at most {COUNT_DIGITS} are read")
             if match.lastgroup == "name" and text.endswith("*") and text not in _STARRED:
-                # only eps*, m*, z* exist as starred atoms; split the '*'
+                # only the starred generators end in '*'; split it off any other name
                 tokens.append((text[:-1], pos))
                 tokens.append(("*", pos + len(text) - 1))
             else:
@@ -324,6 +329,17 @@ def parse(src: str, field: Fq) -> Term:
     term = parser.parse_expr()
     parser.expect("<end>")
     return term
+
+
+def parse_poly(text: str) -> PolyQ:
+    """Parse a polynomial in t alone, such as "3/2*t^2 - 1", by the scalar grammar."""
+    parser = _Parser(text, None)
+    try:
+        poly = parser.parse_poly_sum()
+        parser.expect("<end>")
+    except ParseError as exc:
+        raise ScalarParseError(f"bad polynomial {text!r}: {exc}") from exc
+    return poly
 
 
 def parse_program(src: str, field: Fq) -> Term:

@@ -11,7 +11,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import ScalarParseError
+from .errors import TooLarge
+from .matrix import COUNT_DIGITS
+
+# Python prints no int with more than COUNT_DIGITS digits
+_PRINT_LIMIT = 10**COUNT_DIGITS
+
+
+def printable(value: Fraction) -> Fraction:
+    """The value itself; TooLarge if a part has more digits than Python prints."""
+    if abs(value.numerator) >= _PRINT_LIMIT or value.denominator >= _PRINT_LIMIT:
+        raise TooLarge(f"a coefficient has more than {COUNT_DIGITS} digits")
+    return value
 
 
 def _coerce(x) -> Fraction:
@@ -99,7 +110,13 @@ class PolyQ:
         return PolyQ({d: c * v for d, v in self.coeffs.items()})
 
     def evaluate(self, value) -> Fraction:
+        """The value at t = value; TooLarge when value^degree is too long to print."""
         value = _coerce(value)
+        # a part of b bits is at least 2^(b-1), so its d-th power is past the
+        # limit once d(b-1) reaches the limit's bit length
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if self.degree() * (bits - 1) >= _PRINT_LIMIT.bit_length():
+            raise TooLarge(f"t^{self.degree()} at the given t has more than {COUNT_DIGITS} digits")
         return sum((c * value**d for d, c in self.coeffs.items()), Fraction(0))
 
     def __str__(self):
@@ -107,7 +124,7 @@ class PolyQ:
             return "0"
         parts = []
         for d in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[d]
+            c = printable(self.coeffs[d])
             if d == 0:
                 body = str(c)
             else:
@@ -120,53 +137,6 @@ class PolyQ:
         return out
 
     __repr__ = __str__
-
-
-def parse_poly(text: str) -> PolyQ:
-    """Parse polynomial literals like "3/2*t^2 - 1" or "t" or "-4/3"."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ScalarParseError("empty polynomial literal")
-    # split into signed monomials
-    monomials = []
-    start = 0
-    for i in range(1, len(s)):
-        if s[i] in "+-" and s[i - 1] not in "+-*/^":
-            monomials.append(s[start:i])
-            start = i
-    monomials.append(s[start:])
-    out = PolyQ.zero()
-    for mono in monomials:
-        sign = 1
-        while mono and mono[0] in "+-":
-            if mono[0] == "-":
-                sign = -sign
-            mono = mono[1:]
-        coeff = Fraction(sign)
-        deg = 0
-        for factor in mono.split("*"):
-            if not factor:
-                raise ScalarParseError(f"bad monomial in {text!r}")
-            if factor[0] == "t":
-                if factor == "t":
-                    deg += 1
-                elif factor.startswith("t^"):
-                    try:
-                        power = int(factor[2:])
-                    except ValueError as exc:
-                        raise ScalarParseError(f"bad power {factor!r} in {text!r}") from exc
-                    if power < 0:
-                        raise ScalarParseError(f"negative power {factor!r} in {text!r}")
-                    deg += power
-                else:
-                    raise ScalarParseError(f"bad power {factor!r} in {text!r}")
-            else:
-                try:
-                    coeff *= Fraction(factor)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ScalarParseError(f"bad coefficient {factor!r} in {text!r}") from exc
-        out = out + PolyQ.t_power(deg, coeff)
-    return out
 
 
 def det_poly(mat: list[list[PolyQ]]) -> PolyQ:

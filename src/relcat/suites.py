@@ -269,26 +269,52 @@ def _arity_guard(field: Fq, n: int, *pairs) -> bool:
     return all(field.q ** (n * (a + b)) <= 2**12 for a, b in pairs)
 
 
-def _failures(bad: int, seed: int, first) -> str:
-    """The failure count and, if any trial failed, the witness of the first."""
-    if not bad:
-        return "0 failures"
-    trial, witness = first
-    return f"{bad} failures; first at trial {trial} of seed {seed}: {witness}"
+class _Tally:
+    """Trials run and failures of one randomized check, and the first failure.
+
+    A failing trial's witness is built only for the first failure; the
+    detail names its trial (counted from 1), the seed and the relation
+    texts, which ``relcat eval`` and ``specialize`` accept.
+    """
+
+    __slots__ = ("seed", "runs", "bad", "first")
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.runs = self.bad = 0
+        self.first = None
+
+    def record(self, ok: bool, witness) -> None:
+        """Count one trial; witness() gives the text of a failing one."""
+        self.runs += 1
+        if not ok:
+            self.bad += 1
+            if self.first is None:
+                self.first = f"first at trial {self.runs} of seed {self.seed}: {witness()}"
+
+    def result(self, name: str, wanted: int | None = None) -> SuiteResult:
+        """Passes when no trial failed and, if given, all wanted trials ran."""
+        detail = f"{self.bad} failures" + (f"; {self.first}" if self.first else "")
+        short = wanted is not None and self.runs < wanted
+        if short:
+            detail += f"; only {self.runs} of {wanted} trials ran"
+        return SuiteResult(name, self.bad == 0 and not short, detail)
+
+
+def _composite(r, s) -> str:
+    return f"s . r with r = {r.to_text()}, s = {s.to_text()}"
+
+
+def _product(r1, r2) -> str:
+    return f"r1 @ r2 with r1 = {r1.to_text()}, r2 = {r2.to_text()}"
 
 
 def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3):
-    """Composition and monoidality of the specialization, randomized.
-
-    A failing line names its first failing trial (counted from 1), the
-    seed and the relation texts, which ``relcat specialize`` accepts.
-    """
+    """Composition and monoidality of the specialization, randomized."""
     rng = random.Random(seed)
-    comp_bad = ten_bad = 0
-    comp_n = ten_n = 0
-    comp_first = ten_first = None
+    comp, ten = _Tally(seed), _Tally(seed)
     attempts = 0
-    while comp_n < trials and attempts < trials * 20:
+    while comp.runs < trials and attempts < trials * 20:
         attempts += 1
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
         if not _arity_guard(field, n, (s_, k_), (k_, l_), (s_, l_)):
@@ -298,11 +324,8 @@ def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3)
         sr, d = star(r, s)
         lhs = f_r_matrix(s, n).mat @ f_r_matrix(r, n).mat
         rhs = f_r_matrix(sr, n).mat.scale(field.q ** (n * d))
-        comp_n += 1
-        if lhs != rhs:
-            comp_bad += 1
-            comp_first = comp_first or (comp_n, f"s . r with r = {r.to_text()}, s = {s.to_text()}")
-    while ten_n < trials and attempts < trials * 40:
+        comp.record(lhs == rhs, lambda: _composite(r, s))
+    while ten.runs < trials and attempts < trials * 40:
         attempts += 1
         s1, k1, s2, k2 = (rng.randrange(max_arity + 1) for _ in range(4))
         if not _arity_guard(field, n, (s1, k1), (s2, k2), (s1 + s2, k1 + k2)):
@@ -311,41 +334,25 @@ def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3)
         r2 = random_relation(rng, field, s2, k2)
         lhs = f_r_matrix(product(r1, r2), n).mat
         rhs = f_r_matrix(r1, n).mat.kron(f_r_matrix(r2, n).mat)
-        ten_n += 1
-        if lhs != rhs:
-            ten_bad += 1
-            ten_first = ten_first or (ten_n, f"r1 @ r2 with r1 = {r1.to_text()}, r2 = {r2.to_text()}")
+        ten.record(lhs == rhs, lambda: _product(r1, r2))
     return [
-        SuiteResult(
-            f"composition oracle q={field.q} n={n} ({comp_n} trials)",
-            comp_bad == 0 and comp_n == trials,
-            _failures(comp_bad, seed, comp_first),
-        ),
-        SuiteResult(
-            f"monoidality oracle q={field.q} n={n} ({ten_n} trials)",
-            ten_bad == 0 and ten_n == trials,
-            _failures(ten_bad, seed, ten_first),
-        ),
+        comp.result(f"composition oracle q={field.q} n={n} ({comp.runs} trials)", trials),
+        ten.result(f"monoidality oracle q={field.q} n={n} ({ten.runs} trials)", trials),
     ]
 
 
 def suite_knop(field: Fq, trials: int, seed: int, max_arity: int = 3):
     """Orthogonal-indexing compatibility: diamond vs star, e vs d."""
     rng = random.Random(seed)
-    bad = 0
+    tally = _Tally(seed)
     for _ in range(trials):
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
         r = random_relation(rng, field, s_, k_)
         s = random_relation(rng, field, k_, l_)
         sr, d = star(r, s)
         image, e = knop_diamond(r.perp(), s.perp())
-        if image != sr.perp() or e != d:
-            bad += 1
-    return [
-        SuiteResult(
-            f"orthogonal indexing q={field.q} ({trials} trials)", bad == 0, f"{bad} failures"
-        )
-    ]
+        tally.record(image == sr.perp() and e == d, lambda: _composite(r, s))
+    return [tally.result(f"orthogonal indexing q={field.q} ({trials} trials)")]
 
 
 def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3):
@@ -354,32 +361,35 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
     # of dimension up to 4m; refuse its work before anything is built
     hat_f_guard(field.q, 4 * max_arity, 2 * max_arity, f"relinfty at max-arity {max_arity}")
     rng = random.Random(seed)
-    closure_bad = hat_bad = stab_bad = 0
+    closure, realization, stability = _Tally(seed), _Tally(seed), _Tally(seed)
     data = standard_target(field, 1)
     for _ in range(trials):
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
         r1 = random_rel_infty(rng, field, s_, k_)
         r2 = random_rel_infty(rng, field, k_, l_)
         sr, d = star(r1, r2)
-        if d != 0 or not is_rel_infty(sr) or not is_rel_infty(product(r1, r2)):
-            closure_bad += 1
+        closed = d == 0 and is_rel_infty(sr) and is_rel_infty(product(r1, r2))
+        closure.record(closed, lambda: _composite(r1, r2))
+        if not closed:
             continue
-        if hat_f(data, r2) @ hat_f(data, r1) != hat_f(data, sr):
-            hat_bad += 1
+        comp_ok = hat_f(data, r2) @ hat_f(data, r1) == hat_f(data, sr)
         t2 = random_rel_infty(rng, field, rng.randrange(max_arity + 1), rng.randrange(max_arity + 1))
-        if hat_f(data, r1).kron(hat_f(data, t2)) != hat_f(data, product(r1, t2)):
-            hat_bad += 1
-    stab_trials = min(trials, 50)
-    for _ in range(stab_trials):
+        ten_ok = hat_f(data, r1).kron(hat_f(data, t2)) == hat_f(data, product(r1, t2))
+        realization.record(
+            comp_ok and ten_ok, lambda: _composite(r1, r2) if not comp_ok else _product(r1, t2)
+        )
+    # draw until the stability checks have run, within the functor's budget
+    wanted = min(trials, 50)
+    attempts = 0
+    while stability.runs < wanted and attempts < wanted * 20:
+        attempts += 1
         s_, k_ = rng.randrange(3), rng.randrange(3)
         if not _arity_guard(field, n + 1, (s_, k_)):
             continue
         r = random_rel_infty(rng, field, s_, k_)
-        if not rel_infty_stability(r, n):
-            stab_bad += 1
+        stability.record(rel_infty_stability(r, n), lambda: f"r = {r.to_text()}")
     return [
-        SuiteResult(f"closure and zero defect q={field.q} ({trials} trials)", closure_bad == 0,
-                    f"{closure_bad} failures"),
-        SuiteResult(f"generator-level realization q={field.q}", hat_bad == 0, f"{hat_bad} failures"),
-        SuiteResult(f"rank stability n={n}", stab_bad == 0, f"{stab_bad} failures"),
+        closure.result(f"closure and zero defect q={field.q} ({trials} trials)"),
+        realization.result(f"generator-level realization q={field.q}"),
+        stability.result(f"rank stability n={n}", wanted),
     ]

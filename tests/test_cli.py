@@ -7,8 +7,10 @@ import sys
 import time
 
 from relcat import suites
-from relcat.cli import main
-from relcat.concrete import ConcreteMap, f_r_matrix
+from relcat.cli import build_parser, main
+from relcat.concrete import ConcreteMap, f_r_matrix, rel_infty_stability
+from relcat.frobenius import hat_f
+from relcat.relations import knop_diamond
 
 
 def run_cli(capsys, *argv):
@@ -343,3 +345,127 @@ def test_functor_failure_names_a_witness(capsys, monkeypatch):
     _, trial, _, left, right = WITNESS.search(comp).groups()
     _, out, _ = run_cli(capsys, *argv, "--trials", trial)
     assert f"[1 failures; first at trial {trial} of seed 7: s . r with r = {left}, s = {right}]" in out
+
+
+def corrupt_knop_diamond(r, s):
+    # a wrong defect whenever the first argument is a line
+    image, e = knop_diamond(r, s)
+    return image, e + (r.dim == 1)
+
+
+def test_knop_failure_names_a_witness(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "knop_diamond", corrupt_knop_diamond)
+    argv = ["verify", "knop", "--q", "2", "--seed", "7"]
+    code, out, _ = run_cli(capsys, *argv, "--trials", "20")
+    assert code == 1
+    line, last = out.splitlines()
+    assert line.startswith("FAIL orthogonal indexing q=2 (20 trials)") and last == "FAIL suite knop"
+    bad, trial, expr, left, right = WITNESS.search(line).groups()
+    assert int(bad) >= 1 and 1 <= int(trial) <= 20 and expr == "s . r"
+    code, _, err = run_cli(capsys, "eval", "--q", "2", f"{right} . {left}")
+    assert code == 0, err
+    # the trial index reproduces the first failure on its own
+    _, out, _ = run_cli(capsys, *argv, "--trials", trial)
+    assert f"[1 failures; first at trial {trial} of seed 7: s . r with r = {left}, s = {right}]" in out
+
+
+def test_relinfty_failures_name_witnesses(capsys, monkeypatch):
+    argv = ["verify", "relinfty", "--q", "2", "--n", "1", "--seed", "7", "--trials", "10",
+            "--max-arity", "2"]
+
+    def corrupted(data, rel):
+        m = hat_f(data, rel)
+        return m.scale(2) if rel.dim == 1 else m
+
+    monkeypatch.setattr(suites, "hat_f", corrupted)
+    monkeypatch.setattr(suites, "rel_infty_stability", lambda rel, n: rel.dim != 1)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    closure, realization, stability, last = out.splitlines()
+    assert closure == "PASS closure and zero defect q=2 (10 trials)  [0 failures]"
+    assert last == "FAIL suite relinfty"
+    assert WITNESS.search(realization), realization
+    assert re.search(r"\[\d+ failures; first at trial \d+ of seed 7: r = rel\([^)]*\)\]$",
+                     stability), stability
+    monkeypatch.setattr(suites, "is_rel_infty", lambda rel: rel.dim != 1)
+    _, out, _ = run_cli(capsys, *argv)
+    assert WITNESS.search(out.splitlines()[0]).group(3) == "s . r"
+
+
+def test_rank_stability_passes_only_on_checks_that_ran(capsys, monkeypatch):
+    # at n = 20 only [0] -> [0] draws pass the arity guard, so some seeds run
+    # no stability check, and those must not pass
+    calls = []
+
+    def counted(rel, n):
+        calls.append(rel)
+        return rel_infty_stability(rel, n)
+
+    monkeypatch.setattr(suites, "rel_infty_stability", counted)
+    outcomes = set()
+    for seed in range(1, 9):
+        calls.clear()
+        _, out, _ = run_cli(capsys, "verify", "relinfty", "--q", "2", "--n", "20",
+                            "--trials", "1", "--max-arity", "1", "--seed", str(seed))
+        line = out.splitlines()[2]
+        if calls:
+            assert line == "PASS rank stability n=20  [0 failures]", (seed, line)
+        else:
+            assert line == "FAIL rank stability n=20  [0 failures; only 0 of 1 trials ran]", line
+        outcomes.add(bool(calls))
+    assert outcomes == {True, False}
+
+
+def test_oversized_numbers_are_guard_errors(capsys):
+    # Python converts no int of more than 4300 digits to or from text
+    x, big = "7" * 3000, "3" * 5000
+    assert_guard_error(capsys, "eval", "--q", "2", "--t", "2", "t^20000 * id(1)")
+    assert_guard_error(capsys, "specialize", "--q", "2", "--n", "1", "t^20000 * id(1)")
+    assert_guard_error(capsys, "eval", "--q", "2", f"({x} * id(1)) . ({x} * id(1))")
+    assert_guard_error(capsys, "specialize", "--q", "2", "--n", "1", f"({x} * id(1)) . ({x} * id(1))")
+    for expr in (f"{big} * id(1)", f"id({big})", f"t^{big} * id(1)"):
+        assert_guard_error(capsys, "eval", "--q", "2", expr)
+    # a large power of a small value is still exact
+    code, out, _ = run_cli(capsys, "eval", "--q", "2", "--t", "-1", "t^20001 * id(1)")
+    assert code == 0 and out == "-1 * rel(2;1,1;[[1,1]])\n"
+
+
+# the flags each subcommand takes; every other flag is refused
+FLAGS = {
+    "eval": {"--file", "--q", "--t", "--format", "--output"},
+    "specialize": {"--file", "--q", "--t", "--n", "--format", "--output"},
+    "verify": {"--q", "--n", "--seed", "--trials", "--max-arity", "--format", "--output"},
+    "gram": {"--s", "--k", "--q", "--t", "--format", "--output"},
+    "count": {"--s", "--k", "--q", "--format", "--output"},
+    "knop-convert": {"--q", "--format", "--output"},
+}
+POSITIONAL = {"eval": ["id(1)"], "specialize": ["id(1)"], "verify": ["knop"],
+              "knop-convert": ["rel(2;1,1;[])"]}
+ALL_FLAGS = ["--q", "--t", "--seed", "--trials", "--max-arity", "--n", "--s", "--k", "--file",
+           "--format", "--output", "--direction"]
+
+
+def test_each_subcommand_takes_only_its_flags():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    settable = 0
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if a.dest != "help"]
+        flags = {s for a in actions for s in a.option_strings}
+        assert flags == FLAGS[name], name
+        settable += len(actions)
+    assert settable == 36
+
+
+def test_flags_a_subcommand_does_not_take_exit_2(capsys):
+    for command, flags in FLAGS.items():
+        for flag in ALL_FLAGS:
+            if flag in flags:
+                continue
+            argv = [command, *POSITIONAL.get(command, []), flag, "1"]
+            try:
+                main(argv)
+                code = None
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            assert code == 2 and out == "", argv

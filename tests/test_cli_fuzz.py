@@ -1,8 +1,9 @@
 """Random command lines keep the CLI's exit-code contract.
 
-Every argv is drawn from a fixed vocabulary: each subcommand, good and bad
-field orders, small and negative sizes, and expressions that parse, fail to
-parse or hit a feasibility guard.  Sizes stay small so that every command
+Every argv is drawn from a fixed vocabulary: each subcommand with its own
+flags and, now and then, one it does not take, good and bad field orders,
+small and negative sizes, and expressions that parse, fail to parse or hit
+a feasibility guard.  Sizes stay small so that every command
 answers at once.
 """
 
@@ -47,7 +48,15 @@ OPTIONS = {
     "--s": SIZES,
     "--k": SIZES,
     "--format": ["text", "json", "xml"],
-    "--direction": ["to-knop", "from-knop"],
+}
+# each subcommand's own flags, and one it does not take, which argparse refuses
+FLAGS = {
+    "eval": (["--q", "--t", "--format"], "--n"),
+    "specialize": (["--q", "--t", "--n", "--format"], "--seed"),
+    "verify": (["--q", "--n", "--seed", "--trials", "--max-arity", "--format"], "--t"),
+    "gram": (["--s", "--k", "--q", "--t", "--format"], "--trials"),
+    "count": (["--s", "--k", "--q", "--format"], "--t"),
+    "knop-convert": (["--q", "--format"], "--s"),
 }
 
 
@@ -59,11 +68,11 @@ def command_lines(draw):
         argv.append(draw(st.sampled_from(["axioms", "lemmas", "functor", "relinfty", "knop", "all"])))
     elif command != "gram" and command != "count":
         argv.append(draw(st.sampled_from(EXPRESSIONS)))
-    # the common options, the command's own, and --s, which eval, specialize,
-    # verify and knop-convert do not take
-    known = ["--q", "--t", "--seed", "--trials", "--max-arity", "--n", "--format", "--s"]
-    known += {"gram": ["--k"], "count": ["--k"], "knop-convert": ["--direction"]}.get(command, [])
-    flags = draw(st.lists(st.sampled_from(known), unique=True, max_size=4))
+    own, foreign = FLAGS[command]
+    flags = draw(st.lists(st.sampled_from(own), unique=True, max_size=4))
+    # the foreign flag is rare, so that most command lines reach the command
+    if draw(st.integers(0, 7)) == 7:
+        flags.append(foreign)
     if command == "verify" and "--trials" not in flags:
         flags.append("--trials")  # the default of 100 trials is not small
     for flag in flags:

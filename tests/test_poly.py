@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relcat.errors import ScalarParseError
-from relcat.poly import PolyQ, det_poly, parse_poly, rational_roots
+from relcat.dsl import parse_poly
+from relcat.poly import PolyQ, det_poly, rational_roots
 
 coeff_maps = st.dictionaries(st.integers(0, 5), st.fractions(), max_size=4)
 
@@ -57,8 +58,10 @@ def test_parse_values():
         parse_poly("t^")
     with pytest.raises(ScalarParseError):
         parse_poly("")
-    with pytest.raises(ScalarParseError):
-        parse_poly("t^-1")
+    # the scalar grammar of the expression language: no decimals, no signed powers
+    for text in ("t^-1", "0.5", "t^+2", "t^2 *", "3 t"):
+        with pytest.raises(ScalarParseError):
+            parse_poly(text)
 
 
 def test_constant_value():
