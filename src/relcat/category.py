@@ -318,10 +318,10 @@ def decompose_generators(rel: Relation):
     """
     from . import terms as tm
 
-    F, s, k = rel.field, rel.s, rel.k
-    phi_term = tm.phi_term(F, rel.basis)
+    s, k = rel.s, rel.k
+    phi_term = tm.phi_term(rel.basis)
     if k == 0:
         return phi_term
     left = tm.t_tensor(phi_term, tm.t_id(k))
-    right = tm.t_tensor(tm.t_id(s), tm.coev_bar_term(F, k)) if s else tm.coev_bar_term(F, k)
+    right = tm.t_tensor(tm.t_id(s), tm.coev_bar_term(k)) if s else tm.coev_bar_term(k)
     return tm.t_compose(left, right)

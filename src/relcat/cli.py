@@ -17,34 +17,17 @@ from . import category as cat
 from .concrete import specialize
 from .dsl import eval_formal, parse, parse_program
 from .errors import (
-    ArityMismatch,
-    DegreeOutOfRange,
-    FieldMismatch,
-    NotPrime,
     ParseError,
     RelcatError,
     RequiresEvaluation,
     ScalarParseError,
     TooLarge,
-    UnknownGenerator,
     UsageError,
 )
 from .field import parse_q
-from .matrix import subspace_count
+from .matrix import COUNT_DIGITS, subspace_count
 from .poly import PolyQ, det_poly, printable, rational_roots
 from .suites import suite_axioms, suite_functor, suite_knop, suite_lemmas, suite_relinfty
-
-USAGE_ERRORS = (
-    ParseError,
-    ArityMismatch,
-    UnknownGenerator,
-    ScalarParseError,
-    FieldMismatch,
-    NotPrime,
-    DegreeOutOfRange,
-    UsageError,
-    RequiresEvaluation,
-)
 
 # the least value of each size flag; below --trials 1 no trial runs, and a
 # suite that ran none must not pass
@@ -74,6 +57,11 @@ def _t_value(args) -> Fraction | None:
     """The exact rational given by --t, or None when t stays symbolic."""
     if args.t is None or args.t == "sym":
         return None
+    for part in args.t.split("/"):
+        digits = sum(ch.isdigit() for ch in part)
+        if digits > COUNT_DIGITS:
+            # Python reads no int of more digits
+            raise TooLarge(f"--t has a number of {digits} digits; at most {COUNT_DIGITS} are read")
     try:
         return Fraction(args.t)
     except (ValueError, ZeroDivisionError) as exc:
@@ -288,7 +276,7 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return args.fn(args)
-    except USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TooLarge as exc:

@@ -5,11 +5,15 @@ class RelcatError(Exception):
     """Base class for all library errors."""
 
 
-class NotPrime(RelcatError):
+class UsageError(RelcatError):
+    """Malformed or out-of-range input; the CLI exits 2 on it and its subclasses."""
+
+
+class NotPrime(UsageError):
     pass
 
 
-class DegreeOutOfRange(RelcatError):
+class DegreeOutOfRange(UsageError):
     pass
 
 
@@ -29,11 +33,11 @@ class TooLarge(RelcatError):
     """A feasibility guard was exceeded (desk-scale enumeration bound)."""
 
 
-class ArityMismatch(RelcatError):
+class ArityMismatch(UsageError):
     pass
 
 
-class FieldMismatch(RelcatError):
+class FieldMismatch(UsageError):
     pass
 
 
@@ -41,7 +45,7 @@ class NotRelInfty(RelcatError):
     pass
 
 
-class UnknownGenerator(RelcatError):
+class UnknownGenerator(UsageError):
     pass
 
 
@@ -53,11 +57,11 @@ class MissingUnit(RelcatError):
     """A unit-dependent map was requested from a structure without one."""
 
 
-class RequiresEvaluation(RelcatError):
+class RequiresEvaluation(UsageError):
     """A symbolic coefficient reached a context that needs a numeric value."""
 
 
-class ParseError(RelcatError):
+class ParseError(UsageError):
     """Syntax error in a morphism expression; carries the source position."""
 
     def __init__(self, message, position):
@@ -65,9 +69,5 @@ class ParseError(RelcatError):
         self.position = position
 
 
-class ScalarParseError(RelcatError):
+class ScalarParseError(UsageError):
     pass
-
-
-class UsageError(RelcatError):
-    """Malformed or out-of-range input on the command line."""

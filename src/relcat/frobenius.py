@@ -5,26 +5,28 @@ split m*, counit eps*, vector addition plus, zero vector z, one scaling
 map per field element, and optionally the unit eps.  The axioms are one
 list of generator term pairs (``frobenius_axiom_terms``), checked formally
 by the suites and on a structure by ``check_axioms``, which evaluates both
-sides of each pair.  When the unit is absent the candidate is checked as a
-semi-Frobenius space: every pair that uses eps or coev is skipped, so no
-unit-dependent map is ever formed.
+sides of each pair and names the first cell where they differ
+(``first_difference``).  When the unit is absent the candidate is checked
+as a semi-Frobenius space: every pair that uses eps or coev is skipped, so
+no unit-dependent map is ever formed.
 
+Every map formed on a structure comes from one evaluator, ``term_eval``.
 Tensor powers are interpreted by the library's Kronecker indexing (first
 factor least significant).  A term is evaluated in two tiers.  It is
 compiled once per structure into a tree of nodes cached on the structure
-by term: atoms and relation literals hold their columns, a matrix literal
-points at the one compiled expansion of its matrix, a composition chain is
-one node over its factors, a tensor with an identity factor is one node
-over the other factor, and other composites hold their compiled children,
-so subterms shared between terms are compiled once.  Each call then asks
-the root for basis columns; every node memoizes the columns it computes for
+by term: stored maps and relation literals hold their columns, ev, coev
+and z* compile their definitions (``DEFINED``), a matrix literal points at
+the one compiled expansion of its matrix, a composition chain is one node
+over its factors, a tensor with an identity factor is one node over the
+other factor, and other composites hold their compiled children, so
+subterms shared between terms are compiled once.  Each call then asks the
+root for basis columns; every node memoizes the columns it computes for
 that call only, so wide intermediate tensor powers never materialize as
-full matrices and no column outlives its call.
+full matrices and no column outlives its call.  ``hat_f`` evaluates the
+one term of a relation's normal form.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import terms as tm
 from .errors import (
@@ -35,7 +37,6 @@ from .errors import (
     TooLarge,
 )
 from .field import Fq
-from .matrix import MatFq
 from .qmat import QMat
 from .relations import Relation, is_rel_infty, rel_infty_normal_form
 from .terms import Term
@@ -50,6 +51,17 @@ AXIOM_PAIR_GUARD = 2**12
 # A step takes about 0.4 us (2-vCPU x86-64 VM, Python 3.11); more steps are
 # refused.
 HAT_F_GUARD = 2**22
+
+
+# The maps the axiom list defines by the stored ones; a term that uses one
+# is compiled through its definition.
+DEFINED = {
+    "ev": tm.t_compose(tm.Gen("eps*"), tm.Gen("m")),
+    "coev": tm.t_compose(tm.Gen("m*"), tm.Gen("eps")),
+    "z*": tm.t_compose(tm.Gen("ev"), tm.t_tensor(tm.t_id(1), tm.Gen("z"))),
+}
+# generator name -> the FrobeniusData attribute that stores its matrix
+STORED = {"m": "m", "m*": "m_star", "eps*": "eps_star", "plus": "plus", "z": "z", "eps": "eps"}
 
 
 def hat_f_guard(dim: int, rows: int, cols: int, source: str = "hat_f"):
@@ -111,17 +123,6 @@ class FrobeniusData:
     def swap(self) -> QMat:
         d = self.dim
         return QMat(d * d, d * d, {(j + d * i, i + d * j): 1 for i in range(d) for j in range(d)})
-
-    def ev(self) -> QMat:
-        return self.eps_star @ self.m
-
-    def coev(self) -> QMat:
-        if self.eps is None:
-            raise MissingUnit("coev needs the unit eps")
-        return self.m_star @ self.eps
-
-    def z_star(self) -> QMat:
-        return self.ev() @ QMat.identity(self.dim).kron(self.z)
 
 
 def standard_target(field: Fq, n: int) -> FrobeniusData:
@@ -288,35 +289,6 @@ def _apply(node, vec: dict, memo: dict) -> dict:
     return {r: v for r, v in acc.items() if v}
 
 
-def _atom_matrix(data: FrobeniusData, node: tm.Gen) -> QMat:
-    name = node.name
-    if name == "m":
-        return data.m
-    if name == "m*":
-        return data.m_star
-    if name == "eps*":
-        return data.eps_star
-    if name == "plus":
-        return data.plus
-    if name == "z":
-        return data.z
-    if name == "z*":
-        return data.z_star()
-    if name == "sigma":
-        return data.swap()
-    if name == "mu":
-        return data.mu[node.a]
-    if name == "ev":
-        return data.ev()
-    if name == "eps":
-        if data.eps is None:
-            raise MissingUnit("term uses eps but the structure has no unit")
-        return data.eps
-    if name == "coev":
-        return data.coev()
-    raise AssertionError(name)
-
-
 def _compile(data: FrobeniusData, term: Term, t_value):
     """The compiled node of a term, built once per (structure, t_value).
 
@@ -336,7 +308,17 @@ def _compile(data: FrobeniusData, term: Term, t_value):
 
 def _build(data: FrobeniusData, term: Term, t_value):
     if isinstance(term, tm.Gen):
-        return _Cols(_atom_matrix(data, term))
+        name = term.name
+        if name in DEFINED:
+            return _compile(data, DEFINED[name], t_value)
+        if name == "mu":
+            return _Cols(data.mu[term.a])
+        if name == "sigma":
+            return _Cols(data.swap())
+        mat = getattr(data, STORED[name])
+        if mat is None:
+            raise MissingUnit("term uses eps but the structure has no unit")
+        return _Cols(mat)
     if isinstance(term, tm.IdK):
         return _ID
     if isinstance(term, tm.MuLit):
@@ -377,11 +359,6 @@ def _build(data: FrobeniusData, term: Term, t_value):
     raise TypeError(f"not a Term: {term!r}")
 
 
-def term_apply(data: FrobeniusData, term: Term, vec: dict, t_value=None) -> dict:
-    """Apply a term to a sparse vector on the basis of D^dom indices."""
-    return dict(_apply(_compile(data, term, t_value), vec, {}))
-
-
 def term_eval(data: FrobeniusData, term: Term, t_value=None) -> QMat:
     """Evaluate a term to its D^cod x D^dom matrix, column by column.
 
@@ -396,28 +373,20 @@ def term_eval(data: FrobeniusData, term: Term, t_value=None) -> QMat:
     return QMat(data.dim**term.cod, data.dim**term.dom, out)
 
 
-def mu_A_eval(data: FrobeniusData, a: MatFq) -> QMat:
-    """The matrix-action composite assembled from the structure maps."""
-    return term_eval(data, tm.MuLit(a))
-
-
 def hat_f(data: FrobeniusData, rel: Relation) -> QMat:
     """Generator-level realization of a codomain-surjective relation.
 
-    Uses the Row[-A I; A' 0] normal form: scale by the stacked matrix,
-    then zero-test the A' outputs.
+    Uses the Row[-A I; A' 0] normal form: the term
+    (id(k) @ z*^{rows of A'}) . mu([A; A']) scales by the stacked matrix,
+    then zero-tests the A' outputs.
     """
     if not is_rel_infty(rel):
         raise NotRelInfty(f"{rel!r} does not surject onto the codomain block")
     a, ap = rel_infty_normal_form(rel)
     stacked = a.vstack(ap)
     hat_f_guard(data.dim, stacked.rows, stacked.cols)
-    body = mu_A_eval(data, stacked)
-    cap = QMat.identity(data.dim**rel.k)
-    zs = data.z_star()
-    for _ in range(ap.rows):
-        cap = cap.kron(zs)
-    return cap @ body
+    cap = tm.t_tensor(tm.t_id(rel.k), tm.t_power(tm.Gen("z*"), ap.rows))
+    return term_eval(data, tm.t_compose(cap, tm.MuLit(stacked)))
 
 
 def rel_matrix(data: FrobeniusData, rel: Relation) -> QMat:
@@ -521,9 +490,9 @@ def frobenius_axiom_terms(field: Fq):
          tm.t_compose(tm.t_tensor(g("ev"), I1), tm.t_tensor(I1, g("coev"))), I1),
         ("snake right",
          tm.t_compose(tm.t_tensor(I1, g("ev")), tm.t_tensor(g("coev"), I1)), I1),
-        ("ev = eps* . m", g("ev"), tm.t_compose(g("eps*"), g("m"))),
-        ("coev = m* . eps", g("coev"), tm.t_compose(g("m*"), g("eps"))),
-        ("z* = ev . (Id @ z)", g("z*"), tm.t_compose(g("ev"), tm.t_tensor(I1, g("z")))),
+        ("ev = eps* . m", g("ev"), DEFINED["ev"]),
+        ("coev = m* . eps", g("coev"), DEFINED["coev"]),
+        ("z* = ev . (Id @ z)", g("z*"), DEFINED["z*"]),
         ("eps = (eps* @ Id) . coev", g("eps"),
          tm.t_compose(tm.t_tensor(g("eps*"), I1), g("coev"))),
     ]
@@ -542,60 +511,23 @@ def _uses_unit(term: Term) -> bool:
     return False
 
 
-class CheckResult:
-    __slots__ = ("name", "passed", "counterexample")
-
-    def __init__(self, name: str, passed: bool, counterexample=None):
-        self.name = name
-        self.passed = passed
-        self.counterexample = counterexample
-
-    def __repr__(self):
-        if self.passed:
-            return f"pass {self.name}"
-        return f"FAIL {self.name} at {self.counterexample}"
-
-
-class Report:
-    __slots__ = ("checks", "dim_value", "semi")
-
-    def __init__(self, checks, dim_value, semi):
-        self.checks = checks
-        self.dim_value = dim_value
-        self.semi = semi
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def _first_difference(a: QMat, b: QMat):
-    keys = sorted(set(a.data) | set(b.data))
-    for key in keys:
+def first_difference(data: FrobeniusData, lhs: Term, rhs: Term):
+    """The first (row, column) cell where the two terms differ on the structure, or None."""
+    a, b = term_eval(data, lhs), term_eval(data, rhs)
+    for key in sorted(a.data.keys() | b.data.keys()):
         if a.data.get(key, 0) != b.data.get(key, 0):
             return key
     return None
 
 
-def check_axioms(data: FrobeniusData, semi: bool | None = None) -> Report:
-    """Evaluate every axiom pair on the structure; semi mode skips the unit.
+def check_axioms(data: FrobeniusData) -> list:
+    """(name, first differing cell or None) for each axiom pair on the structure.
 
-    Semi mode skips each pair with eps or coev on either side, so no
-    unit-dependent map is formed.  semi=None infers the mode from the
-    presence of eps.  A failing check's counterexample is the first
-    (row, column) cell where the two sides differ.
+    Without a unit, each pair with eps or coev on either side is skipped, so
+    no unit-dependent map is formed.
     """
-    if semi is None:
-        semi = not data.has_unit
-    if not semi and not data.has_unit:
-        raise MissingUnit("cannot run unit axioms without eps")
-    checks = []
-    for name, lhs, rhs in frobenius_axiom_terms(data.field):
-        if semi and (_uses_unit(lhs) or _uses_unit(rhs)):
-            continue
-        diff = _first_difference(term_eval(data, lhs), term_eval(data, rhs))
-        checks.append(CheckResult(name, diff is None, diff))
-    dim_value = None
-    if not semi:
-        dim_value = (data.eps_star @ data.eps).data.get((0, 0), Fraction(0))
-    return Report(checks, dim_value, semi)
+    return [
+        (name, first_difference(data, lhs, rhs))
+        for name, lhs, rhs in frobenius_axiom_terms(data.field)
+        if data.has_unit or not (_uses_unit(lhs) or _uses_unit(rhs))
+    ]

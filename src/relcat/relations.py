@@ -166,11 +166,16 @@ def star(r: Relation, s: Relation) -> tuple[Relation, int]:
 
 
 def product(r1: Relation, r2: Relation) -> Relation:
-    """Tensor product; ambient coordinates ordered [dom1|dom2|cod1|cod2]."""
+    """Tensor product; ambient coordinates ordered [dom1|dom2|cod1|cod2].
+
+    Each RREF basis keeps its pivots in its own column blocks, and the two
+    blocks share no column, so the rows sorted by pivot are already in RREF.
+    """
     if r1.field != r2.field:
         raise FieldMismatch("product over different fields")
     F = r1.field
     s1, k1, s2, k2 = r1.s, r1.k, r2.s, r2.k
+    _check_cells(s1 + s2, k1 + k2)
     total = s1 + s2 + k1 + k2
     rows = []
     for i in range(r1.dim):
@@ -185,7 +190,8 @@ def product(r1: Relation, r2: Relation) -> Relation:
         row[s1 : s1 + s2] = v[:s2]
         row[s1 + s2 + k1 :] = v[s2:]
         rows.append(row)
-    return Relation.from_rows(F, s1 + s2, k1 + k2, rows)
+    rows.sort(key=lambda row: next(j for j, x in enumerate(row) if x))
+    return Relation._trusted(F, s1 + s2, k1 + k2, MatFq._trusted_rows(F, rows, total))
 
 
 def knop_diamond(rp: Relation, sp: Relation) -> tuple[Relation, int]:

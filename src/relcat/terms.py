@@ -11,7 +11,6 @@ and the strandwise pairing caps/cups.
 from __future__ import annotations
 
 from .errors import ArityMismatch, UnknownGenerator
-from .field import Fq
 from .matrix import MatFq
 from .poly import PolyQ
 from .relations import GENERATOR_ALIASES, GENERATOR_ARITIES, Relation
@@ -322,7 +321,7 @@ def mu_matrix_term(a: MatFq) -> Term:
     return t_compose(step4, step3, step2, step1)
 
 
-def phi_term(field: Fq, basis: MatFq) -> Term:
+def phi_term(basis: MatFq) -> Term:
     """The pairing form [cols] -> [0] of a subspace basis matrix."""
     d = basis.rows
     mu = mu_matrix_term(basis)
@@ -335,7 +334,7 @@ def reversal_term(k: int) -> Term:
     return perm_term([k - 1 - j for j in range(k)])
 
 
-def ev_bar_term(field: Fq, k: int) -> Term:
+def ev_bar_term(k: int) -> Term:
     """Strandwise pairing [2k] -> [0] from nested ev caps."""
     if k == 0:
         return t_id(0)
@@ -345,7 +344,7 @@ def ev_bar_term(field: Fq, k: int) -> Term:
     return t_compose(nested, t_tensor(t_id(k), reversal_term(k)))
 
 
-def coev_bar_term(field: Fq, k: int) -> Term:
+def coev_bar_term(k: int) -> Term:
     if k == 0:
         return t_id(0)
     nested = Gen("coev")

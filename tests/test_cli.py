@@ -9,7 +9,8 @@ import time
 from relcat import suites
 from relcat.cli import build_parser, main
 from relcat.concrete import ConcreteMap, f_r_matrix, rel_infty_stability
-from relcat.frobenius import hat_f
+from relcat.field import Fq
+from relcat.frobenius import FrobeniusData, hat_f, standard_target, term_eval
 from relcat.relations import knop_diamond
 
 
@@ -213,6 +214,7 @@ def assert_guard_error(capsys, *argv):
     assert time.perf_counter() - start < 1.0, argv
     assert code == 3 and out == "", (argv, code, err)
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_gram_guard_counts_subspaces(capsys):
@@ -392,6 +394,38 @@ def test_relinfty_failures_name_witnesses(capsys, monkeypatch):
     assert WITNESS.search(out.splitlines()[0]).group(3) == "s . r"
 
 
+def test_lemma_failures_name_a_cell(capsys, monkeypatch):
+    argv = ["verify", "lemmas", "--q", "2", "--seed", "7"]
+    _, clean, _ = run_cli(capsys, *argv)
+
+    def corrupted(field, n):
+        # the zero scaling acts as the identity
+        data = standard_target(field, n)
+        mu = {**data.mu, 0: data.mu[1]}
+        return FrobeniusData(field, data.dim, data.m, data.m_star, data.eps_star, data.plus,
+                             data.z, mu, data.eps)
+
+    monkeypatch.setattr(suites, "standard_target", corrupted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and out.splitlines()[-1] == "FAIL suite lemmas"
+    pairs = {name: (lhs, rhs) for name, lhs, rhs in suites.mu_lemma_terms(Fq(2), 7)}
+    data = corrupted(Fq(2), 1)
+    failed = 0
+    for before, after in zip(clean.splitlines()[:-1], out.splitlines()[:-1], strict=True):
+        if after.startswith("PASS "):
+            assert after == before
+            continue
+        failed += 1
+        name, r, c = re.fullmatch(
+            r"FAIL (.*)  \[matrix mismatch at D=2, first at \((\d+), (\d+)\)\]", after
+        ).groups()
+        # the named cell is where the two sides differ on the structure
+        lhs, rhs = (term_eval(data, side).data for side in pairs[name])
+        cell = (int(r), int(c))
+        assert lhs.get(cell, 0) != rhs.get(cell, 0), after
+    assert failed
+
+
 def test_rank_stability_passes_only_on_checks_that_ran(capsys, monkeypatch):
     # at n = 20 only [0] -> [0] draws pass the arity guard, so some seeds run
     # no stability check, and those must not pass
@@ -425,6 +459,13 @@ def test_oversized_numbers_are_guard_errors(capsys):
     assert_guard_error(capsys, "specialize", "--q", "2", "--n", "1", f"({x} * id(1)) . ({x} * id(1))")
     for expr in (f"{big} * id(1)", f"id({big})", f"t^{big} * id(1)"):
         assert_guard_error(capsys, "eval", "--q", "2", expr)
+    # a long --t is refused by its digit count, which the error line gives
+    nines = "9" * 4400
+    for t in (nines, f"1/{nines}"):
+        err = assert_guard_error(capsys, "eval", "--q", "2", "--t", t, "id(1)")
+        assert "4400 digits" in err and nines not in err, err
+    err = assert_guard_error(capsys, "gram", "--q", "2", "--t", "9" * 5000)
+    assert "5000 digits" in err and nines not in err, err
     # a large power of a small value is still exact
     code, out, _ = run_cli(capsys, "eval", "--q", "2", "--t", "-1", "t^20001 * id(1)")
     assert code == 0 and out == "-1 * rel(2;1,1;[[1,1]])\n"

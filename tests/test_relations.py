@@ -85,6 +85,33 @@ def test_product_zero_spaces():
     assert product(eps, eps) == Relation.zero_space(F3, 0, 2)
 
 
+def _product_rows(r1, r2):
+    """The basis rows of r1 and r2 placed in [dom1|dom2|cod1|cod2]."""
+    s1, k1, s2, k2 = r1.s, r1.k, r2.s, r2.k
+    rows = [v[:s1] + [0] * s2 + v[s1:] + [0] * k2 for v in r1.basis.tolist()]
+    return rows + [[0] * s1 + v[:s2] + [0] * k1 + v[s2:] for v in r2.basis.tolist()]
+
+
+def test_product_rows_are_already_reduced():
+    # the product wraps its stacked rows without an elimination; reducing the
+    # same rows gives the same relation
+    rng = random.Random(81)
+    seen = set()
+    for trial in range(600):
+        F = rng.choice([F2, F3, F4, Fq(5)])
+        r1, r2 = (random_relation(rng, F, rng.randrange(4), rng.randrange(4)) for _ in range(2))
+        want = Relation.from_rows(F, r1.s + r2.s, r1.k + r2.k, _product_rows(r1, r2))
+        assert product(r1, r2) == want, (trial, r1, r2)
+        seen |= {r.dim == 0 for r in (r1, r2)} | {("empty", r.s + r.k == 0) for r in (r1, r2)}
+    assert seen == {True, False, ("empty", True), ("empty", False)}
+    empty = Relation.zero_space(F3, 0, 0)
+    for r in (empty, Relation.zero_space(F3, 2, 1), Relation.full_space(F3, 1, 2),
+              Relation.from_rows(F3, 2, 1, [[0, 1, 2]])):
+        for r1, r2 in ((r, empty), (empty, r), (r, r)):
+            want = Relation.from_rows(F3, r1.s + r2.s, r1.k + r2.k, _product_rows(r1, r2))
+            assert product(r1, r2) == want, (r1, r2)
+
+
 def test_diamond_examples():
     # the perp of the identity line, composed with itself
     line = Relation.from_rows(F2, 1, 1, [[1, 1]])
