@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -53,12 +54,21 @@ def _emit(args, text: str):
         raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
 
 
+# the exponent of a decimal in exponent form, as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
+
+
 def _t_value(args) -> Fraction | None:
     """The exact rational given by --t, or None when t stays symbolic."""
     if args.t is None or args.t == "sym":
         return None
     for part in args.t.split("/"):
         digits = sum(ch.isdigit() for ch in part)
+        exponent = _EXPONENT.search(part)
+        if exponent and digits <= COUNT_DIGITS:
+            # Fraction builds 10^|e| exactly, so its |e| digits count too
+            digits = sum(ch.isdigit() for ch in part[: exponent.start()])
+            digits += abs(int(exponent.group(1)))
         if digits > COUNT_DIGITS:
             # Python reads no int of more digits
             raise TooLarge(f"--t has a number of {digits} digits; at most {COUNT_DIGITS} are read")

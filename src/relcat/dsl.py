@@ -368,27 +368,41 @@ def parse_program(src: str, field: Fq) -> Term:
     return last
 
 
-def eval_formal(term: Term, field: Fq) -> Morphism:
-    """Interpret a Term in the formal category."""
+def eval_formal(term: Term, field: Fq, memo: dict | None = None) -> Morphism:
+    """Interpret a Term in the formal category.
+
+    Each distinct subterm is evaluated once, through memo (term -> morphism
+    over this field).  A call without one builds its own; callers that
+    evaluate many terms over one field may pass one memo to every call.
+    The lookup is inline, so the recursion takes one frame per term level.
+    """
+    if memo is None:
+        memo = {}
+    else:
+        out = memo.get(term)
+        if out is not None:
+            return out
     if isinstance(term, Gen):
-        return cat.generator(field, term.name, term.a)
-    if isinstance(term, IdK):
-        return cat.identity(field, term.k)
-    if isinstance(term, RelLit):
+        out = cat.generator(field, term.name, term.a)
+    elif isinstance(term, IdK):
+        out = cat.identity(field, term.k)
+    elif isinstance(term, RelLit):
         if term.rel.field != field:
             raise FieldMismatch("relation literal over a different field")
-        return Morphism.from_relation(term.rel)
-    if isinstance(term, MuLit):
+        out = Morphism.from_relation(term.rel)
+    elif isinstance(term, MuLit):
         if term.mat.field != field:
             raise FieldMismatch("matrix literal over a different field")
-        return cat.mu_morphism(term.mat)
-    if isinstance(term, Compose):
-        return cat.compose(eval_formal(term.left, field), eval_formal(term.right, field))
-    if isinstance(term, Tensor):
-        return cat.tensor(eval_formal(term.left, field), eval_formal(term.right, field))
-    if isinstance(term, LinComb):
+        out = cat.mu_morphism(term.mat)
+    elif isinstance(term, Compose):
+        out = cat.compose(eval_formal(term.left, field, memo), eval_formal(term.right, field, memo))
+    elif isinstance(term, Tensor):
+        out = cat.tensor(eval_formal(term.left, field, memo), eval_formal(term.right, field, memo))
+    elif isinstance(term, LinComb):
         out = Morphism.zero(field, term.dom, term.cod)
         for coeff, sub in term.parts:
-            out = out.add(eval_formal(sub, field).scale(coeff))
-        return out
-    raise TypeError(f"not a Term: {term!r}")
+            out = out.add(eval_formal(sub, field, memo).scale(coeff))
+    else:
+        raise TypeError(f"not a Term: {term!r}")
+    memo[term] = out
+    return out

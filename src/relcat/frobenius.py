@@ -16,22 +16,27 @@ factor least significant).  A term is evaluated in two tiers.  It is
 compiled once per structure into a tree of nodes cached on the structure
 by term: stored maps and relation literals hold their columns, ev, coev
 and z* compile their definitions (``DEFINED``), a matrix literal points at
-the one compiled expansion of its matrix, a composition chain is one node
-over its factors, a tensor with an identity factor is one node over the
-other factor, and other composites hold their compiled children, so
-subterms shared between terms are compiled once.  Each call then asks the
-root for basis columns; every node memoizes the columns it computes for
-that call only, so wide intermediate tensor powers never materialize as
-full matrices and no column outlives its call.  ``hat_f`` evaluates the
-one term of a relation's normal form.
+the one compiled expansion of its matrix, and other composites hold their
+compiled children, so subterms shared between terms are compiled once.
+A composition chain is one node over its factors, in which each run of
+two or more permutation factors (sigma, identities, and their tensors and
+composites) is one ``_Perm``: it maps the base-D digits of an index and
+holds no matrix.  A tensor chain is one node too: a whisker over its one
+factor that is not an identity, else one flat ``_Kron`` over all its
+factors.  Each call then asks the root for basis columns; every node
+memoizes the columns it computes for that call only, so wide intermediate
+tensor powers never materialize as full matrices and no column outlives
+its call.  ``hat_f`` evaluates the one term of a relation's normal form
+and caches the result on the structure by relation.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from . import terms as tm
 from .errors import (
     MissingUnit,
-    NotRelInfty,
     RequiresEvaluation,
     ShapeMismatch,
     TooLarge,
@@ -47,9 +52,11 @@ STANDARD_GUARD = 2**12
 AXIOM_PAIR_GUARD = 2**12
 # hat_f evaluates the expansion of a rows x cols matrix literal column by
 # column: D^cols columns, each through rows*cols strands (cols when rows is
-# 0) whose indices carry as many base-D digits, so D^cols * strands^2 steps.
-# A step takes about 0.4 us (2-vCPU x86-64 VM, Python 3.11); more steps are
-# refused.
+# 0) whose indices carry as many base-D digits, so D^cols * strands^2 steps;
+# more are refused.  The bound was set at 0.4 us a step (2-vCPU x86-64 VM,
+# Python 3.11).  With permutation runs folded, a column costs about linear
+# in strands, so the count overstates the work; re-deriving the bound waits
+# for a hat_f micro workload in perfbench.
 HAT_F_GUARD = 2**22
 
 
@@ -78,12 +85,13 @@ def hat_f_guard(dim: int, rows: int, cols: int, source: str = "hat_f"):
 class FrobeniusData:
     """Concrete structure maps on a D-dimensional space.
 
-    The maps are fixed once built: compiled terms are cached on the
-    structure and read its maps when they are compiled.
+    The maps are fixed once built: compiled terms and ``hat_f`` results are
+    cached on the structure, so a cached value never goes stale.
     """
 
     __slots__ = (
-        "field", "dim", "m", "m_star", "eps_star", "plus", "z", "mu", "eps", "_compiled"
+        "field", "dim", "m", "m_star", "eps_star", "plus", "z", "mu", "eps", "_compiled",
+        "_realized",
     )
 
     def __init__(self, field: Fq, dim: int, m, m_star, eps_star, plus, z, mu, eps=None):
@@ -98,6 +106,8 @@ class FrobeniusData:
         self.eps = eps
         # t_value -> term -> compiled node (see _compile)
         self._compiled: dict = {}
+        # relation -> its hat_f matrix
+        self._realized: dict = {}
         shapes = {
             "m": (self.m, dim, dim * dim),
             "m_star": (self.m_star, dim * dim, dim),
@@ -212,16 +222,17 @@ class _Chain:
         return vec
 
 
-class _Tensor:
-    """left @ right, neither of them an identity."""
+class _Kron:
+    """A tensor chain f_1 @ ... @ f_n of two or more factors, as one node.
 
-    __slots__ = ("left", "right", "dl", "cl")
+    The first factor is the least significant digit block of an index; an
+    identity factor is held as ``_ID``.
+    """
 
-    def __init__(self, left, right, dl: int, cl: int):
-        self.left = left
-        self.right = right
-        self.dl = dl  # D^dom and D^cod of the left factor
-        self.cl = cl
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        self.factors = factors  # (node, D^dom, D^cod) per factor
 
     def col(self, i: int, memo: dict) -> dict:
         seen = memo.get(self)
@@ -229,13 +240,44 @@ class _Tensor:
             seen = memo[self] = {}
         elif i in seen:
             return seen[i]
-        left = self.left.col(i % self.dl, memo)
-        right = self.right.col(i // self.dl, memo)
-        cl = self.cl
-        out = seen[i] = {
-            r1 + cl * r2: v1 * v2 for r2, v2 in right.items() for r1, v1 in left.items()
-        }
+        rest = i
+        row, val, scale = 0, 1, 1
+        wide = None  # the column so far, once a factor's column has other than one entry
+        for node, dom, cod in self.factors:
+            rest, j = divmod(rest, dom)
+            part = node.col(j, memo)
+            if wide is None and len(part) == 1:
+                ((r, v),) = part.items()
+                row += scale * r
+                val *= v
+            else:
+                if wide is None:
+                    wide = {row: val}
+                wide = {r0 + scale * r: v0 * v for r, v in part.items() for r0, v0 in wide.items()}
+            scale *= cod
+        out = seen[i] = {row: val} if wide is None else wide
         return out
+
+
+class _Perm:
+    """A strand permutation: input strand j goes to output strand p[j].
+
+    Maps the base-D digits of an index and holds no matrix.
+    """
+
+    __slots__ = ("dim", "weights")
+
+    def __init__(self, dim: int, p):
+        self.dim = dim
+        self.weights = [dim**j for j in p]
+
+    def col(self, i: int, memo: dict) -> dict:
+        d = self.dim
+        out = 0
+        for w in self.weights:
+            i, digit = divmod(i, d)
+            out += digit * w
+        return {out: 1}
 
 
 class _Whisker:
@@ -327,26 +369,9 @@ def _build(data: FrobeniusData, term: Term, t_value):
     if isinstance(term, tm.RelLit):
         return _Cols(rel_matrix(data, term.rel))
     if isinstance(term, tm.Compose):
-        factors = []
-        stack = [term]
-        while stack:
-            sub = stack.pop()
-            if isinstance(sub, tm.Compose):
-                stack += (sub.left, sub.right)
-            else:
-                factors.append(_compile(data, sub, t_value))
-        return _Chain(factors)
+        return _build_chain(data, term, t_value)
     if isinstance(term, tm.Tensor):
-        left = _compile(data, term.left, t_value)
-        right = _compile(data, term.right, t_value)
-        D = data.dim
-        if left is not _ID and right is not _ID:
-            return _Tensor(left, right, D**term.left.dom, D**term.left.cod)
-        inner, a = (right, term.left.dom) if left is _ID else (left, 0)
-        if isinstance(inner, _Whisker):
-            return _Whisker(inner.node, D**a * inner.lo, inner.mid, inner.out)
-        sub = term.right if left is _ID else term.left
-        return _Whisker(inner, D**a, D**sub.dom, D**sub.cod)
+        return _build_tensor(data, term, t_value)
     if isinstance(term, tm.LinComb):
         parts = []
         for coeff, sub in term.parts:
@@ -357,6 +382,93 @@ def _build(data: FrobeniusData, term: Term, t_value):
                 parts.append((scalar, _compile(data, sub, t_value)))
         return _LinComb(parts)
     raise TypeError(f"not a Term: {term!r}")
+
+
+def _strand_perm(term: Term):
+    """Where a term built from sigma and identities sends each input strand, or None.
+
+    Walks the term without recursion: a composite inside it may be deep.
+    """
+    done = []  # the permutations of the finished subterms, in walk order
+    stack = [(term, False)]
+    while stack:
+        sub, ready = stack.pop()
+        if isinstance(sub, tm.IdK):
+            done.append(list(range(sub.k)))
+        elif isinstance(sub, tm.Gen) and sub.name == "sigma":
+            done.append([1, 0])
+        elif not isinstance(sub, (tm.Compose, tm.Tensor)):
+            return None
+        elif not ready:
+            stack += ((sub, True), (sub.right, False), (sub.left, False))
+        else:
+            right = done.pop()
+            left = done.pop()
+            if isinstance(sub, tm.Tensor):
+                done.append(left + [len(left) + j for j in right])
+            else:
+                done.append([left[j] for j in right])
+    return done[0]
+
+
+def _build_chain(data: FrobeniusData, term: Term, t_value):
+    """A composition chain as one node over its factors.
+
+    Each run of two or more permutation factors (``_strand_perm``) is folded
+    into one ``_Perm``, or into nothing when the run is the identity; a
+    lone one is compiled as it stands.
+    """
+    factors = []  # in the order they apply
+    stack = [term]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, tm.Compose):
+            stack += (sub.left, sub.right)
+        else:
+            factors.append(sub)
+    nodes = []
+    runs = groupby(((sub, _strand_perm(sub)) for sub in factors), key=lambda f: f[1] is not None)
+    for is_perm, run in runs:
+        run = list(run)
+        if not is_perm or len(run) == 1:
+            nodes += [_compile(data, sub, t_value) for sub, _ in run]
+            continue
+        p = run[0][1]
+        for _, then in run[1:]:
+            p = [then[j] for j in p]
+        if p != list(range(len(p))):
+            nodes.append(_Perm(data.dim, p))
+    nodes = [node for node in nodes if node is not _ID]
+    if not nodes:
+        return _ID
+    return nodes[0] if len(nodes) == 1 else _Chain(nodes)
+
+
+def _build_tensor(data: FrobeniusData, term: Term, t_value):
+    """A tensor chain as one node: a ``_Whisker`` when every factor but one
+    is an identity, else one ``_Kron`` over all of them."""
+    D = data.dim
+    factors = []  # (node, D^dom, D^cod), left to right
+    stack = [term]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, tm.Tensor):
+            stack += (sub.right, sub.left)
+        else:
+            factors.append((_compile(data, sub, t_value), D**sub.dom, D**sub.cod))
+    real = [k for k, (node, _, _) in enumerate(factors) if node is not _ID]
+    if not real:
+        return _ID
+    if len(real) > 1:
+        return _Kron(factors)
+    (k,) = real
+    node, mid, out = factors[k]
+    lo = 1
+    for _, dom, _ in factors[:k]:
+        lo *= dom
+    if isinstance(node, _Whisker):
+        return _Whisker(node.node, lo * node.lo, node.mid, node.out)
+    return _Whisker(node, lo, mid, out)
 
 
 def term_eval(data: FrobeniusData, term: Term, t_value=None) -> QMat:
@@ -378,15 +490,18 @@ def hat_f(data: FrobeniusData, rel: Relation) -> QMat:
 
     Uses the Row[-A I; A' 0] normal form: the term
     (id(k) @ z*^{rows of A'}) . mu([A; A']) scales by the stacked matrix,
-    then zero-tests the A' outputs.
+    then zero-tests the A' outputs.  The result is cached on the structure
+    by relation.  A relation that is not codomain-surjective has no normal
+    form: NotRelInfty.
     """
-    if not is_rel_infty(rel):
-        raise NotRelInfty(f"{rel!r} does not surject onto the codomain block")
-    a, ap = rel_infty_normal_form(rel)
-    stacked = a.vstack(ap)
-    hat_f_guard(data.dim, stacked.rows, stacked.cols)
-    cap = tm.t_tensor(tm.t_id(rel.k), tm.t_power(tm.Gen("z*"), ap.rows))
-    return term_eval(data, tm.t_compose(cap, tm.MuLit(stacked)))
+    out = data._realized.get(rel)
+    if out is None:
+        a, ap = rel_infty_normal_form(rel)
+        stacked = a.vstack(ap)
+        hat_f_guard(data.dim, stacked.rows, stacked.cols)
+        cap = tm.t_tensor(tm.t_id(rel.k), tm.t_power(tm.Gen("z*"), ap.rows))
+        out = data._realized[rel] = term_eval(data, tm.t_compose(cap, tm.MuLit(stacked)))
+    return out
 
 
 def rel_matrix(data: FrobeniusData, rel: Relation) -> QMat:

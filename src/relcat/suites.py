@@ -229,10 +229,15 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
 
 
 def run_term_pairs(field: Fq, pairs, data: FrobeniusData | None):
-    """Check term pairs formally and, when data is given, on that structure."""
+    """Check term pairs formally and, when data is given, on that structure.
+
+    One formal memo serves every pair, so a subterm the pairs share is
+    evaluated once per run.
+    """
     out = []
+    memo: dict = {}
     for name, lhs, rhs in pairs:
-        formal_ok = eval_formal(lhs, field) == eval_formal(rhs, field)
+        formal_ok = eval_formal(lhs, field, memo) == eval_formal(rhs, field, memo)
         detail = "" if formal_ok else "formal mismatch"
         cell = None if data is None else first_difference(data, lhs, rhs)
         if cell is not None:

@@ -466,6 +466,12 @@ def test_oversized_numbers_are_guard_errors(capsys):
         assert "4400 digits" in err and nines not in err, err
     err = assert_guard_error(capsys, "gram", "--q", "2", "--t", "9" * 5000)
     assert "5000 digits" in err and nines not in err, err
+    # an exponent counts its digits of 10^|e|, which Fraction would build
+    for t in ("1e2000000", "1e-2000000"):
+        err = assert_guard_error(capsys, "eval", "--q", "2", "--t", t, "id(1)")
+        assert "2000001 digits" in err and t not in err, err
+    code, out, _ = run_cli(capsys, "eval", "--q", "2", "--t", "1e5", "t * id(1)")
+    assert code == 0 and out == "100000 * rel(2;1,1;[[1,1]])\n"
     # a large power of a small value is still exact
     code, out, _ = run_cli(capsys, "eval", "--q", "2", "--t", "-1", "t^20001 * id(1)")
     assert code == 0 and out == "-1 * rel(2;1,1;[[1,1]])\n"

@@ -2,6 +2,7 @@
 evaluation paths."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,13 +19,14 @@ from relcat.errors import (
     UnknownGenerator,
 )
 from relcat.field import Fq
-from relcat.frobenius import standard_target, term_eval
+from relcat.frobenius import frobenius_axiom_terms, standard_target, term_eval
 from relcat.matrix import MatFq
 from relcat.poly import PolyQ
 from relcat.relations import Relation, random_relation
+from relcat.suites import mu_lemma_terms
 from relcat.terms import to_text
 
-F2, F3 = Fq(2), Fq(3)
+F2, F3, F4 = Fq(2), Fq(3), Fq(2, 2)
 
 
 def test_parse_simple_compose():
@@ -216,3 +218,41 @@ def test_program_bindings():
 def test_program_requires_expression():
     with pytest.raises(ParseError):
         parse_program("  ;  ", F2)
+
+
+# -- the formal memo -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_shared_formal_memo_equals_fresh_memos(field):
+    # the suites pass one memo to every pair of a run
+    pairs = mu_lemma_terms(field, 0) + mu_lemma_terms(field, 1) + frobenius_axiom_terms(field)
+    memo = {}
+    for name, lhs, rhs in pairs:
+        for term in (lhs, rhs):
+            shared = eval_formal(term, field, memo)
+            assert shared == eval_formal(term, field, {}) == eval_formal(term, field), name
+    # every entry is a subterm's own value
+    for term, value in memo.items():
+        assert value == eval_formal(term, field)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_formal_memo_adds_no_frame_per_level():
+    # Before the memo, eval_formal took one frame per composition level and
+    # accepted a chain of depth limit - (frames below it) - 12 (Python 3.11).
+    # A memo through a helper call would take two frames per level and fail
+    # at about half this depth.
+    depth = sys.getrecursionlimit() - _stack_depth() - 20
+    chain = tm.Gen("sigma")
+    for _ in range(depth):
+        chain = tm.Compose(chain, tm.Gen("sigma"))
+    expected = cat.generator(F2, "sigma") if depth % 2 == 0 else cat.identity(F2, 2)
+    assert eval_formal(chain, F2) == expected
+    assert eval_formal(chain, F2, {}) == expected

@@ -14,6 +14,10 @@ from relcat.errors import MissingUnit, NotRelInfty, ShapeMismatch, TooLarge
 from relcat.field import Fq
 from relcat.frobenius import (
     FrobeniusData,
+    _Chain,
+    _compile,
+    _Kron,
+    _Perm,
     check_axioms,
     frobenius_axiom_terms,
     hat_f,
@@ -401,3 +405,184 @@ def test_deep_composite_evaluates():
         chain = tm.Compose(tm.Gen("sigma"), chain) if i % 2 else tm.Compose(chain, tm.Gen("sigma"))
     assert term_eval(data, chain) == data.swap()
     assert hash(chain) == hash(tm.Compose(chain.left, chain.right))
+
+
+# -- permutation runs and tensor chains against the dense reference ------------
+
+
+def random_perm(rng, k):
+    p = list(range(k))
+    rng.shuffle(p)
+    return p
+
+
+def non_perm_factor(rng, field, width):
+    """A [width] -> [width] term that is not built from sigma and identities alone."""
+    g = tm.Gen
+    mat = MatFq(field, width, width, [rng.randrange(field.q) for _ in range(width * width)])
+    if width == 1:
+        return rng.choice([g("mu", rng.randrange(field.q)), tm.t_compose(g("m"), g("m*")),
+                           tm.t_compose(g("z"), g("eps*")), tm.MuLit(mat)])
+    return rng.choice([tm.t_compose(g("m*"), g("m")), tm.t_compose(g("m*"), g("plus")),
+                       tm.t_compose(g("sigma"), g("m*"), g("plus")), tm.MuLit(mat)])
+
+
+def mixed_chain(rng, field, k, length):
+    """Whiskered adjacent swaps on k strands with whiskered non-permutation factors between."""
+    factors = []
+    for _ in range(length):
+        if rng.random() < 0.6:
+            factors.append(tm.adjacent_swap_term(rng.randrange(k - 1), k))
+        else:
+            width = rng.randrange(1, min(k, 2) + 1)
+            i = rng.randrange(k - width + 1)
+            factors.append(tm.t_tensor(tm.t_id(i), non_perm_factor(rng, field, width),
+                                       tm.t_id(k - width - i)))
+    return tm.t_compose(*factors)
+
+
+def tensor_chain(rng, field, strands):
+    """A tensor chain of three or four non-identity factors, sometimes with an identity."""
+    g = tm.Gen
+
+    def factor():
+        pick = rng.choice(["m", "m*", "plus", "sigma", "eps*", "z", "z*", "eps", "mu", "mulit",
+                           "perm"])
+        if pick == "mu":
+            return g("mu", rng.randrange(field.q))
+        if pick == "mulit":
+            r, c = rng.randrange(3), rng.randrange(1, 3)
+            return tm.MuLit(MatFq(field, r, c, [rng.randrange(field.q) for _ in range(r * c)]))
+        if pick == "perm":
+            return tm.perm_term(random_perm(rng, 2))
+        return g(pick)
+
+    while True:
+        factors = [factor() for _ in range(rng.choice((3, 4)))]
+        if rng.random() < 0.5:
+            factors.insert(rng.randrange(len(factors) + 1), tm.t_id(1))
+        if sum(f.dom for f in factors) <= strands and sum(f.cod for f in factors) <= strands:
+            break
+    out = factors[0]
+    for f in factors[1:]:
+        out = tm.Tensor(out, f)
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_permutation_runs_match_dense_reference(field):
+    rng = random.Random(70 + field.q)
+    data = standard_target(field, 1)
+    strands = 5 if field.q == 2 else 4
+    terms = [tm.reversal_term(k) for k in range(2, strands + 1)]
+    terms += [tm.perm_term(random_perm(rng, rng.randrange(2, strands + 1))) for _ in range(8)]
+    terms += [mixed_chain(rng, field, rng.randrange(2, strands), rng.randrange(2, 10))
+              for _ in range(12)]
+    # a run whose composite is the identity, between two other factors
+    mu = tm.t_tensor(tm.Gen("mu", field.q - 1), tm.t_id(1))
+    swap = tm.adjacent_swap_term(0, 2)
+    terms.append(tm.t_compose(tm.Gen("m"), swap, swap, mu))
+    for term in terms:
+        assert term_eval(data, term) == dense(data, term, None), term
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_tensor_chains_match_dense_reference(field):
+    rng = random.Random(80 + field.q)
+    data = standard_target(field, 1)
+    for _ in range(20):
+        term = tensor_chain(rng, field, 4 if field.q == 2 else 3)
+        assert term_eval(data, term) == dense(data, term, None), term
+
+
+def test_runs_and_tensor_chains_compile_to_one_node():
+    data = standard_target(F3, 1)
+    # a run of two or more permutation factors is one node
+    assert isinstance(_compile(data, tm.perm_term([2, 0, 1]), None), _Perm)
+    assert isinstance(_compile(data, tm.reversal_term(4), None), _Perm)
+    # a lone sigma is not: it stays the swap matrix, whiskered where needed
+    chain = _compile(data, tm.t_compose(tm.Gen("m"), tm.Gen("sigma"), tm.Gen("m*")), None)
+    assert isinstance(chain, _Chain)
+    assert not any(isinstance(node, _Perm) for node in (chain.first, *chain.rest))
+    # a run that composes to the identity leaves no node
+    swap = tm.adjacent_swap_term(0, 2)
+    chain = _compile(data, tm.t_compose(tm.Gen("m"), swap, swap, tm.Gen("m*")), None)
+    assert len(chain.rest) == 1
+    # a tensor chain of non-identity factors is one flat node over all of them
+    node = _compile(data, tm.t_tensor(*(tm.Gen("mu", a) for a in range(3))), None)
+    assert isinstance(node, _Kron) and len(node.factors) == 3
+
+
+def test_deep_permutation_run_evaluates():
+    # two runs of 2000 whiskered swaps each, around a non-permutation factor:
+    # the chain nests deeper than the recursion limit
+    rng = random.Random(90)
+    data = standard_target(F3, 1)
+    g = tm.Gen
+    middle = tm.t_tensor(g("mu", 2), tm.t_compose(g("m*"), g("plus")))
+    chain, before, after = middle, [], []  # swapped strand of each swap, in the order they apply
+    for i in range(4000):
+        at = rng.randrange(2)
+        swap = tm.adjacent_swap_term(at, 3)
+        if i % 2:
+            chain = tm.Compose(swap, chain)
+            after.append(at)
+        else:
+            chain = tm.Compose(chain, swap)
+            before.insert(0, at)
+    outer = tm.t_tensor(tm.t_compose(g("m*"), g("m")), g("mu", 2))
+    chain = tm.t_compose(outer, chain, outer)
+
+    def run_perm(swapped):
+        p = [0, 1, 2]
+        for at in swapped:
+            p = [at + 1 if j == at else at if j == at + 1 else j for j in p]
+        return p
+
+    shallow = tm.t_compose(
+        outer, tm.perm_term(run_perm(after)), middle, tm.perm_term(run_perm(before)), outer
+    )
+    assert term_eval(data, chain) == dense(data, shallow, None)
+
+
+# -- the hat_f memo -------------------------------------------------------------
+
+
+def normal_form_term(rel):
+    a, ap = rel_infty_normal_form(rel)
+    cap = tm.t_tensor(tm.t_id(rel.k), tm.t_power(tm.Gen("z*"), ap.rows))
+    return tm.t_compose(cap, tm.MuLit(a.vstack(ap)))
+
+
+def test_hat_f_hit_equals_fresh_evaluation():
+    rng = random.Random(57)
+    for field in (F2, F3, F4):
+        data = standard_target(field, 1)
+        for _ in range(15):
+            rel = random_rel_infty(rng, field, rng.randrange(3), rng.randrange(3))
+            first = hat_f(data, rel)
+            assert hat_f(data, rel) is first
+            assert first == term_eval(standard_target(field, 1), normal_form_term(rel))
+
+
+def test_hat_f_memo_is_per_structure():
+    # mu(2) scales by 2 on the standard target and is the identity on the
+    # corrupted one, so the same relation realizes differently on each
+    data = standard_target(F3, 1)
+    mu = dict(data.mu)
+    mu[2] = data.mu[1]
+    bad = FrobeniusData(F3, data.dim, data.m, data.m_star, data.eps_star, data.plus, data.z, mu,
+                        data.eps)
+    rel = mu_relation(MatFq(F3, 1, 1, [2]))
+    assert hat_f(data, rel) == data.mu[2]
+    assert hat_f(bad, rel) == term_eval(bad, normal_form_term(rel)) == QMat.identity(3)
+    assert hat_f(data, rel) == data.mu[2]
+
+
+def test_hat_f_memo_still_rejects_non_members():
+    data = standard_target(F2, 1)
+    hat_f(data, Relation.from_rows(F2, 1, 1, [[1, 1]]))
+    rel = Relation.zero_space(F2, 1, 1)
+    for _ in range(2):
+        with pytest.raises(NotRelInfty, match="does not surject onto the codomain block"):
+            hat_f(data, rel)
