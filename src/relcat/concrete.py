@@ -62,7 +62,7 @@ class ConcreteMap:
         return f"ConcreteMap(q={self.field}, n={self.n}, [{self.s}]->[{self.k}], nnz={self.mat.nnz()})"
 
     def entry(self, row: int, col: int):
-        return self.mat.data.get((row, col), 0)
+        return self.mat.get(row, col)
 
 
 def _guard(field: Fq, n: int, s: int, k: int):
@@ -103,10 +103,13 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
     are its combinations, held as one list per coordinate: a kernel
     vector b grows coordinate j by the translates of the list by c·b_j,
     c = 1..q-1 (a copy where b_j = 0).  A point with domain part x and
-    codomain part y sits at slot 0 as the (row, col) offset
-    (sum_i y_i q^{n i}, sum_i x_i q^{n i}) and at slot j shifted by q^j.
-    The cells are the sums of one offset per slot, built in n rounds, so
-    the cost is the q^{n dim ker} cells themselves: no column is solved.
+    codomain part y sits at slot 0 in cell (sum_i y_i q^{n i},
+    sum_i x_i q^{n i}), which is one flat ``QMat`` index (row · cols +
+    col).  At slot j the cell is that one with row and column scaled by
+    q^j, so its flat index is scaled by q^j too.  The cells are the sums
+    of one flat offset per slot, built in n rounds of one list of ints
+    each, so the cost is the q^{n dim ker} cells themselves: no column
+    is solved.
     """
     F, s, k = rel.field, rel.s, rel.k
     _guard(F, n, s, k)
@@ -124,19 +127,19 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
             else:
                 coords[j] = old * q
 
-    def flat(block):
-        out = [0] * q ** len(kernel)
-        for i, coord in enumerate(block):
-            weight = q ** (n * i)
-            out = [o + weight * v for o, v in zip(out, coord)]
-        return out
-
-    offsets = list(zip(flat(coords[s:]), flat(coords[:s])))
-    cells = [(0, 0)]
-    for j in range(n):
-        shift = q**j
-        cells = [(r + ro * shift, c + co * shift) for r, c in cells for ro, co in offsets]
-    return ConcreteMap(F, n, s, k, QMat._trusted(q ** (n * k), q ** (n * s), dict.fromkeys(cells, 1)))
+    width = q ** (n * s)
+    # the flat offset of a point at slot 0: domain coordinate i weighs
+    # q^(n i), codomain coordinate i weighs width * q^(n i)
+    weights = [q ** (n * i) for i in range(s)] + [width * q ** (n * i) for i in range(k)]
+    offsets = [0] * q ** len(kernel)
+    for w, coord in zip(weights, coords):
+        if any(coord):
+            offsets = [o + w * v for o, v in zip(offsets, coord)]
+    cells = offsets if n else [0]  # at rank 0 the one cell is (0, 0)
+    for j in range(1, n):
+        shifted = [o * q**j for o in offsets]
+        cells = [cell + o for cell in cells for o in shifted]
+    return ConcreteMap(F, n, s, k, QMat._trusted(q ** (n * k), width, dict.fromkeys(cells, 1)))
 
 
 def _dot(F: Fq, coeffs, values) -> int:
@@ -182,12 +185,8 @@ def independence_check(field: Fq, s: int, k: int, n: int) -> tuple[int, bool]:
     width = field.q ** (n * (s + k))
     if width > SIZE_GUARD:
         raise TooLarge("vectorized matrices too large")
-    stack = {}
-    for i, rel in enumerate(rels):
-        mat = f_r_matrix(rel, n).mat
-        for (r, c), v in mat.data.items():
-            stack[(i, r * mat.cols + c)] = v
-    rank = QMat(len(rels), width, stack).rank()
+    stack = QMat._trusted_rows(len(rels), width, (f_r_matrix(rel, n).mat.vec() for rel in rels))
+    rank = stack.rank()
     return rank, rank == len(rels)
 
 
@@ -209,16 +208,12 @@ def rel_infty_stability(rel: Relation, n: int) -> bool:
     F, s, k = rel.field, rel.s, rel.k
     small = f_r_matrix(rel, n)
     big = f_r_matrix(rel, n + 1)
-    cols_by_big: dict[int, dict[int, object]] = {}
-    for (r, c), v in big.mat.data.items():
-        cols_by_big.setdefault(c, {})[r] = v
-    cols_by_small: dict[int, dict[int, object]] = {}
-    for (r, c), v in small.mat.data.items():
-        cols_by_small.setdefault(c, {})[r] = v
+    big_cols = big.mat.columns()
+    small_cols = small.mat.columns()
     row_embed = {embed_code(F, n, r, k): r for r in range(F.q ** (n * k))}
     for col in range(F.q ** (n * s)):
-        bigcol = cols_by_big.get(embed_code(F, n, col, s), {})
-        expected = cols_by_small.get(col, {})
+        bigcol = big_cols[embed_code(F, n, col, s)]
+        expected = small_cols[col]
         got = {}
         for r, v in bigcol.items():
             if r not in row_embed:

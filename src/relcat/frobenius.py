@@ -179,10 +179,7 @@ class _Cols:
     __slots__ = ("cols",)
 
     def __init__(self, mat: QMat):
-        cols = [{} for _ in range(mat.cols)]
-        for (r, c), v in mat.data.items():
-            cols[c][r] = v
-        self.cols = cols
+        self.cols = mat.columns()
 
     def col(self, i: int, memo: dict) -> dict:
         return self.cols[i]
@@ -478,11 +475,8 @@ def term_eval(data: FrobeniusData, term: Term, t_value=None) -> QMat:
     """
     node = _compile(data, term, t_value)
     memo: dict = {}
-    out = {}
-    for c in range(data.dim**term.dom):
-        for r, v in node.col(c, memo).items():
-            out[(r, c)] = v
-    return QMat(data.dim**term.cod, data.dim**term.dom, out)
+    cols = data.dim**term.dom
+    return QMat._trusted_columns(data.dim**term.cod, cols, (node.col(c, memo) for c in range(cols)))
 
 
 def hat_f(data: FrobeniusData, rel: Relation) -> QMat:
@@ -628,11 +622,7 @@ def _uses_unit(term: Term) -> bool:
 
 def first_difference(data: FrobeniusData, lhs: Term, rhs: Term):
     """The first (row, column) cell where the two terms differ on the structure, or None."""
-    a, b = term_eval(data, lhs), term_eval(data, rhs)
-    for key in sorted(a.data.keys() | b.data.keys()):
-        if a.data.get(key, 0) != b.data.get(key, 0):
-            return key
-    return None
+    return term_eval(data, lhs).first_difference(term_eval(data, rhs))
 
 
 def check_axioms(data: FrobeniusData) -> list:

@@ -353,7 +353,9 @@ def random_relation(rng, field: Fq, s: int, k: int) -> Relation:
     n = s + k
     nrows = rng.randrange(n + 1)
     rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(nrows)]
-    return Relation.from_rows(field, s, k, rows)
+    # the codes are valid already: one reduction gives the canonical basis
+    basis, _ = row_reduce(field, rows, n)
+    return Relation._trusted(field, s, k, MatFq._trusted_rows(field, basis, n))
 
 
 def random_rel_infty(rng, field: Fq, s: int, k: int) -> Relation:

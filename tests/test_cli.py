@@ -420,9 +420,8 @@ def test_lemma_failures_name_a_cell(capsys, monkeypatch):
             r"FAIL (.*)  \[matrix mismatch at D=2, first at \((\d+), (\d+)\)\]", after
         ).groups()
         # the named cell is where the two sides differ on the structure
-        lhs, rhs = (term_eval(data, side).data for side in pairs[name])
-        cell = (int(r), int(c))
-        assert lhs.get(cell, 0) != rhs.get(cell, 0), after
+        lhs, rhs = (term_eval(data, side) for side in pairs[name])
+        assert lhs.get(int(r), int(c)) != rhs.get(int(r), int(c)), after
     assert failed
 
 

@@ -115,7 +115,7 @@ def test_semi_mode_on_unitless_data():
 
 def _wrong(mat: QMat) -> QMat:
     """A matrix of the same shape that differs from mat in cell (0, 0)."""
-    data = dict(mat.data)
+    data = mat.cells()
     data[(0, 0)] = data.get((0, 0), 0) + 1
     return QMat(mat.rows, mat.cols, data)
 

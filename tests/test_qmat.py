@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import relcat.suites as suites
 from relcat.errors import ShapeMismatch
+from relcat.field import Fq
 from relcat.qmat import QMat
 
 
@@ -77,15 +79,139 @@ def test_rank_examples():
 
 def test_arithmetic_keeps_entries_nonzero():
     a = QMat(2, 2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 1): -1})
-    assert a.add(a.scale(-1)).data == {}
+    assert a.add(a.scale(-1)).cells() == {}
     assert a.scale(0) == QMat.zero(2, 2)
     b = QMat(2, 2, {(0, 0): 1, (1, 0): 2})
-    assert (a @ b).data == {(0, 0): 2, (1, 0): -2}
+    assert (a @ b).cells() == {(0, 0): 2, (1, 0): -2}
+    # a product whose terms cancel stores no zero
+    row, col = QMat(1, 2, {(0, 0): 1, (0, 1): -1}), QMat(2, 1, {(0, 0): 5, (1, 0): 5})
+    assert (row @ col).nnz() == 0 and row @ col == QMat.zero(1, 1)
     assert a.kron(b).nnz() == a.nnz() * b.nnz()
     assert a.transpose().transpose() == a
 
 
 def test_public_constructor_checks_entries():
-    assert QMat(2, 2, {(0, 0): 0, (1, 1): 3}).data == {(1, 1): 3}
+    assert QMat(2, 2, {(0, 0): 0, (1, 1): 3}).cells() == {(1, 1): 3}
     with pytest.raises(ShapeMismatch):
         QMat(2, 2, {(2, 0): 1})
+
+
+# -- every operation against a dense list-of-lists reference -----------------
+
+
+def _entry(rng):
+    """0, a small signed int, a Fraction, or an int or Fraction past 64 bits."""
+    kind = rng.randrange(6)
+    if kind < 2:
+        return 0
+    if kind == 2:
+        return rng.randrange(-9, 10)
+    if kind == 3:
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+    big = rng.choice((-1, 1)) * rng.randrange(2**64, 2**90)
+    return big if kind == 4 else Fraction(big, rng.randrange(2**63, 2**70))
+
+
+def _dense(rng, rows: int, cols: int):
+    return [[_entry(rng) for _ in range(cols)] for _ in range(rows)]
+
+
+def _from_dense(dense, cols: int) -> QMat:
+    return QMat(len(dense), cols, {
+        (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row)
+    })
+
+
+def _dense_matmul(a, b, mid: int, cols: int):
+    return [[sum((row[m] * b[m][c] for m in range(mid)), 0) for c in range(cols)] for row in a]
+
+
+def _dense_kron(a, b, shape_a, shape_b):
+    (ra, ca), (rb, cb) = shape_a, shape_b
+    out = [[0] * (ca * cb) for _ in range(ra * rb)]
+    for i in range(ra):
+        for j in range(ca):
+            for k in range(rb):
+                for m in range(cb):
+                    out[i + ra * k][j + ca * m] = a[i][j] * b[k][m]
+    return out
+
+
+def _dense_entries(dense):
+    return [((i, j), v) for i, row in enumerate(dense) for j, v in enumerate(row) if v]
+
+
+def _shape(rng):
+    # 0-row and 0-column shapes come up often
+    return rng.choice((0, 1, 1, 2, 3, 4, 5))
+
+
+def _check(mat: QMat, dense, cols: int):
+    assert (mat.rows, mat.cols) == (len(dense), cols)
+    assert mat.entries_sorted() == _dense_entries(dense)
+    assert mat.cells() == dict(_dense_entries(dense))
+    assert mat.to_dense() == dense
+    assert all(mat.get(i, j) == v for i, row in enumerate(dense) for j, v in enumerate(row))
+    assert mat == _from_dense(dense, cols)
+
+
+def test_every_operation_matches_dense_reference():
+    rng = random.Random(51)
+    shapes = set()
+    for _ in range(400):
+        r, m, c, r2, c2 = (_shape(rng) for _ in range(5))
+        shapes.add((r, m, c))
+        a, b, a2 = _dense(rng, r, m), _dense(rng, m, c), _dense(rng, r, m)
+        qa, qb, qa2 = _from_dense(a, m), _from_dense(b, c), _from_dense(a2, m)
+        _check(qa, a, m)
+        _check(qa @ qb, _dense_matmul(a, b, m, c), c)
+        _check(qa.add(qa2), [[x + y for x, y in zip(u, v)] for u, v in zip(a, a2)], m)
+        _check(qa.add(qa.scale(-1)), [[0] * m for _ in range(r)], m)
+        k = _entry(rng)
+        _check(qa.scale(k), [[k * x for x in row] for row in a], m)
+        _check(qa.transpose(), [[a[i][j] for i in range(r)] for j in range(m)], r)
+        d = _dense(rng, r2, c2)
+        _check(qa.kron(_from_dense(d, c2)), _dense_kron(a, d, (r, m), (r2, c2)), m * c2)
+        assert qa.rank() == _fraction_rank([row[:] for row in a])
+        assert (qa == qa2) == (a == a2)
+        columns = qa.columns()
+        assert columns == [{i: a[i][j] for i in range(r) if a[i][j]} for j in range(m)]
+        assert QMat._trusted_columns(r, m, columns) == qa
+        rows = [{j: v for j, v in enumerate(row) if v} for row in a]
+        assert QMat._trusted_rows(r, m, rows) == qa
+        assert qa.vec() == {i * m + j: v for (i, j), v in _dense_entries(a)}
+        cell = next((((i, j) for i in range(r) for j in range(m) if a[i][j] != a2[i][j])), None)
+        assert qa.first_difference(qa2) == cell
+    # each of the three dimensions was 0 while the other two were not
+    for pos in range(3):
+        assert any(shape[pos] == 0 and shape.count(0) == 1 for shape in shapes), pos
+
+
+def test_equality_sees_shape():
+    assert QMat.zero(2, 3) != QMat.zero(3, 2)
+    assert QMat.zero(0, 4) != QMat.zero(4, 0)
+    assert QMat.identity(0) == QMat.zero(0, 0)
+    with pytest.raises(ShapeMismatch):
+        QMat.zero(2, 3).first_difference(QMat.zero(3, 2))
+
+
+# -- the functor suite builds each f_R once ------------------------------------
+
+
+def test_functor_suite_builds_each_f_r_once(monkeypatch):
+    build = suites.f_r_matrix
+    built = []
+
+    def counting(rel, n):
+        built.append((rel, n))
+        return build(rel, n)
+
+    for q, n in ((2, 1), (2, 2), (3, 1)):
+        expected = [res.line() for res in suites.suite_functor(Fq(q), n, 30, 4)]
+        built.clear()
+        monkeypatch.setattr(suites, "f_r_matrix", counting)
+        got = [res.line() for res in suites.suite_functor(Fq(q), n, 30, 4)]
+        monkeypatch.undo()
+        assert got == expected and all(line.startswith("PASS ") for line in got)
+        # each trial reads five matrices, so most of them repeat across trials
+        assert len(built) == len(set(built)) < 5 * 60, (q, n)

@@ -322,3 +322,20 @@ def test_random_invertible_is_invertible():
     for _ in range(20):
         m = random_invertible(rng, F4, 3)
         assert m.is_invertible()
+
+
+def test_random_relation_matches_from_rows():
+    # one reduction of the drawn rows gives the relation from_rows builds,
+    # from the same rng draws
+    for F in (F2, F3, F4):
+        drawn, replay = random.Random(60), random.Random(60)
+        for _ in range(40):
+            s, k = drawn.randrange(4), drawn.randrange(4)
+            replay.randrange(4), replay.randrange(4)
+            rel = random_relation(drawn, F, s, k)
+            nrows = replay.randrange(s + k + 1)
+            rows = [[replay.randrange(F.q) for _ in range(s + k)] for _ in range(nrows)]
+            expected = Relation.from_rows(F, s, k, rows)
+            assert rel == expected and rel.basis.entries == expected.basis.entries
+            assert (rel.basis.rows, rel.basis.cols) == (expected.basis.rows, expected.basis.cols)
+        assert drawn.getstate() == replay.getstate()
