@@ -5,7 +5,6 @@ representations."""
 from .category import (
     Morphism,
     compose,
-    decompose_generators,
     dual,
     gram,
     identity,
@@ -36,6 +35,7 @@ from .relations import (
     sigma_relation,
     star,
 )
+from .terms import decompose_generators
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -10,8 +10,7 @@ to a finished result.
 Besides the category structure (compose, tensor, identities, symmetries)
 this module provides duals by snake composites, the categorical trace and
 Gram pairing, the pairing-form calculus (phi, the T isomorphism and the
-``ast`` product), the orbit basis change, and the decomposition of a basis
-arrow into the generator alphabet.
+``ast`` product) and the orbit basis change.
 """
 
 from __future__ import annotations
@@ -304,24 +303,3 @@ def orbit_invert(coeffs: dict[Relation, Fraction], field: Fq, s: int, k: int) ->
         for r, w in _orbit_in_f_basis(rel, cache).items():
             acc[r] = acc.get(r, Fraction(0)) + c * w
     return Morphism(field, s, k, {r: PolyQ.const(c) for r, c in acc.items() if c})
-
-
-# -- generator decomposition -----------------------------------------------
-
-
-def decompose_generators(rel: Relation):
-    """A generator-alphabet term that evaluates to exactly 1 · f_rel.
-
-    The term is the pairing form of rel (its basis matrix expanded into
-    comultiplications, strand permutations, scalings and additions, capped
-    by zero-tests) snake-composed back into a [s] -> [k] arrow.
-    """
-    from . import terms as tm
-
-    s, k = rel.s, rel.k
-    phi_term = tm.phi_term(rel.basis)
-    if k == 0:
-        return phi_term
-    left = tm.t_tensor(phi_term, tm.t_id(k))
-    right = tm.t_tensor(tm.t_id(s), tm.coev_bar_term(k)) if s else tm.coev_bar_term(k)
-    return tm.t_compose(left, right)

@@ -29,6 +29,7 @@ from .field import parse_q
 from .matrix import COUNT_DIGITS, subspace_count
 from .poly import PolyQ, det_poly, printable, rational_roots
 from .suites import suite_axioms, suite_functor, suite_knop, suite_lemmas, suite_relinfty
+from .terms import RelLit
 
 # the least value of each size flag; below --trials 1 no trial runs, and a
 # suite that ran none must not pass
@@ -214,8 +215,6 @@ def cmd_count(args) -> int:
 def cmd_knop_convert(args) -> int:
     field = parse_q(args.q)
     term = parse(args.rel, field)
-    from .terms import RelLit
-
     if not isinstance(term, RelLit):
         raise ParseError("knop-convert expects a single rel(...) literal", 0)
     converted = term.rel.perp()

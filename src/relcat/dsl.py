@@ -19,8 +19,10 @@ Grammar (loosest binding first):
 '.' is composition with the right argument applied first, '@' is the
 tensor with the left factor on the left strands.  Files may contain
 ";"-separated bindings "name := expr"; the value of the file is the last
-expression.  mu scalars and matrix entries are reduced into the ambient
-field, which is why parsing takes the field as an argument.
+expression.  A file is parsed as one token stream, so the ";" inside a
+rel(...) or muM(...) literal is part of the literal.  mu scalars and
+matrix entries are reduced into the ambient field, which is why parsing
+takes the field as an argument.
 """
 
 from __future__ import annotations
@@ -343,25 +345,30 @@ def parse_poly(text: str) -> PolyQ:
 
 
 def parse_program(src: str, field: Fq) -> Term:
-    """Parse ";"-separated bindings "name := expr"; value is the last expr."""
+    """Parse ";"-separated bindings "name := expr"; value is the last expr.
+
+    The whole program is one token stream, so a ";" inside a literal stays
+    in the literal and every error position counts from the start of src.
+    """
+    parser = _Parser(src, field)
     last = None
-    env: dict[str, Term] = {}
-    for chunk in src.split(";"):
-        if not chunk.strip():
+    while parser.peek() != "<end>":
+        if parser.peek() == ";":
+            parser.advance()
             continue
-        parser = _Parser(chunk, field, env)
         name = None
         if (
             parser.peek() not in _ATOMS
-            and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", parser.peek() or "")
+            and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", parser.peek())
             and parser.tokens[parser.i + 1][0] == ":="
         ):
             name = parser.advance()
             parser.advance()
         term = parser.parse_expr()
-        parser.expect("<end>")
+        if parser.peek() != "<end>":
+            parser.expect(";")
         if name is not None:
-            env[name] = term
+            parser.env[name] = term
         last = term
     if last is None:
         raise ParseError("empty program", 0)

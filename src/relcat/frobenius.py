@@ -1,14 +1,15 @@
 """Structure checker for concrete field-linear (semi-)Frobenius spaces.
 
-A candidate structure is a tuple of exact rational matrices: merge m,
-split m*, counit eps*, vector addition plus, zero vector z, one scaling
-map per field element, and optionally the unit eps.  The axioms are one
-list of generator term pairs (``frobenius_axiom_terms``), checked formally
-by the suites and on a structure by ``check_axioms``, which evaluates both
-sides of each pair and names the first cell where they differ
-(``first_difference``).  When the unit is absent the candidate is checked
-as a semi-Frobenius space: every pair that uses eps or coev is skipped, so
-no unit-dependent map is ever formed.
+A candidate structure is one dict of exact rational matrices keyed by
+generator atom: merge m, split m*, counit eps*, vector addition plus, zero
+vector z, one scaling map mu(a) per field element, and optionally the unit
+eps.  The axioms are one list of generator term pairs
+(``frobenius_axiom_terms``), checked formally by the suites and on a
+structure by ``check_axioms``, which evaluates both sides of each pair and
+names the first cell where they differ (``first_difference``).  When the
+unit is absent the candidate is checked as a semi-Frobenius space: every
+pair that uses eps or coev is skipped, so no unit-dependent map is ever
+formed.
 
 Every map formed on a structure comes from one evaluator, ``term_eval``.
 Tensor powers are interpreted by the library's Kronecker indexing (first
@@ -60,6 +61,8 @@ AXIOM_PAIR_GUARD = 2**12
 HAT_F_GUARD = 2**22
 
 
+# The unit, the one map a structure may lack: a semi-Frobenius space has none.
+UNIT = tm.Gen("eps")
 # The maps the axiom list defines by the stored ones; a term that uses one
 # is compiled through its definition.
 DEFINED = {
@@ -67,8 +70,6 @@ DEFINED = {
     "coev": tm.t_compose(tm.Gen("m*"), tm.Gen("eps")),
     "z*": tm.t_compose(tm.Gen("ev"), tm.t_tensor(tm.t_id(1), tm.Gen("z"))),
 }
-# generator name -> the FrobeniusData attribute that stores its matrix
-STORED = {"m": "m", "m*": "m_star", "eps*": "eps_star", "plus": "plus", "z": "z", "eps": "eps"}
 
 
 def hat_f_guard(dim: int, rows: int, cols: int, source: str = "hat_f"):
@@ -85,50 +86,37 @@ def hat_f_guard(dim: int, rows: int, cols: int, source: str = "hat_f"):
 class FrobeniusData:
     """Concrete structure maps on a D-dimensional space.
 
+    ``maps`` holds one D^cod x D^dom matrix per generator atom (``Gen``):
+    m, m*, eps*, plus, z, every mu(a) and, when the structure has a unit, eps.
     The maps are fixed once built: compiled terms and ``hat_f`` results are
     cached on the structure, so a cached value never goes stale.
     """
 
-    __slots__ = (
-        "field", "dim", "m", "m_star", "eps_star", "plus", "z", "mu", "eps", "_compiled",
-        "_realized",
-    )
+    __slots__ = ("field", "dim", "maps", "_compiled", "_realized")
 
-    def __init__(self, field: Fq, dim: int, m, m_star, eps_star, plus, z, mu, eps=None):
+    def __init__(self, field: Fq, dim: int, maps):
         self.field = field
         self.dim = dim
-        self.m = m
-        self.m_star = m_star
-        self.eps_star = eps_star
-        self.plus = plus
-        self.z = z
-        self.mu = dict(mu)
-        self.eps = eps
+        self.maps = dict(maps)
         # t_value -> term -> compiled node (see _compile)
         self._compiled: dict = {}
         # relation -> its hat_f matrix
         self._realized: dict = {}
-        shapes = {
-            "m": (self.m, dim, dim * dim),
-            "m_star": (self.m_star, dim * dim, dim),
-            "eps_star": (self.eps_star, 1, dim),
-            "plus": (self.plus, dim, dim * dim),
-            "z": (self.z, dim, 1),
-        }
-        if eps is not None:
-            shapes["eps"] = (self.eps, dim, 1)
-        for name, (mat, rows, cols) in shapes.items():
+        required = [tm.Gen(name) for name in ("m", "m*", "eps*", "plus", "z")]
+        required += [tm.Gen("mu", a) for a in field.elements()]
+        for atom in required:
+            if atom not in self.maps:
+                raise ShapeMismatch(f"the structure has no map for {atom}")
+        for atom, mat in self.maps.items():
+            if atom not in required and atom != UNIT:
+                raise ShapeMismatch(f"{atom} is not a stored map")
+            rows, cols = dim**atom.cod, dim**atom.dom
             if (mat.rows, mat.cols) != (rows, cols):
-                raise ShapeMismatch(f"{name} must be {rows}x{cols}, got {mat.rows}x{mat.cols}")
-        for a in field.elements():
-            if a not in self.mu:
-                raise ShapeMismatch(f"mu is missing the scaling map for {a}")
-            if (self.mu[a].rows, self.mu[a].cols) != (dim, dim):
-                raise ShapeMismatch(f"mu[{a}] must be {dim}x{dim}")
+                raise ShapeMismatch(f"{atom} must be {rows}x{cols}, got {mat.rows}x{mat.cols}")
 
     @property
     def has_unit(self) -> bool:
-        return self.eps is not None
+        return UNIT in self.maps
 
     def swap(self) -> QMat:
         d = self.dim
@@ -155,19 +143,20 @@ def standard_target(field: Fq, n: int) -> FrobeniusData:
         da = [(a // q**i) % q for i in range(n)]
         return sum(field.mul(c, x) * q**i for i, x in enumerate(da))
 
-    m = QMat(dim, dim * dim, {(v, v + dim * v): 1 for v in range(dim)})
-    m_star = QMat(dim * dim, dim, {(v + dim * v, v): 1 for v in range(dim)})
-    eps_star = QMat(1, dim, {(0, v): 1 for v in range(dim)})
-    eps = QMat(dim, 1, {(v, 0): 1 for v in range(dim)})
-    plus = QMat(
-        dim, dim * dim, {(vec_add(v, w), v + dim * w): 1 for v in range(dim) for w in range(dim)}
-    )
-    z = QMat(dim, 1, {(0, 0): 1})
-    mu = {
-        a: QMat(dim, dim, {(vec_scale(a, v), v): 1 for v in range(dim)})
-        for a in field.elements()
+    g = tm.Gen
+    maps = {
+        g("m"): QMat(dim, dim * dim, {(v, v + dim * v): 1 for v in range(dim)}),
+        g("m*"): QMat(dim * dim, dim, {(v + dim * v, v): 1 for v in range(dim)}),
+        g("eps*"): QMat(1, dim, {(0, v): 1 for v in range(dim)}),
+        UNIT: QMat(dim, 1, {(v, 0): 1 for v in range(dim)}),
+        g("plus"): QMat(dim, dim * dim, {
+            (vec_add(v, w), v + dim * w): 1 for v in range(dim) for w in range(dim)
+        }),
+        g("z"): QMat(dim, 1, {(0, 0): 1}),
     }
-    return FrobeniusData(field, dim, m, m_star, eps_star, plus, z, mu, eps)
+    for a in field.elements():
+        maps[g("mu", a)] = QMat(dim, dim, {(vec_scale(a, v), v): 1 for v in range(dim)})
+    return FrobeniusData(field, dim, maps)
 
 
 # -- compiled term evaluation ---------------------------------------------
@@ -350,14 +339,11 @@ def _build(data: FrobeniusData, term: Term, t_value):
         name = term.name
         if name in DEFINED:
             return _compile(data, DEFINED[name], t_value)
-        if name == "mu":
-            return _Cols(data.mu[term.a])
         if name == "sigma":
             return _Cols(data.swap())
-        mat = getattr(data, STORED[name])
-        if mat is None:
+        if term == UNIT and not data.has_unit:
             raise MissingUnit("term uses eps but the structure has no unit")
-        return _Cols(mat)
+        return _Cols(data.maps[term])
     if isinstance(term, tm.IdK):
         return _ID
     if isinstance(term, tm.MuLit):
@@ -507,13 +493,11 @@ def rel_matrix(data: FrobeniusData, rel: Relation) -> QMat:
     """
     if is_rel_infty(rel):
         return hat_f(data, rel)
-    if data.eps is None:
+    if not data.has_unit:
         raise MissingUnit(
             "a relation that does not surject onto its codomain needs the unit"
         )
-    from .category import decompose_generators
-
-    return term_eval(data, decompose_generators(rel))
+    return term_eval(data, tm.decompose_generators(rel))
 
 
 # -- the axiom checklist ----------------------------------------------------

@@ -5,10 +5,11 @@ flat index r * cols + c of cell (r, c); zeros are never stored.  This
 module is the only one that encodes or decodes those keys: other modules
 read cells through ``get``, ``cells``, ``entries_sorted``, ``columns``,
 ``vec`` and ``first_difference``.  The public constructor takes entries
-keyed by (row, col) and checks every one; ``QMat._trusted`` wraps flat
-entries computed here, which are nonzero and in range already, and
-``_trusted_rows`` and ``_trusted_columns`` build from row or column
-dicts that are.  Rank is computed fraction-free, on integer rows.
+keyed by (row, col) and checks every one: its position, and that it is an
+int or a Fraction.  ``QMat._trusted`` wraps flat entries computed here,
+which are exact, nonzero and in range already, and ``_trusted_rows`` and
+``_trusted_columns`` build from row or column dicts that are.  Rank is
+computed fraction-free, on integer rows.
 
 The Kronecker convention throughout the library is that the FIRST factor
 is the least significant index block: kron(a, b) has entry
@@ -21,6 +22,7 @@ the columns of the product, that cell is (ra * C + ca) + (a.rows * C * rb
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ShapeMismatch
@@ -35,6 +37,8 @@ class QMat:
         self.data = {}
         if data:
             for (r, c), v in dict(data).items():
+                if not isinstance(v, (int, Fraction)):
+                    raise TypeError(f"expected an exact rational, got {type(v).__name__}")
                 if v:
                     if not (0 <= r < rows and 0 <= c < cols):
                         raise ShapeMismatch(f"entry ({r},{c}) outside {rows}x{cols}")

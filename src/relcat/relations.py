@@ -220,19 +220,18 @@ def rel_infty_normal_form(r: Relation) -> tuple[MatFq, MatFq]:
     """Write R = Row[-A I_k; A' 0] with A' of full row rank, in RREF.
 
     Returns (A, A') with A of shape k x s and A' of shape (dim R - k) x s.
-    Deterministic: comes from the RREF of the basis with the codomain
-    block moved in front.
+    Deterministic: comes from the one RREF of the basis with the codomain
+    block moved in front.  R surjects onto that block exactly when the
+    block has rank k, that is when the first k pivots are its columns.
     """
-    if not is_rel_infty(r):
-        raise NotRelInfty(f"{r!r} does not surject onto the codomain block")
     F, s, k = r.field, r.s, r.k
     permuted = r.basis.take_cols(list(range(s, s + k)) + list(range(s)))
-    red, _ = permuted.rref()
+    red, pivots = row_reduce(F, permuted.tolist(), s + k)
+    if pivots[:k] != list(range(k)):
+        raise NotRelInfty(f"{r!r} does not surject onto the codomain block")
     # rank-k head: rows (e_i | a_i) ; tail rows (0 | a')
-    a_rows = [red.row(i)[k:] for i in range(k)]
-    a = MatFq.from_rows(F, a_rows, s).neg()
-    ap_rows = [red.row(i)[k:] for i in range(k, red.rows)]
-    ap = MatFq.from_rows(F, ap_rows, s)
+    a = MatFq._trusted_rows(F, [row[k:] for row in red[:k]], s).neg()
+    ap = MatFq._trusted_rows(F, [row[k:] for row in red[k:]], s)
     return a, ap
 
 
@@ -293,56 +292,47 @@ def coev_bar_relation(field: Fq, k: int) -> Relation:
     return identity_relation(field, k).retype(0, 2 * k)
 
 
-GENERATOR_ARITIES = {
-    "eps": (0, 1),
-    "eps*": (1, 0),
-    "m": (2, 1),
-    "m*": (1, 2),
-    "sigma": (2, 2),
-    "z": (0, 1),
-    "z*": (1, 0),
-    "plus": (2, 1),
-    "mu": (1, 1),
-    "ev": (2, 0),
-    "coev": (0, 2),
+# name -> (s, k, rows): each generator's RREF basis.  Its entries are 0 and
+# ±1, so the rows are in RREF over every field.  mu(a) takes a scalar and is
+# built in ``generator_relation``.
+GENERATORS = {
+    "eps": (0, 1, []),
+    "eps*": (1, 0, []),
+    "m": (2, 1, [[1, 0, -1], [0, 1, -1]]),
+    "m*": (1, 2, [[1, 0, -1], [0, 1, -1]]),
+    "sigma": (2, 2, [[1, 0, 0, -1], [0, 1, -1, 0]]),
+    "z": (0, 1, [[1]]),
+    "z*": (1, 0, [[1]]),
+    "plus": (2, 1, [[1, 1, -1]]),
+    "ev": (2, 0, [[1, -1]]),
+    "coev": (0, 2, [[1, -1]]),
 }
+
+GENERATOR_ARITIES = {name: (s, k) for name, (s, k, _) in GENERATORS.items()}
+GENERATOR_ARITIES["mu"] = (1, 1)
 
 # Identifier-safe spellings of the starred generators.
 GENERATOR_ALIASES = {"eps_star": "eps*", "m_star": "m*", "z_star": "z*"}
 
 
 def generator_relation(field: Fq, name: str, a: int | None = None) -> Relation:
-    """The defining subspace of a named generator, canonicalized.
+    """The defining subspace of a named generator, in RREF.
 
-    Names: eps, eps*, m, m*, sigma, z, z*, plus, mu (needs the scalar a),
-    ev, coev.  Aliases eps_star/m_star/z_star are accepted.
+    Names: the keys of GENERATORS, and mu (needs the scalar a), whose
+    relation Row[-a | 1] has the RREF basis [1, -1/a], or [0, 1] at a = 0.
+    Aliases eps_star/m_star/z_star are accepted.
     """
     name = GENERATOR_ALIASES.get(name, name)
-    if name == "eps":
-        return Relation.zero_space(field, 0, 1)
-    if name == "eps*":
-        return Relation.zero_space(field, 1, 0)
-    if name == "m":
-        return Relation.from_rows(field, 2, 1, [[1, -1, 0], [1, 0, -1]])
-    if name == "m*":
-        return Relation.from_rows(field, 1, 2, [[1, -1, 0], [1, 0, -1]])
-    if name == "sigma":
-        return sigma_relation(field, 1, 1)
-    if name == "z":
-        return Relation.full_space(field, 0, 1)
-    if name == "z*":
-        return Relation.full_space(field, 1, 0)
-    if name == "plus":
-        return Relation.from_rows(field, 2, 1, [[1, 1, -1]])
     if name == "mu":
         if a is None:
             raise UnknownGenerator("mu needs a scalar argument")
-        return Relation.from_rows(field, 1, 1, [[field.neg(field.check(a)), 1]])
-    if name == "ev":
-        return Relation.from_rows(field, 2, 0, [[1, -1]])
-    if name == "coev":
-        return Relation.from_rows(field, 0, 2, [[1, -1]])
-    raise UnknownGenerator(f"unknown generator {name!r}")
+        a = field.check(a)
+        s, k, rows = 1, 1, [[1, field.neg(field.inv(a))] if a else [0, 1]]
+    elif name in GENERATORS:
+        s, k, rows = GENERATORS[name]
+    else:
+        raise UnknownGenerator(f"unknown generator {name!r}")
+    return Relation._trusted(field, s, k, MatFq.from_rows(field, rows, s + k))
 
 
 # -- random sampling (deterministic given the rng) -----------------------

@@ -2,10 +2,11 @@
 
 Nodes carry their inferred (dom, cod) arities; building an ill-typed
 composite raises ArityMismatch immediately.  Besides the node classes this
-module holds the structural term builders used by the generator
-decomposition: iterated comultiplication and addition, strand
-permutations assembled from adjacent swaps, the matrix-action expansion,
-and the strandwise pairing caps/cups.
+module holds the decomposition of a basis arrow into the generator
+alphabet (``decompose_generators``) and the structural term builders it
+composes: iterated comultiplication and addition, strand permutations
+assembled from adjacent swaps, the matrix-action expansion, and the
+strandwise pairing caps/cups.
 """
 
 from __future__ import annotations
@@ -351,3 +352,19 @@ def coev_bar_term(k: int) -> Term:
     for j in range(1, k):
         nested = t_compose(t_tensor(t_id(j), Gen("coev"), t_id(j)), nested)
     return t_compose(t_tensor(t_id(k), reversal_term(k)), nested)
+
+
+def decompose_generators(rel: Relation) -> Term:
+    """A generator-alphabet term that evaluates to exactly 1 · f_rel.
+
+    The term is the pairing form of rel (its basis matrix expanded into
+    comultiplications, strand permutations, scalings and additions, capped
+    by zero-tests) snake-composed back into a [s] -> [k] arrow.
+    """
+    s, k = rel.s, rel.k
+    form = phi_term(rel.basis)
+    if k == 0:
+        return form
+    left = t_tensor(form, t_id(k))
+    right = t_tensor(t_id(s), coev_bar_term(k)) if s else coev_bar_term(k)
+    return t_compose(left, right)

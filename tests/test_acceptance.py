@@ -32,6 +32,7 @@ from relcat.relations import (
     star,
 )
 from relcat.suites import frobenius_axiom_terms, mu_lemma_terms, run_term_pairs
+from relcat.terms import Gen, decompose_generators
 
 F2, F3, F4 = Fq(2), Fq(3), Fq(2, 2)
 CELL_GUARD = 2**12
@@ -132,7 +133,7 @@ def test_criterion_07_generator_round_trip():
         field = (F2, F3)[trial % 2]
         s, k = rng.randrange(3), rng.randrange(3)
         rel = random_relation(rng, field, s, k)
-        term = cat.decompose_generators(rel)
+        term = decompose_generators(rel)
         assert eval_formal(term, field) == Morphism.from_relation(rel), rel
         assert term_eval(targets[field], term) == f_r_matrix(rel, 1).mat, rel
     _ok("criterion 7: generator decomposition round trip, 300 relations, both evaluators")
@@ -204,7 +205,7 @@ def test_criterion_11_trace_dimension():
     for field in (F2, F3):
         for n in (1, 2):
             data = standard_target(field, n)
-            loop = data.eps_star @ data.eps
+            loop = data.maps[Gen("eps*")] @ data.maps[Gen("eps")]
             assert loop.to_dense() == [[field.q**n]]
     _ok("criterion 11: trace of the identity is t; counit of unit is q^n concretely")
 

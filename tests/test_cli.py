@@ -12,6 +12,7 @@ from relcat.concrete import ConcreteMap, f_r_matrix, rel_infty_stability
 from relcat.field import Fq
 from relcat.frobenius import FrobeniusData, hat_f, standard_target, term_eval
 from relcat.relations import knop_diamond
+from relcat.terms import Gen
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +150,16 @@ def test_eval_file_bindings(tmp_path, capsys):
     script.write_text("cap := eps* . m ; cap . coev")
     code, out, _ = run_cli(capsys, "eval", "--q", "2", "--file", str(script))
     assert code == 0 and out.strip() == "t * rel(2;0,0;[])"
+
+
+def test_eval_file_literal_bindings(tmp_path, capsys):
+    script = tmp_path / "prog.rc"
+    script.write_text("r := rel(2;2,1;[[1,1,1]]);\nr . (r @ id(1))\n")
+    code, out, _ = run_cli(capsys, "eval", "--q", "2", "--file", str(script))
+    assert code == 0 and out.strip() == "rel(2;3,1;[[1,1,1,1]])"
+    script.write_text("r := rel(2;2,1;[[1,1,1]]);\nr . ?")
+    code, _, err = run_cli(capsys, "eval", "--q", "2", "--file", str(script))
+    assert code == 2 and err.strip().endswith(f"(at position {script.read_text().index('?')})")
 
 
 def test_output_to_file(tmp_path, capsys):
@@ -401,9 +412,7 @@ def test_lemma_failures_name_a_cell(capsys, monkeypatch):
     def corrupted(field, n):
         # the zero scaling acts as the identity
         data = standard_target(field, n)
-        mu = {**data.mu, 0: data.mu[1]}
-        return FrobeniusData(field, data.dim, data.m, data.m_star, data.eps_star, data.plus,
-                             data.z, mu, data.eps)
+        return FrobeniusData(field, data.dim, {**data.maps, Gen("mu", 0): data.maps[Gen("mu", 1)]})
 
     monkeypatch.setattr(suites, "standard_target", corrupted)
     code, out, _ = run_cli(capsys, *argv)

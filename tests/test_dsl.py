@@ -215,6 +215,20 @@ def test_program_bindings():
     assert value == Morphism_scalar(F2, PolyQ.t_power(1))
 
 
+def test_program_literals_hold_semicolons():
+    # the ';' inside rel(...) and muM(...) belongs to the literal, not the program
+    rel = "rel(2;2,1;[[1,1,1]])"
+    assert parse_program(f"a := {rel}; a . (a @ id(1))", F2) == parse(
+        f"{rel} . ({rel} @ id(1))", F2
+    )
+    mat = "muM(2;[[1,2],[0,1]])"
+    assert parse_program(f"b := {mat} ;; b . {mat}", F3) == parse(f"{mat} . {mat}", F3)
+    src = "a := rel(2;2,1;[[1,1,1]]);\nb := a . ?"
+    with pytest.raises(ParseError) as err:
+        parse_program(src, F2)
+    assert err.value.position == src.index("?")
+
+
 def test_program_requires_expression():
     with pytest.raises(ParseError):
         parse_program("  ;  ", F2)

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from relcat import category as cat
 from relcat import terms as tm
 from relcat.concrete import f_r_matrix
 from relcat.dsl import parse
@@ -42,22 +41,28 @@ from relcat.relations import (
 from relcat.suites import suite_lemmas
 
 F2, F3, F4 = Fq(2), Fq(3), Fq(2, 2)
+G = tm.Gen
 
 
 def drop_unit(data: FrobeniusData) -> FrobeniusData:
     return FrobeniusData(
-        data.field, data.dim, data.m, data.m_star, data.eps_star, data.plus, data.z, data.mu, None
+        data.field, data.dim, {atom: mat for atom, mat in data.maps.items() if atom != G("eps")}
     )
+
+
+def replaced(data: FrobeniusData, atom, mat: QMat) -> FrobeniusData:
+    """The structure with the map of one atom replaced."""
+    return FrobeniusData(data.field, data.dim, {**data.maps, atom: mat})
 
 
 def test_standard_target_maps():
     data = standard_target(F2, 1)
     # merge: v (x) w -> v when v = w, else 0
-    assert data.m.to_dense() == [[1, 0, 0, 0], [0, 0, 0, 1]]
-    assert data.eps.to_dense() == [[1], [1]]
-    assert data.z.to_dense() == [[1], [0]]
+    assert data.maps[G("m")].to_dense() == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    assert data.maps[G("eps")].to_dense() == [[1], [1]]
+    assert data.maps[G("z")].to_dense() == [[1], [0]]
     # addition table of F_2: 0+0=0, 0+1=1, 1+0=1, 1+1=0
-    assert data.plus.to_dense() == [[1, 0, 0, 1], [0, 1, 1, 0]]
+    assert data.maps[G("plus")].to_dense() == [[1, 0, 0, 1], [0, 1, 1, 0]]
 
 
 def test_guards_count_pairs_and_cells():
@@ -86,11 +91,7 @@ def test_standard_target_passes_all_axioms(field, n):
 
 def test_corrupted_scaling_fails_named_check():
     data = standard_target(F2, 1)
-    bad_mu = dict(data.mu)
-    bad_mu[0] = data.mu[1]
-    bad = FrobeniusData(
-        F2, data.dim, data.m, data.m_star, data.eps_star, data.plus, data.z, bad_mu, data.eps
-    )
+    bad = replaced(data, G("mu", 0), data.maps[G("mu", 1)])
     assert dict(check_axioms(bad))["Lin3 mu(0) = z . eps*"] is not None
 
 
@@ -123,15 +124,9 @@ def _wrong(mat: QMat) -> QMat:
 @pytest.mark.parametrize("name", ["m", "m_star", "eps_star", "plus", "z", "mu", "eps"])
 def test_each_corrupted_map_fails_a_named_check(name):
     data = standard_target(F3, 1)
-    maps = {
-        "m": data.m, "m_star": data.m_star, "eps_star": data.eps_star, "plus": data.plus,
-        "z": data.z, "mu": dict(data.mu), "eps": data.eps,
-    }
-    if name == "mu":
-        maps["mu"][2] = _wrong(data.mu[2])
-    else:
-        maps[name] = _wrong(maps[name])
-    results = check_axioms(FrobeniusData(F3, data.dim, **maps))
+    # m_star and eps_star are the aliases of m* and eps*
+    atom = G("mu", 2) if name == "mu" else G(name)
+    results = check_axioms(replaced(data, atom, _wrong(data.maps[atom])))
     assert any(cell is not None for _, cell in results), name
 
 
@@ -145,9 +140,16 @@ def test_semi_mode_never_touches_unit():
 def test_shape_validation():
     data = standard_target(F2, 1)
     with pytest.raises(ShapeMismatch):
-        FrobeniusData(
-            F2, 2, data.m, data.m_star, data.eps_star, data.plus, QMat.identity(2), data.mu, None
-        )
+        replaced(drop_unit(data), G("z"), QMat.identity(2))
+    with pytest.raises(ShapeMismatch):
+        replaced(data, G("mu", 1), QMat.identity(4))
+    # every stored atom is required but the unit, and no other atom is stored
+    missing = dict(data.maps)
+    del missing[G("mu", 1)]
+    with pytest.raises(ShapeMismatch):
+        FrobeniusData(F2, 2, missing)
+    with pytest.raises(ShapeMismatch):
+        replaced(data, G("sigma"), data.swap())
 
 
 def test_mu_A_eval_is_matrix_action():
@@ -249,7 +251,7 @@ def test_term_eval_matches_functor_on_decompositions():
         F = rng.choice([F2, F3])
         n = 1
         rel = random_relation(rng, F, rng.randrange(3), rng.randrange(3))
-        term = cat.decompose_generators(rel)
+        term = tm.decompose_generators(rel)
         assert term_eval(standard_target(F, n), term) == f_r_matrix(rel, n).mat
 
 
@@ -283,13 +285,13 @@ def dense(data, term, t_value):
     """The matrix of a term built from the structure's QMats by @ and kron."""
     D = data.dim
     if isinstance(term, tm.Gen):
-        if term.name == "mu":
-            return data.mu[term.a]
-        ev = data.eps_star @ data.m
-        maps = {"m": data.m, "m*": data.m_star, "eps*": data.eps_star, "plus": data.plus,
-                "z": data.z, "eps": data.eps, "sigma": data.swap(), "ev": ev,
-                "coev": data.m_star @ data.eps, "z*": ev @ QMat.identity(D).kron(data.z)}
-        return maps[term.name]
+        if term in data.maps:
+            return data.maps[term]
+        ev = data.maps[G("eps*")] @ data.maps[G("m")]
+        defined = {"sigma": data.swap(), "ev": ev,
+                   "coev": data.maps[G("m*")] @ data.maps[G("eps")],
+                   "z*": ev @ QMat.identity(D).kron(data.maps[G("z")])}
+        return defined[term.name]
     if isinstance(term, tm.IdK):
         return QMat.identity(D**term.k)
     if isinstance(term, tm.MuLit):
@@ -297,7 +299,7 @@ def dense(data, term, t_value):
     if isinstance(term, tm.RelLit):
         rel = term.rel
         if not is_rel_infty(rel):
-            return dense(data, cat.decompose_generators(rel), t_value)
+            return dense(data, tm.decompose_generators(rel), t_value)
         a, ap = rel_infty_normal_form(rel)
         cap = QMat.identity(D**rel.k)
         for _ in range(ap.rows):
@@ -569,14 +571,11 @@ def test_hat_f_memo_is_per_structure():
     # mu(2) scales by 2 on the standard target and is the identity on the
     # corrupted one, so the same relation realizes differently on each
     data = standard_target(F3, 1)
-    mu = dict(data.mu)
-    mu[2] = data.mu[1]
-    bad = FrobeniusData(F3, data.dim, data.m, data.m_star, data.eps_star, data.plus, data.z, mu,
-                        data.eps)
+    bad = replaced(data, G("mu", 2), data.maps[G("mu", 1)])
     rel = mu_relation(MatFq(F3, 1, 1, [2]))
-    assert hat_f(data, rel) == data.mu[2]
+    assert hat_f(data, rel) == data.maps[G("mu", 2)]
     assert hat_f(bad, rel) == term_eval(bad, normal_form_term(rel)) == QMat.identity(3)
-    assert hat_f(data, rel) == data.mu[2]
+    assert hat_f(data, rel) == data.maps[G("mu", 2)]
 
 
 def test_hat_f_memo_still_rejects_non_members():

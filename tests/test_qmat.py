@@ -94,6 +94,11 @@ def test_public_constructor_checks_entries():
     assert QMat(2, 2, {(0, 0): 0, (1, 1): 3}).cells() == {(1, 1): 3}
     with pytest.raises(ShapeMismatch):
         QMat(2, 2, {(2, 0): 1})
+    for inexact in (0.5, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            QMat(2, 2, {(0, 0): inexact, (1, 1): 1})
+    assert QMat(1, 2, {(0, 0): Fraction(1, 2), (0, 1): -7}).cells() == {
+        (0, 0): Fraction(1, 2), (0, 1): -7}
 
 
 # -- every operation against a dense list-of-lists reference -----------------

@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+import relcat.matrix as matrix
 import relcat.relations as relations
 from relcat.errors import ArityMismatch, NotRelInfty, UnknownGenerator
 from relcat.field import Fq
 from relcat.matrix import MatFq
 from relcat.relations import (
+    GENERATORS,
     Relation,
     generator_relation,
     identity_relation,
@@ -235,6 +237,33 @@ def test_rel_infty_normal_form_line():
     assert ap.rows == 0
 
 
+def test_rel_infty_normal_form_reduces_once(monkeypatch):
+    calls = []
+    real = relations.row_reduce
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(relations, "row_reduce", counting)
+    monkeypatch.setattr(matrix, "row_reduce", counting)
+    rng = random.Random(19)
+    for F in (F2, F3, F4):
+        for _ in range(60):
+            r = random_relation(rng, F, rng.randrange(4), rng.randrange(4))
+            # membership as it was decided before: the codomain block has rank k
+            member = real(F, r.basis.take_cols(range(r.s, r.s + r.k)).tolist(), r.k)[0]
+            calls.clear()
+            if len(member) == r.k:
+                a, ap = rel_infty_normal_form(r)
+                assert len(calls) == 1
+                assert rel_infty_from_parts(a, ap) == r
+            else:
+                with pytest.raises(NotRelInfty):
+                    rel_infty_normal_form(r)
+                assert len(calls) == 1
+
+
 def test_rel_infty_normal_form_rejects():
     with pytest.raises(NotRelInfty):
         rel_infty_normal_form(Relation.from_rows(F2, 1, 1, [[1, 0]]))
@@ -289,6 +318,21 @@ def test_generator_table():
         generator_relation(F2, "nope")
     with pytest.raises(UnknownGenerator):
         generator_relation(F2, "mu")
+
+
+TABLE_FIELDS = (Fq(2), Fq(3), Fq(5), Fq(2, 2), Fq(3, 2), Fq(2, 3))
+
+
+def test_generator_table_rows_are_canonical():
+    for F in TABLE_FIELDS:
+        for name, (s, k, rows) in GENERATORS.items():
+            canonical = Relation(F, s, k, MatFq.from_rows(F, rows, s + k))
+            assert generator_relation(F, name) == canonical, (F, name)
+        for a in F.elements():
+            mu = generator_relation(F, "mu", a)
+            assert mu == Relation.from_rows(F, 1, 1, [[F.neg(a), 1]]), (F, a)
+            assert mu == Relation(F, 1, 1, mu.basis), (F, a)
+            assert mu == mu_relation(MatFq(F, 1, 1, [a]))
 
 
 def test_sigma_relation_signs():
