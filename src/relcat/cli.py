@@ -25,9 +25,9 @@ from .errors import (
     TooLarge,
     UsageError,
 )
-from .field import parse_q
-from .matrix import COUNT_DIGITS, subspace_count
-from .poly import PolyQ, det_poly, printable, rational_roots
+from .field import COUNT_DIGITS, parse_q
+from .matrix import subspace_count
+from .poly import DET_POLY_GUARD, PolyQ, det_poly, printable, rational_roots
 from .suites import suite_axioms, suite_functor, suite_knop, suite_lemmas, suite_relinfty
 from .terms import RelLit
 
@@ -140,21 +140,19 @@ def cmd_specialize(args) -> int:
     return 0
 
 
-SUITES = ("axioms", "lemmas", "functor", "relinfty", "knop")
+# each suite by name, called with the flags it reads
+SUITES = {
+    "axioms": lambda F, a: suite_axioms(F, a.n),
+    "lemmas": lambda F, a: suite_lemmas(F, a.n, a.seed),
+    "functor": lambda F, a: suite_functor(F, a.n, a.trials, a.seed, a.max_arity),
+    "relinfty": lambda F, a: suite_relinfty(F, a.n, a.trials, a.seed, a.max_arity),
+    "knop": lambda F, a: suite_knop(F, a.trials, a.seed, a.max_arity),
+}
 
 
 def cmd_verify(args) -> int:
     field = parse_q(args.q)
-    if args.suite == "axioms":
-        results = suite_axioms(field, args.n)
-    elif args.suite == "lemmas":
-        results = suite_lemmas(field, args.n, args.seed)
-    elif args.suite == "functor":
-        results = suite_functor(field, args.n, args.trials, args.seed, args.max_arity)
-    elif args.suite == "relinfty":
-        results = suite_relinfty(field, args.n, args.trials, args.seed, args.max_arity)
-    else:
-        results = suite_knop(field, args.trials, args.seed, args.max_arity)
+    results = SUITES[args.suite](field, args)
     passed = all(r.passed for r in results)
     if args.format == "json":
         _emit(args, json.dumps(
@@ -175,6 +173,9 @@ def cmd_verify(args) -> int:
 def cmd_gram(args) -> int:
     field = parse_q(args.q)
     value = _t_value(args)
+    count = subspace_count(field, args.s + args.k)
+    if count > DET_POLY_GUARD:
+        raise TooLarge(f"gram: {count} relations; det_poly expands at most {DET_POLY_GUARD}")
     rels, mat = cat.gram(field, args.s, args.k)
     if value is not None:
         mat = [[PolyQ.const(entry.evaluate(value)) for entry in row] for row in mat]

@@ -61,9 +61,6 @@ class ConcreteMap:
     def __repr__(self):
         return f"ConcreteMap(q={self.field}, n={self.n}, [{self.s}]->[{self.k}], nnz={self.mat.nnz()})"
 
-    def entry(self, row: int, col: int):
-        return self.mat.get(row, col)
-
 
 def _guard(field: Fq, n: int, s: int, k: int):
     if field.q ** (n * max(s, k, 1)) > SIZE_GUARD:

@@ -33,8 +33,8 @@ from fractions import Fraction
 from . import category as cat
 from .category import Morphism
 from .errors import FieldMismatch, ParseError, ScalarParseError, TooLarge
-from .field import Fq, parse_q
-from .matrix import COUNT_DIGITS, MatFq
+from .field import COUNT_DIGITS, Fq, parse_q
+from .matrix import MatFq
 from .poly import PolyQ
 from .relations import GENERATOR_ARITIES, Relation
 from .terms import Compose, Gen, IdK, LinComb, MuLit, RelLit, Tensor, Term

@@ -32,6 +32,8 @@ from .errors import DegreeOutOfRange, DivisionByZero, NotPrime, TooLarge, UsageE
 
 MAX_DEGREE = 8
 TABLE_LIMIT = 256
+# Python reads and prints no int of more digits than this (sys.get_int_max_str_digits)
+COUNT_DIGITS = 4300
 
 # Miller-Rabin with these bases is exact below MR_LIMIT (Sorenson and
 # Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
@@ -378,4 +380,7 @@ def parse_q(text: str) -> Fq:
     parts = text.split("^", 1)
     if not all(part.isdecimal() for part in parts):
         raise UsageError(f"field order must be 'p' or 'p^e', got {text!r}")
+    digits = max(map(len, parts))
+    if digits > COUNT_DIGITS:
+        raise TooLarge(f"a field order part of {digits} digits; at most {COUNT_DIGITS} are read")
     return Fq(*map(int, parts))

@@ -7,9 +7,9 @@ eps.  The axioms are one list of generator term pairs
 (``frobenius_axiom_terms``), checked formally by the suites and on a
 structure by ``check_axioms``, which evaluates both sides of each pair and
 names the first cell where they differ (``first_difference``).  When the
-unit is absent the candidate is checked as a semi-Frobenius space: every
-pair that uses eps or coev is skipped, so no unit-dependent map is ever
-formed.
+unit is absent the candidate is checked as a semi-Frobenius space: a pair
+is skipped when compiling it raises MissingUnit, which happens before any
+map is formed.
 
 Every map formed on a structure comes from one evaluator, ``term_eval``.
 Tensor powers are interpreted by the library's Kronecker indexing (first
@@ -33,18 +33,20 @@ and caches the result on the structure by relation.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import groupby
 
 from . import terms as tm
 from .errors import (
     MissingUnit,
+    NotRelInfty,
     RequiresEvaluation,
     ShapeMismatch,
     TooLarge,
 )
 from .field import Fq
 from .qmat import QMat
-from .relations import Relation, is_rel_infty, rel_infty_normal_form
+from .relations import Relation, rel_infty_normal_form
 from .terms import Term
 
 # The standard target's largest map, plus, has q^(2n) cells; more are refused.
@@ -487,17 +489,14 @@ def hat_f(data: FrobeniusData, rel: Relation) -> QMat:
 def rel_matrix(data: FrobeniusData, rel: Relation) -> QMat:
     """Universal image of a basis arrow in this structure.
 
-    Codomain-surjective relations go through the unit-free realization;
-    anything else needs the unit and goes through the generator
-    decomposition of the pairing form.
+    Codomain-surjective relations go through ``hat_f``, whose normal form
+    decides surjectivity; anything else through the generator decomposition
+    of the pairing form, which uses the unit (MissingUnit without one).
     """
-    if is_rel_infty(rel):
+    try:
         return hat_f(data, rel)
-    if not data.has_unit:
-        raise MissingUnit(
-            "a relation that does not surject onto its codomain needs the unit"
-        )
-    return term_eval(data, tm.decompose_generators(rel))
+    except NotRelInfty:
+        return term_eval(data, tm.decompose_generators(rel))
 
 
 # -- the axiom checklist ----------------------------------------------------
@@ -592,18 +591,6 @@ def frobenius_axiom_terms(field: Fq):
     return pairs
 
 
-def _uses_unit(term: Term) -> bool:
-    """Whether the term contains eps or coev, the maps built from the unit."""
-    stack = [term]
-    while stack:
-        sub = stack.pop()
-        if isinstance(sub, tm.Gen) and sub.name in ("eps", "coev"):
-            return True
-        if isinstance(sub, (tm.Compose, tm.Tensor)):
-            stack += (sub.left, sub.right)
-    return False
-
-
 def first_difference(data: FrobeniusData, lhs: Term, rhs: Term):
     """The first (row, column) cell where the two terms differ on the structure, or None."""
     return term_eval(data, lhs).first_difference(term_eval(data, rhs))
@@ -612,11 +599,12 @@ def first_difference(data: FrobeniusData, lhs: Term, rhs: Term):
 def check_axioms(data: FrobeniusData) -> list:
     """(name, first differing cell or None) for each axiom pair on the structure.
 
-    Without a unit, each pair with eps or coev on either side is skipped, so
-    no unit-dependent map is formed.
+    Without a unit, a pair is skipped when compiling it raises MissingUnit
+    (eps, or coev through its definition); such a pair uses the unit on its
+    left side, which is compiled first, so it forms no map.
     """
-    return [
-        (name, first_difference(data, lhs, rhs))
-        for name, lhs, rhs in frobenius_axiom_terms(data.field)
-        if data.has_unit or not (_uses_unit(lhs) or _uses_unit(rhs))
-    ]
+    results = []
+    for name, lhs, rhs in frobenius_axiom_terms(data.field):
+        with suppress(MissingUnit):
+            results.append((name, first_difference(data, lhs, rhs)))
+    return results

@@ -6,10 +6,10 @@ list of rows to reduced row-echelon form and reports the pivot columns;
 ``relations`` call it.  ``null_rows`` reads a null-space basis off rows
 that are already reduced, with no elimination; ``MatFq.kernel``, the
 relation complement and the f_R matrices in ``concrete`` share it.  On
-top of these: rank, kernel, inverse, the orthogonal complement under the
-standard dot product, and deterministic subspace enumeration.  A subspace is always represented by its unique
-reduced row-echelon basis with zero rows dropped; two equal row spaces
-therefore have structurally equal representations.
+top of these: rank, kernel, inverse and deterministic subspace
+enumeration.  A subspace is always represented by its unique reduced
+row-echelon basis with zero rows dropped; two equal row spaces therefore
+have structurally equal representations.
 
 Matrices are immutable: entries are stored row-major in a tuple of
 element codes.  Vectors are rows throughout.  The public constructors
@@ -22,11 +22,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import FieldMismatch, ShapeMismatch, Singular, TooLarge
-from .field import Fq
+from .field import COUNT_DIGITS, Fq
 
 ENUMERATION_GUARD = 2**20
-# Python prints no int of more digits than this (sys.get_int_max_str_digits)
-COUNT_DIGITS = 4300
 
 
 class MatFq:
@@ -171,17 +169,9 @@ class MatFq:
     def kernel(self) -> "MatFq":
         """RREF basis (as rows) of {x : self @ x^T = 0}."""
         F = self.field
-        red, piv = row_reduce(F, self.tolist(), self.cols)
-        basis, _ = row_reduce(F, null_rows(F, red, self.cols, piv), self.cols)
+        red, _ = row_reduce(F, self.tolist(), self.cols)
+        basis, _ = row_reduce(F, null_rows(F, red, self.cols), self.cols)
         return MatFq._trusted_rows(F, basis, self.cols)
-
-    def perp(self) -> "MatFq":
-        """RREF basis of the orthogonal complement of the row space.
-
-        The bilinear form is the standard dot product sum_i u_i v_i, so
-        this is exactly the kernel read as a row space.
-        """
-        return self.kernel()
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -224,16 +214,14 @@ def row_reduce(field: Fq, rows: list[list[int]], cols: int):
     return rows[:r], pivots
 
 
-def null_rows(field: Fq, rows, cols: int, pivots=None) -> list[list[int]]:
+def null_rows(field: Fq, rows, cols: int) -> list[list[int]]:
     """A basis of the null space of RREF ``rows``, one vector per free column.
 
     The vector for free column f has a 1 at f, the negated entry
-    -rows[i][f] at the pivot column of row i, and 0 elsewhere.  The pivots
-    default to each row's first nonzero entry, which is the pivot of an
-    RREF row.  No elimination runs, so the vectors are not in RREF.
+    -rows[i][f] at the pivot column of row i (its first nonzero entry), and
+    0 elsewhere.  No elimination runs, so the vectors are not in RREF.
     """
-    if pivots is None:
-        pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
     pivot_set = set(pivots)
     out = []
     for fc in range(cols):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import TooLarge
-from .matrix import COUNT_DIGITS
+from .field import COUNT_DIGITS
 
 # Python prints no int with more than COUNT_DIGITS digits
 _PRINT_LIMIT = 10**COUNT_DIGITS
@@ -137,6 +137,11 @@ class PolyQ:
         return out
 
     __repr__ = __str__
+
+
+# det_poly forms up to N! products for N rows (N = 8 at q = 5 takes 1.4 s on a
+# 2-vCPU x86-64 VM, Python 3.11); gram refuses more relations than this.
+DET_POLY_GUARD = 8
 
 
 def det_poly(mat: list[list[PolyQ]]) -> PolyQ:

@@ -338,6 +338,12 @@ def generator_relation(field: Fq, name: str, a: int | None = None) -> Relation:
 # -- random sampling (deterministic given the rng) -----------------------
 
 
+def random_matrix(rng, field: Fq, rows: int, cols: int) -> MatFq:
+    """A rows x cols matrix of uniform codes, drawn in row-major order."""
+    codes = tuple(rng.randrange(field.q) for _ in range(rows * cols))
+    return MatFq._trusted(field, rows, cols, codes)
+
+
 def random_relation(rng, field: Fq, s: int, k: int) -> Relation:
     _check_cells(s, k)
     n = s + k
@@ -350,14 +356,13 @@ def random_relation(rng, field: Fq, s: int, k: int) -> Relation:
 
 def random_rel_infty(rng, field: Fq, s: int, k: int) -> Relation:
     _check_cells(s, k)
-    a = MatFq(field, k, s, [rng.randrange(field.q) for _ in range(k * s)])
-    nrows = rng.randrange(s + 1)
-    ap = MatFq(field, nrows, s, [rng.randrange(field.q) for _ in range(nrows * s)])
+    a = random_matrix(rng, field, k, s)
+    ap = random_matrix(rng, field, rng.randrange(s + 1), s)
     return rel_infty_from_parts(a, ap)
 
 
 def random_invertible(rng, field: Fq, n: int) -> MatFq:
     while True:
-        m = MatFq(field, n, n, [rng.randrange(field.q) for _ in range(n * n)])
+        m = random_matrix(rng, field, n, n)
         if m.is_invertible():
             return m

@@ -35,6 +35,7 @@ from .relations import (
     knop_diamond,
     product,
     random_invertible,
+    random_matrix,
     random_rel_infty,
     random_relation,
     star,
@@ -52,10 +53,6 @@ class SuiteResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name}" + (f"  [{self.detail}]" if self.detail else "")
-
-
-def _mat(field: Fq, rng, rows: int, cols: int) -> MatFq:
-    return MatFq(field, rows, cols, [rng.randrange(field.q) for _ in range(rows * cols)])
 
 
 def _block_diag(a: MatFq, b: MatFq) -> MatFq:
@@ -79,14 +76,14 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
 
     for trial in range(6):
         l_, k_, r_ = (rng.randrange(1, 4) for _ in range(3))
-        a = _mat(field, rng, k_, l_)
-        b = _mat(field, rng, r_, k_)
+        a = random_matrix(rng, field, k_, l_)
+        b = random_matrix(rng, field, r_, k_)
         pairs.append((
             f"compos_mu_A #{trial}",
             tm.t_compose(tm.MuLit(b), tm.MuLit(a)),
             tm.MuLit(b @ a),
         ))
-        a2 = _mat(field, rng, rng.randrange(1, 3), rng.randrange(1, 3))
+        a2 = random_matrix(rng, field, rng.randrange(1, 3), rng.randrange(1, 3))
         pairs.append((
             f"tensor_prod_mu_B #{trial}",
             tm.t_tensor(tm.MuLit(a), tm.MuLit(a2)),
@@ -113,7 +110,7 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
                 tm.t_power(tm.mstar_it_term(k_), l_),
             ),
         ))
-        row = _mat(field, rng, 1, l_)
+        row = random_matrix(rng, field, 1, l_)
         pairs.append((
             f"interchanging_mu_A_and_comult k={k_},l={l_}",
             tm.t_compose(tm.mstar_it_term(k_), tm.MuLit(row)),
@@ -126,7 +123,7 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
 
     for trial in range(4):
         k_, l_, r_ = rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(2, 4)
-        a = _mat(field, rng, k_, l_)
+        a = random_matrix(rng, field, k_, l_)
         stack_k = MatFq.identity(field, k_)
         stack_a = a
         for _ in range(r_ - 1):
@@ -137,8 +134,8 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
             tm.t_compose(tm.MuLit(stack_k), tm.MuLit(a)),
             tm.MuLit(stack_a),
         ))
-        a1 = _mat(field, rng, rng.randrange(1, 3), l_)
-        a2 = _mat(field, rng, rng.randrange(1, 3), l_)
+        a1 = random_matrix(rng, field, rng.randrange(1, 3), l_)
+        a2 = random_matrix(rng, field, rng.randrange(1, 3), l_)
         two = MatFq.identity(field, l_).vstack(MatFq.identity(field, l_))
         pairs.append((
             f"vert_stacking #{trial}",
@@ -146,7 +143,7 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
             tm.t_compose(tm.t_tensor(tm.MuLit(a1), tm.MuLit(a2)), tm.MuLit(two)),
         ))
         d_, r1_, r2_ = rng.randrange(1, 3), rng.randrange(1, 3), rng.randrange(1, 3)
-        a = _mat(field, rng, d_, r1_)
+        a = random_matrix(rng, field, d_, r1_)
         zero = MatFq.zeros(field, d_, r2_)
         pairs.append((
             f"horizontal_stacking_with_zero right #{trial}",
@@ -158,7 +155,7 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
             tm.MuLit(zero.hstack(a)),
             tm.t_tensor(tm.t_power(g("eps*"), r2_), tm.MuLit(a)),
         ))
-        b = _mat(field, rng, d_, r2_)
+        b = random_matrix(rng, field, d_, r2_)
         glue = MatFq.identity(field, d_).hstack(MatFq.identity(field, d_))
         pairs.append((
             f"horizontal_stacking #{trial}",

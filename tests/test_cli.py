@@ -231,6 +231,12 @@ def assert_guard_error(capsys, *argv):
 def test_gram_guard_counts_subspaces(capsys):
     # q^r = 2^20 passes a q^r guard, but F_2^20 has about 2^103 subspaces
     assert_guard_error(capsys, "gram", "--q", "2", "--s", "10", "--k", "10")
+    # cofactor det_poly forms N! products: N = 16 and N = 10 relations are refused
+    for q, k, count in (("2", "3", 16), ("7", "2", 10)):
+        err = assert_guard_error(capsys, "gram", "--q", q, "--s", "0", "--k", k)
+        assert f"{count} relations" in err, err
+    code, out, _ = run_cli(capsys, "gram", "--q", "3", "--s", "0", "--k", "2")
+    assert code == 0 and out.startswith("basis (6 relations):\n")
 
 
 def test_count_large_prime_field(capsys):
@@ -474,6 +480,12 @@ def test_oversized_numbers_are_guard_errors(capsys):
         assert "4400 digits" in err and nines not in err, err
     err = assert_guard_error(capsys, "gram", "--q", "2", "--t", "9" * 5000)
     assert "5000 digits" in err and nines not in err, err
+    # so is a long --q, in either part
+    for q in ("9" * 5000, "2^" + "9" * 5000):
+        err = assert_guard_error(capsys, "count", "--q", q)
+        assert "5000 digits" in err and nines not in err, err
+        err = assert_guard_error(capsys, "eval", "--q", q, "id(1)")
+        assert "5000 digits" in err and nines not in err, err
     # an exponent counts its digits of 10^|e|, which Fraction would build
     for t in ("1e2000000", "1e-2000000"):
         err = assert_guard_error(capsys, "eval", "--q", "2", "--t", t, "id(1)")

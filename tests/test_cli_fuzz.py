@@ -39,7 +39,7 @@ EXPRESSIONS = [
 # the option checks
 SIZES = ["-1", "0", "1", "1"]
 OPTIONS = {
-    "--q": ["2", "2", "3", "3", "2^2", "4", "2^9", "0", "abc"],
+    "--q": ["2", "2", "3", "3", "9" * 5000, "2^2", "4", "2^9", "0", "abc"],
     "--t": ["sym", "2", "1/2", "-3", "abc", "1/0"],
     "--seed": ["0", "1", "-2"],
     "--trials": SIZES + ["2"],

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from relcat import frobenius, matrix, relations
 from relcat import terms as tm
 from relcat.concrete import f_r_matrix
 from relcat.dsl import parse
@@ -105,13 +106,42 @@ UNIT_PAIRS = {
 }
 
 
-def test_semi_mode_on_unitless_data():
-    for field, count in ((F2, 36), (F3, 50)):
-        results = check_axioms(drop_unit(standard_target(field, 1)))
+def _uses_unit(term) -> bool:
+    """Whether the term contains eps or coev, the maps built from the unit."""
+    stack = [term]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, tm.Gen) and sub.name in ("eps", "coev"):
+            return True
+        if isinstance(sub, (tm.Compose, tm.Tensor)):
+            stack += (sub.left, sub.right)
+    return False
+
+
+def test_semi_mode_on_unitless_data(monkeypatch):
+    formed = []
+    real = frobenius.term_eval
+
+    def counting(*args):
+        out = real(*args)
+        formed.append(out)
+        return out
+
+    monkeypatch.setattr(frobenius, "term_eval", counting)
+    for field, count in ((F2, 36), (F3, 50), (F4, 68)):
+        pairs = frobenius_axiom_terms(field)
+        # a pair that uses the unit uses it on its left side, which is compiled first
+        assert all(_uses_unit(lhs) for _, lhs, rhs in pairs if _uses_unit(rhs))
+        wanted = [name for name, lhs, rhs in pairs if not (_uses_unit(lhs) or _uses_unit(rhs))]
+        semi = drop_unit(standard_target(field, 1))
+        formed.clear()
+        results = check_axioms(semi)
         assert all(cell is None for _, cell in results), results
-        names = {name for name, _ in results}
-        assert not names & UNIT_PAIRS
-        assert len(results) == len(frobenius_axiom_terms(field)) - len(UNIT_PAIRS) == count
+        assert [name for name, _ in results] == wanted
+        assert not set(wanted) & UNIT_PAIRS
+        assert len(results) == len(pairs) - len(UNIT_PAIRS) == count
+        # two maps per checked pair; a skipped pair forms none
+        assert len(formed) == 2 * count
 
 
 def _wrong(mat: QMat) -> QMat:
@@ -264,6 +294,37 @@ def test_rel_matrix_dispatch():
         rel_matrix(semi, rel)
     surjective = Relation.from_rows(F2, 1, 1, [[1, 1]])
     assert rel_matrix(semi, surjective) == QMat.identity(2)
+    # hat_f's normal form decides surjectivity; the other path needs the unit
+    rng = random.Random(57)
+    for _ in range(40):
+        F = rng.choice([F2, F3])
+        rel = random_relation(rng, F, rng.randrange(3), rng.randrange(3))
+        data, semi = standard_target(F, 1), drop_unit(standard_target(F, 1))
+        assert rel_matrix(data, rel) == f_r_matrix(rel, 1).mat
+        if is_rel_infty(rel):
+            assert rel_matrix(semi, rel) == f_r_matrix(rel, 1).mat
+        else:
+            with pytest.raises(MissingUnit):
+                rel_matrix(semi, rel)
+
+
+def test_rel_matrix_reduces_once_then_reads_the_cache(monkeypatch):
+    data = standard_target(F3, 1)
+    rel = Relation.from_rows(F3, 2, 1, [[1, 1, 1]])
+    calls = []
+    real = matrix.row_reduce
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matrix, "row_reduce", counting)
+    monkeypatch.setattr(relations, "row_reduce", counting)
+    first = rel_matrix(data, rel)
+    assert len(calls) == 1
+    assert rel_matrix(data, rel) == first
+    assert len(calls) == 1
+    assert first == f_r_matrix(rel, 1).mat
 
 
 def test_term_eval_with_scalars():

@@ -123,11 +123,11 @@ def test_singular_raises():
 
 def test_perp_self_orthogonal_line():
     # over F_2, (1,1)·(1,1) = 0: the line is its own complement
-    assert MatFq.from_rows(F2, [[1, 1]]).perp().tolist() == [[1, 1]]
+    assert MatFq.from_rows(F2, [[1, 1]]).kernel().tolist() == [[1, 1]]
 
 
 def test_perp_of_empty_is_everything():
-    p = MatFq.from_rows(F3, [], cols=2).perp()
+    p = MatFq.from_rows(F3, [], cols=2).kernel()
     assert p == MatFq.identity(F3, 2)
 
 
@@ -137,13 +137,13 @@ def test_perp_brute_force_and_involution():
         F = rng.choice([F2, F3])
         rows, cols = rng.randrange(3), rng.randrange(1, 4)
         b = MatFq(F, rows, cols, [rng.randrange(F.q) for _ in range(rows * cols)])
-        perp = b.perp()
+        perp = b.kernel()
         red, rank = b.rref()
         assert perp.rows == cols - rank
         for v in all_vectors(F, cols):
             orthogonal = all(_dot(F, b.row(i), v) == 0 for i in range(rows))
             assert orthogonal == in_rowspace(F, perp.tolist(), v)
-        assert perp.perp() == red
+        assert perp.kernel() == red
 
 
 def test_enumerate_f2_squared():
