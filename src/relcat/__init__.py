@@ -22,7 +22,14 @@ from .category import (
 from .concrete import ConcreteMap, f_r_matrix, independence_check, rel_infty_stability, specialize
 from .dsl import eval_formal, parse, parse_poly, parse_program
 from .field import Fq, parse_q
-from .frobenius import FrobeniusData, check_axioms, hat_f, standard_target, term_eval
+from .frobenius import (
+    FrobeniusData,
+    check_axioms,
+    frobenius_axiom_terms,
+    hat_f,
+    standard_target,
+    term_eval,
+)
 from .matrix import MatFq, enumerate_subspaces, gaussian_binomial
 from .poly import PolyQ
 from .relations import (

@@ -5,7 +5,10 @@ polynomials in t: composing two basis arrows scales the composite relation
 by t to the power of the defect, and everything else is Q[t]-bilinear.
 Substituting an exact rational for t is a ring map Q[t] -> Q, so it
 commutes with every operation here: ``Morphism.evaluate`` applies it once
-to a finished result.
+to a finished result.  ``compose`` and ``tensor`` build terms that are
+typed by construction and wrap them unchecked (``Morphism._trusted``); a
+product of nonzero coefficients is nonzero, so only a sum can leave a zero
+to drop.
 
 Besides the category structure (compose, tensor, identities, symmetries)
 this module provides duals by snake composites, the categorical trace and
@@ -55,8 +58,17 @@ class Morphism:
         self.terms = data
 
     @classmethod
+    def _trusted(cls, field: Fq, s: int, k: int, terms: dict) -> "Morphism":
+        """Wrap a dict of Hom([s],[k]) relation -> nonzero PolyQ as it stands."""
+        out = cls.__new__(cls)
+        out.field, out.s, out.k, out.terms = field, s, k, terms
+        return out
+
+    @classmethod
     def from_relation(cls, rel: Relation, coeff=1) -> "Morphism":
-        return cls(rel.field, rel.s, rel.k, {rel: coeff})
+        if not isinstance(coeff, PolyQ):
+            coeff = PolyQ.const(coeff)
+        return cls._trusted(rel.field, rel.s, rel.k, {rel: coeff} if coeff.coeffs else {})
 
     @classmethod
     def zero(cls, field: Fq, s: int, k: int) -> "Morphism":
@@ -133,9 +145,10 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     for rg, cg in g.terms.items():
         for rf, cf in f.terms.items():
             sr, d = star(rg, rf)
-            coeff = cf * cg * PolyQ.t_power(d)
-            out[sr] = out.get(sr, PolyQ.zero()) + coeff
-    return Morphism(f.field, g.s, f.k, out)
+            coeff = cf * cg * PolyQ.t_power(d) if d else cf * cg
+            prev = out.get(sr)
+            out[sr] = coeff if prev is None else prev + coeff
+    return Morphism._trusted(f.field, g.s, f.k, _nonzero(out))
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
@@ -146,8 +159,14 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
     for rf, cf in f.terms.items():
         for rg, cg in g.terms.items():
             pr = product(rf, rg)
-            out[pr] = out.get(pr, PolyQ.zero()) + cf * cg
-    return Morphism(f.field, f.s + g.s, f.k + g.k, out)
+            prev = out.get(pr)
+            out[pr] = cf * cg if prev is None else prev + cf * cg
+    return Morphism._trusted(f.field, f.s + g.s, f.k + g.k, _nonzero(out))
+
+
+def _nonzero(terms: dict) -> dict:
+    # a product of nonzero polynomials is nonzero, so only a sum leaves a zero
+    return {rel: c for rel, c in terms.items() if c.coeffs}
 
 
 def identity(field: Fq, k: int) -> Morphism:

@@ -5,11 +5,11 @@ generator atom: merge m, split m*, counit eps*, vector addition plus, zero
 vector z, one scaling map mu(a) per field element, and optionally the unit
 eps.  The axioms are one list of generator term pairs
 (``frobenius_axiom_terms``), checked formally by the suites and on a
-structure by ``check_axioms``, which evaluates both sides of each pair and
-names the first cell where they differ (``first_difference``).  When the
-unit is absent the candidate is checked as a semi-Frobenius space: a pair
-is skipped when compiling it raises MissingUnit, which happens before any
-map is formed.
+structure by ``check_axioms``, which takes that list, evaluates both sides
+of each pair and names the first cell where they differ
+(``first_difference``).  When the unit is absent the candidate is checked
+as a semi-Frobenius space: a pair is skipped when compiling it raises
+MissingUnit, which happens before any map is formed.
 
 Every map formed on a structure comes from one evaluator, ``term_eval``.
 Tensor powers are interpreted by the library's Kronecker indexing (first
@@ -24,11 +24,15 @@ two or more permutation factors (sigma, identities, and their tensors and
 composites) is one ``_Perm``: it maps the base-D digits of an index and
 holds no matrix.  A tensor chain is one node too: a whisker over its one
 factor that is not an identity, else one flat ``_Kron`` over all its
-factors.  Each call then asks the root for basis columns; every node
-memoizes the columns it computes for that call only, so wide intermediate
-tensor powers never materialize as full matrices and no column outlives
-its call.  ``hat_f`` evaluates the one term of a relation's normal form
-and caches the result on the structure by relation.
+factors.  Each chain factor's strand permutation is walked once per
+structure and memoized on it beside the compile cache; the term builders
+hand out shared instances, so both caches mostly hit on identity.  Each
+call then asks the root for basis columns; every node memoizes the
+columns it computes for that call only, so wide intermediate tensor
+powers never materialize as full matrices and no column outlives its
+call.  ``hat_f`` evaluates the one term of a relation's normal form
+and caches the result on the structure by relation.  ``term_steps`` counts
+a term's evaluation steps before anything is compiled, for work guards.
 """
 
 from __future__ import annotations
@@ -64,13 +68,13 @@ HAT_F_GUARD = 2**22
 
 
 # The unit, the one map a structure may lack: a semi-Frobenius space has none.
-UNIT = tm.Gen("eps")
+UNIT = tm.atom("eps")
 # The maps the axiom list defines by the stored ones; a term that uses one
 # is compiled through its definition.
 DEFINED = {
-    "ev": tm.t_compose(tm.Gen("eps*"), tm.Gen("m")),
-    "coev": tm.t_compose(tm.Gen("m*"), tm.Gen("eps")),
-    "z*": tm.t_compose(tm.Gen("ev"), tm.t_tensor(tm.t_id(1), tm.Gen("z"))),
+    "ev": tm.t_compose(tm.atom("eps*"), tm.atom("m")),
+    "coev": tm.t_compose(tm.atom("m*"), tm.atom("eps")),
+    "z*": tm.t_compose(tm.atom("ev"), tm.t_tensor(tm.t_id(1), tm.atom("z"))),
 }
 
 
@@ -85,6 +89,43 @@ def hat_f_guard(dim: int, rows: int, cols: int, source: str = "hat_f"):
         )
 
 
+def widest_layer(term: Term) -> int:
+    """Strands of the widest layer of a term as compiled.
+
+    A matrix literal's expansion is rows * cols strands wide, a map used
+    through its definition (``DEFINED``) is as wide as the definition, a
+    tensor adds the widths of its sides and any other composite takes the
+    widest of its parts.  Walks the term without recursion.
+    """
+    done = []  # the widths of the finished subterms, in walk order
+    stack = [(term, False)]
+    while stack:
+        sub, ready = stack.pop()
+        if isinstance(sub, (tm.Compose, tm.Tensor)):
+            parts = (sub.left, sub.right)
+        elif isinstance(sub, tm.LinComb):
+            parts = tuple(part for _, part in sub.parts)
+        elif isinstance(sub, tm.Gen) and sub.name in DEFINED:
+            parts = (DEFINED[sub.name],)
+        else:
+            wide = sub.dom * sub.cod if isinstance(sub, tm.MuLit) else 0
+            done.append(max(wide, sub.dom, sub.cod))
+            continue
+        if not ready:
+            stack.append((sub, True))
+            stack += ((part, False) for part in parts)
+            continue
+        widths = [done.pop() for _ in parts]
+        done.append(sum(widths) if isinstance(sub, tm.Tensor) else max(widths))
+    return done[0]
+
+
+def term_steps(dim: int, term: Term) -> int:
+    """The evaluation steps of a term at D = dim: its D^dom root columns,
+    each through the strands of its widest layer."""
+    return dim**term.dom * widest_layer(term)
+
+
 class FrobeniusData:
     """Concrete structure maps on a D-dimensional space.
 
@@ -94,7 +135,7 @@ class FrobeniusData:
     cached on the structure, so a cached value never goes stale.
     """
 
-    __slots__ = ("field", "dim", "maps", "_compiled", "_realized")
+    __slots__ = ("field", "dim", "maps", "_compiled", "_perms", "_realized")
 
     def __init__(self, field: Fq, dim: int, maps):
         self.field = field
@@ -102,10 +143,12 @@ class FrobeniusData:
         self.maps = dict(maps)
         # t_value -> term -> compiled node (see _compile)
         self._compiled: dict = {}
+        # chain factor -> its strand permutation or None (see _build_chain)
+        self._perms: dict = {}
         # relation -> its hat_f matrix
         self._realized: dict = {}
-        required = [tm.Gen(name) for name in ("m", "m*", "eps*", "plus", "z")]
-        required += [tm.Gen("mu", a) for a in field.elements()]
+        required = [tm.atom(name) for name in ("m", "m*", "eps*", "plus", "z")]
+        required += [tm.atom("mu", a) for a in field.elements()]
         for atom in required:
             if atom not in self.maps:
                 raise ShapeMismatch(f"the structure has no map for {atom}")
@@ -145,7 +188,7 @@ def standard_target(field: Fq, n: int) -> FrobeniusData:
         da = [(a // q**i) % q for i in range(n)]
         return sum(field.mul(c, x) * q**i for i, x in enumerate(da))
 
-    g = tm.Gen
+    g = tm.atom
     maps = {
         g("m"): QMat(dim, dim * dim, {(v, v + dim * v): 1 for v in range(dim)}),
         g("m*"): QMat(dim * dim, dim, {(v + dim * v, v): 1 for v in range(dim)}),
@@ -401,7 +444,8 @@ def _build_chain(data: FrobeniusData, term: Term, t_value):
 
     Each run of two or more permutation factors (``_strand_perm``) is folded
     into one ``_Perm``, or into nothing when the run is the identity; a
-    lone one is compiled as it stands.
+    lone one is compiled as it stands.  Each factor's permutation is walked
+    once per structure and looked up in ``data._perms`` after that.
     """
     factors = []  # in the order they apply
     stack = [term]
@@ -411,8 +455,14 @@ def _build_chain(data: FrobeniusData, term: Term, t_value):
             stack += (sub.left, sub.right)
         else:
             factors.append(sub)
+    perms = data._perms
+    tagged = []
+    for sub in factors:
+        if sub not in perms:
+            perms[sub] = _strand_perm(sub)
+        tagged.append((sub, perms[sub]))
     nodes = []
-    runs = groupby(((sub, _strand_perm(sub)) for sub in factors), key=lambda f: f[1] is not None)
+    runs = groupby(tagged, key=lambda f: f[1] is not None)
     for is_perm, run in runs:
         run = list(run)
         if not is_perm or len(run) == 1:
@@ -481,7 +531,7 @@ def hat_f(data: FrobeniusData, rel: Relation) -> QMat:
         a, ap = rel_infty_normal_form(rel)
         stacked = a.vstack(ap)
         hat_f_guard(data.dim, stacked.rows, stacked.cols)
-        cap = tm.t_tensor(tm.t_id(rel.k), tm.t_power(tm.Gen("z*"), ap.rows))
+        cap = tm.t_tensor(tm.t_id(rel.k), tm.t_power(tm.atom("z*"), ap.rows))
         out = data._realized[rel] = term_eval(data, tm.t_compose(cap, tm.MuLit(stacked)))
     return out
 
@@ -508,7 +558,7 @@ def frobenius_axiom_terms(field: Fq):
     count = 2 * q * q + 4 * q + 26
     if count > AXIOM_PAIR_GUARD:
         raise TooLarge(f"F_{field} has {count} axiom pairs, more than {AXIOM_PAIR_GUARD}")
-    g = tm.Gen
+    g = tm.atom
     I1 = tm.t_id(1)
     pairs = [
         ("Fr1 m associative", tm.t_compose(g("m"), tm.t_tensor(g("m"), I1)),
@@ -596,15 +646,16 @@ def first_difference(data: FrobeniusData, lhs: Term, rhs: Term):
     return term_eval(data, lhs).first_difference(term_eval(data, rhs))
 
 
-def check_axioms(data: FrobeniusData) -> list:
+def check_axioms(data: FrobeniusData, pairs) -> list:
     """(name, first differing cell or None) for each axiom pair on the structure.
 
+    ``pairs`` is the list ``frobenius_axiom_terms(data.field)`` builds.
     Without a unit, a pair is skipped when compiling it raises MissingUnit
     (eps, or coev through its definition); such a pair uses the unit on its
     left side, which is compiled first, so it forms no map.
     """
     results = []
-    for name, lhs, rhs in frobenius_axiom_terms(data.field):
+    for name, lhs, rhs in pairs:
         with suppress(MissingUnit):
             results.append((name, first_difference(data, lhs, rhs)))
     return results

@@ -3,7 +3,8 @@
 Composition in the formal category scales by powers of t, and every
 identity asserted downstream is exact, so coefficients are Fractions and
 nothing is ever rounded.  The zero polynomial has degree() == -1 (an
-integer sentinel standing in for minus infinity).
+integer sentinel standing in for minus infinity).  Only the constructor
+checks and coerces; the arithmetic wraps its canonical results unchecked.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ def _coerce(x) -> Fraction:
 
 
 class PolyQ:
-    """Finitely supported map degree -> Fraction; no stored zeros."""
+    """Finitely supported map degree -> Fraction; no stored zeros.
+
+    The constructor checks and coerces its input.  The arithmetic below
+    builds results that are canonical already (int degrees, nonzero
+    Fraction coefficients) and wraps them with ``_trusted``: it prunes a
+    zero only where a sum can cancel.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -48,12 +55,19 @@ class PolyQ:
         self.coeffs = data
 
     @classmethod
+    def _trusted(cls, coeffs: dict) -> "PolyQ":
+        """Wrap a dict of int degree -> nonzero Fraction as it stands."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls) -> "PolyQ":
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def const(cls, c) -> "PolyQ":
-        return cls({0: _coerce(c)})
+        return cls.t_power(0, c)
 
     @classmethod
     def one(cls) -> "PolyQ":
@@ -61,7 +75,8 @@ class PolyQ:
 
     @classmethod
     def t_power(cls, d: int, c=1) -> "PolyQ":
-        return cls({d: _coerce(c)})
+        c = _coerce(c)
+        return cls._trusted({d: c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -84,30 +99,39 @@ class PolyQ:
     def __add__(self, other):
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return PolyQ(out)
+            if d in out:
+                c = out[d] + c
+                if not c:
+                    del out[d]
+                    continue
+            out[d] = c
+        return PolyQ._trusted(out)
 
     def __neg__(self):
-        return PolyQ({d: -c for d, c in self.coeffs.items()})
+        return PolyQ._trusted({d: -c for d, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = PolyQ.const(other)
+            return self.scale(other)
+        if len(self.coeffs) == 1 and len(other.coeffs) == 1:
+            ((d1, c1),) = self.coeffs.items()
+            ((d2, c2),) = other.coeffs.items()
+            return PolyQ._trusted({d1 + d2: c1 * c2})
         out = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 d = d1 + d2
-                out[d] = out.get(d, Fraction(0)) + c1 * c2
-        return PolyQ(out)
+                out[d] = out[d] + c1 * c2 if d in out else c1 * c2
+        return PolyQ._trusted({d: c for d, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "PolyQ":
         c = _coerce(c)
-        return PolyQ({d: c * v for d, v in self.coeffs.items()})
+        return PolyQ._trusted({d: c * v for d, v in self.coeffs.items()} if c else {})
 
     def evaluate(self, value) -> Fraction:
         """The value at t = value; TooLarge when value^degree is too long to print."""

@@ -18,6 +18,7 @@ import random
 from . import terms as tm
 from .concrete import f_r_matrix, rel_infty_stability
 from .dsl import eval_formal
+from .errors import TooLarge
 from .field import Fq
 from .frobenius import (
     FrobeniusData,
@@ -28,6 +29,7 @@ from .frobenius import (
     hat_f_guard,
     standard_target,
     term_eval,
+    term_steps,
 )
 from .matrix import MatFq
 from .relations import (
@@ -70,7 +72,7 @@ def _block_diag(a: MatFq, b: MatFq) -> MatFq:
 def mu_lemma_terms(field: Fq, seed: int = 0):
     """Matrix-action calculus lemmas, as generator/matrix-literal term pairs."""
     rng = random.Random(seed)
-    g = tm.Gen
+    g = tm.atom
     I1 = tm.t_id(1)
     pairs = []
 
@@ -250,11 +252,11 @@ def suite_axioms(field: Fq, n: int = 1):
     pairs = frobenius_axiom_terms(field)
     data = standard_target(field, n)
     out = run_term_pairs(field, pairs, None)
-    for name, cell in check_axioms(data):
+    for name, cell in check_axioms(data, pairs):
         out.append(SuiteResult(f"standard target {name}", cell is None,
                                "" if cell is None else str(cell)))
     expected_dim = field.q**n
-    dim = term_eval(data, tm.t_compose(tm.Gen("eps*"), tm.Gen("eps")))
+    dim = term_eval(data, tm.t_compose(tm.atom("eps*"), tm.atom("eps")))
     out.append(SuiteResult(
         f"dim = eps*.eps = q^n = {expected_dim}",
         dim.get(0, 0) == expected_dim,
@@ -262,10 +264,23 @@ def suite_axioms(field: Fq, n: int = 1):
     return out
 
 
+# The lemma suite takes 0.6-0.75 us per step of ``term_steps`` summed over
+# its pair sides (q = 7, 2^3 and 3^2 at n = 1, q = 2 at n = 3 and q = 3 at
+# n = 2 on a 2-vCPU x86-64 VM, Python 3.11); it refuses more than about 3 s.
+LEMMA_GUARD = 2**22
+
+
 def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
     # the target's cell guard runs before the pair list loops over F_q
     data = standard_target(field, n)
-    return run_term_pairs(field, mu_lemma_terms(field, seed), data)
+    pairs = mu_lemma_terms(field, seed)
+    steps = sum(term_steps(data.dim, side) for _, lhs, rhs in pairs for side in (lhs, rhs))
+    if steps > LEMMA_GUARD:
+        raise TooLarge(
+            f"lemmas at D = {data.dim}: the pairs take {steps} evaluation steps, "
+            f"more than {LEMMA_GUARD}"
+        )
+    return run_term_pairs(field, pairs, data)
 
 
 def _arity_guard(field: Fq, n: int, *pairs) -> bool:

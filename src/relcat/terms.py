@@ -7,9 +7,18 @@ alphabet (``decompose_generators``) and the structural term builders it
 composes: iterated comultiplication and addition, strand permutations
 assembled from adjacent swaps, the matrix-action expansion, and the
 strandwise pairing caps/cups.
+
+Terms are immutable.  The builders whose result depends only on small
+integers (``atom``, ``adjacent_swap_term``, ``perm_term``, the iterated
+comultiplication and addition, the shape-only frame of ``mu_matrix_term``
+and the pairing caps/cups) return one shared instance per argument from a
+bounded cache, so a term-keyed cache hits on identity instead of comparing
+a rebuilt copy node by node.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import ArityMismatch, UnknownGenerator
 from .matrix import MatFq
@@ -205,6 +214,15 @@ def to_text(term: Term) -> str:
 
 # -- structural builders ------------------------------------------------------
 
+# Entries each builder cache keeps; the least recently used one is dropped past it.
+BUILDER_CACHE = 256
+
+
+@lru_cache(maxsize=BUILDER_CACHE)
+def atom(name: str, a: int | None = None) -> Gen:
+    """The shared instance of a generator atom."""
+    return Gen(name, a)
+
 
 def t_id(k: int) -> Term:
     return IdK(k)
@@ -243,14 +261,19 @@ def t_power(term: Term, n: int) -> Term:
     return t_tensor(*([term] * n)) if n else IdK(0)
 
 
+@lru_cache(maxsize=BUILDER_CACHE)
 def adjacent_swap_term(i: int, k: int) -> Term:
     """The swap of strands i, i+1 among k strands."""
-    return t_tensor(t_id(i), Gen("sigma"), t_id(k - i - 2))
+    return t_tensor(t_id(i), atom("sigma"), t_id(k - i - 2))
 
 
 def perm_term(p) -> Term:
     """A sigma-composite sending input strand j to output strand p[j]."""
-    p = list(p)
+    return _perm_term(tuple(p))
+
+
+@lru_cache(maxsize=BUILDER_CACHE)
+def _perm_term(p: tuple) -> Term:
     k = len(p)
     dest = list(p)
     swaps = []
@@ -277,29 +300,31 @@ def grid_transpose_perm(groups: int, copies: int) -> list[int]:
     return p
 
 
+@lru_cache(maxsize=BUILDER_CACHE)
 def mstar_it_term(r: int) -> Term:
     """Iterated comultiplication [1] -> [r]; r = 0 is the counit.
 
     Splits the leftmost strand each time: (m* ⊗ Id^{r-2}) ∘ ... ∘ m*.
     """
     if r == 0:
-        return Gen("eps*")
+        return atom("eps*")
     if r == 1:
         return t_id(1)
-    factors = [t_tensor(Gen("m*"), t_id(r - 2 - i)) for i in range(r - 1)]
+    factors = [t_tensor(atom("m*"), t_id(r - 2 - i)) for i in range(r - 1)]
     return t_compose(*factors)
 
 
+@lru_cache(maxsize=BUILDER_CACHE)
 def plus_it_term(d: int) -> Term:
     """Iterated addition [d] -> [1]; d = 0 is the zero vector.
 
     Sums the leftmost pair each time: plus ∘ (plus ⊗ Id) ∘ ... .
     """
     if d == 0:
-        return Gen("z")
+        return atom("z")
     if d == 1:
         return t_id(1)
-    factors = [t_tensor(Gen("plus"), t_id(i)) for i in range(d - 1)]
+    factors = [t_tensor(atom("plus"), t_id(i)) for i in range(d - 1)]
     return t_compose(*factors)
 
 
@@ -308,18 +333,25 @@ def mu_matrix_term(a: MatFq) -> Term:
 
     Each input strand is comultiplied into one copy per output, the grid
     is transposed so copies group by output, each copy is scaled by its
-    matrix entry, and each output group is summed.
+    matrix entry, and each output group is summed.  Only the scaling
+    depends on the entries; the rest is the shared frame of the shape.
     """
     out_n, in_n = a.rows, a.cols
     if in_n == 0:
-        return t_tensor(*[Gen("z")] * out_n) if out_n else t_id(0)
-    step1 = t_tensor(*[mstar_it_term(out_n) for _ in range(in_n)])
+        return t_tensor(*[atom("z")] * out_n) if out_n else t_id(0)
     if out_n == 0:
-        return step1
-    step2 = perm_term(grid_transpose_perm(in_n, out_n))
-    step3 = t_tensor(*[Gen("mu", a[i, j]) for i in range(out_n) for j in range(in_n)])
-    step4 = t_tensor(*[plus_it_term(in_n) for _ in range(out_n)])
-    return t_compose(step4, step3, step2, step1)
+        return t_tensor(*[atom("eps*")] * in_n)
+    split, transpose, add = _mu_frame(out_n, in_n)
+    scale = t_tensor(*[atom("mu", a[i, j]) for i in range(out_n) for j in range(in_n)])
+    return t_compose(add, scale, transpose, split)
+
+
+@lru_cache(maxsize=BUILDER_CACHE)
+def _mu_frame(out_n: int, in_n: int):
+    """The split, transpose and add steps of a nonempty shape's expansion."""
+    split = t_tensor(*[mstar_it_term(out_n)] * in_n)
+    transpose = perm_term(grid_transpose_perm(in_n, out_n))
+    return split, transpose, t_tensor(*[plus_it_term(in_n)] * out_n)
 
 
 def phi_term(basis: MatFq) -> Term:
@@ -328,29 +360,31 @@ def phi_term(basis: MatFq) -> Term:
     mu = mu_matrix_term(basis)
     if d == 0:
         return mu if basis.cols else t_id(0)
-    return t_compose(t_tensor(*[Gen("z*")] * d), mu)
+    return t_compose(t_tensor(*[atom("z*")] * d), mu)
 
 
 def reversal_term(k: int) -> Term:
     return perm_term([k - 1 - j for j in range(k)])
 
 
+@lru_cache(maxsize=BUILDER_CACHE)
 def ev_bar_term(k: int) -> Term:
     """Strandwise pairing [2k] -> [0] from nested ev caps."""
     if k == 0:
         return t_id(0)
-    nested = Gen("ev")
+    nested = atom("ev")
     for j in range(1, k):
-        nested = t_compose(nested, t_tensor(t_id(j), Gen("ev"), t_id(j)))
+        nested = t_compose(nested, t_tensor(t_id(j), atom("ev"), t_id(j)))
     return t_compose(nested, t_tensor(t_id(k), reversal_term(k)))
 
 
+@lru_cache(maxsize=BUILDER_CACHE)
 def coev_bar_term(k: int) -> Term:
     if k == 0:
         return t_id(0)
-    nested = Gen("coev")
+    nested = atom("coev")
     for j in range(1, k):
-        nested = t_compose(t_tensor(t_id(j), Gen("coev"), t_id(j)), nested)
+        nested = t_compose(t_tensor(t_id(j), atom("coev"), t_id(j)), nested)
     return t_compose(t_tensor(t_id(k), reversal_term(k)), nested)
 
 

@@ -16,6 +16,7 @@ from relcat.poly import PolyQ, det_poly, rational_roots
 from relcat.relations import (
     Relation,
     identity_relation,
+    product,
     random_invertible,
     random_relation,
     star,
@@ -315,6 +316,68 @@ def test_decompose_generators_random():
         rel = random_relation(rng, F, s, k)
         term = decompose_generators(rel)
         assert eval_formal(term, F) == Morphism.from_relation(rel)
+
+
+# -- trusted compose and tensor against the checked path ------------------------
+
+
+def _checked_compose(f, g):
+    out = {}
+    for rg, cg in g.terms.items():
+        for rf, cf in f.terms.items():
+            sr, d = star(rg, rf)
+            out[sr] = out.get(sr, PolyQ.zero()) + cf * cg * PolyQ.t_power(d)
+    return Morphism(f.field, g.s, f.k, out)
+
+
+def _checked_tensor(f, g):
+    out = {}
+    for rf, cf in f.terms.items():
+        for rg, cg in g.terms.items():
+            pr = product(rf, rg)
+            out[pr] = out.get(pr, PolyQ.zero()) + cf * cg
+    return Morphism(f.field, f.s + g.s, f.k + g.k, out)
+
+
+def _random_coeff(rng):
+    """A nonzero polynomial of degree at most 2."""
+    return PolyQ({0: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 5), rng.randrange(1, 4)),
+                  rng.randrange(1, 3): rng.randrange(-2, 3)})
+
+
+def test_trusted_compose_and_tensor_match_checked_path():
+    rng = random.Random(33)
+    cancelled = 0
+    for _ in range(150):
+        F = rng.choice([F2, F3])
+        s, k, l = rng.randrange(3), rng.randrange(3), rng.randrange(3)
+        g = Morphism(F, s, k, {random_relation(rng, F, s, k): _random_coeff(rng) for _ in range(2)})
+        f = Morphism(F, k, l, {random_relation(rng, F, k, l): _random_coeff(rng) for _ in range(2)})
+        # two relations with the same composite after one term of g, with
+        # opposite coefficients: that composite's coefficient cancels
+        (rg, cg), *_ = g.terms.items()
+        for _ in range(20):
+            r1, r2 = random_relation(rng, F, k, l), random_relation(rng, F, k, l)
+            if r1 != r2 and star(rg, r1) == star(rg, r2):
+                c = _random_coeff(rng)
+                f = Morphism(F, k, l, {**f.terms, r1: c, r2: -c})
+                break
+        composites = {star(rg, rf)[0] for rg in g.terms for rf in f.terms}
+        cancelled += len(cat.compose(f, g).terms) < len(composites)
+        for got, want in ((cat.compose(f, g), _checked_compose(f, g)),
+                          (cat.tensor(f, g), _checked_tensor(f, g)),
+                          (cat.tensor(g, f), _checked_tensor(g, f))):
+            assert got == want and hash(got) == hash(want)
+            assert all(not c.is_zero() for c in got.terms.values()), got.terms
+            assert all((r.field, r.s, r.k) == (F, got.s, got.k) for r in got.terms)
+    assert cancelled > 10
+
+
+def test_compose_that_cancels_leaves_no_term():
+    # eps* and z* both send the zero vector z to 1, with no loop
+    f = cat.generator(F2, "eps*") - cat.generator(F2, "z*")
+    loop = cat.compose(f, cat.generator(F2, "z"))
+    assert loop.terms == {} and loop == Morphism.zero(F2, 0, 0)
 
 
 def test_morphism_canonical_text():

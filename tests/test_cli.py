@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 
-from relcat import suites
+from relcat import frobenius, suites
 from relcat.cli import build_parser, main
 from relcat.concrete import ConcreteMap, f_r_matrix, rel_infty_stability
 from relcat.field import Fq
@@ -298,6 +298,29 @@ def test_standard_target_guard_counts_cells_and_pairs(capsys):
     assert_guard_error(capsys, "verify", "axioms", "--q", "2", "--n", "100000000")
     # q = 61 has 3721 plus cells but 7713 axiom pairs
     assert_guard_error(capsys, "verify", "axioms", "--q", "61")
+
+
+def test_lemma_guard_counts_evaluation_steps(capsys):
+    # each pair side evaluates D^dom root columns through its widest layer:
+    # these ran 4 s (D = 8), 10 s (D = 9) and past 30 s (D = 16)
+    for argv in (["--q", "2^3"], ["--q", "2", "--n", "3"], ["--q", "3", "--n", "2"],
+                 ["--q", "2^2", "--n", "2"]):
+        err = assert_guard_error(capsys, "verify", "lemmas", *argv)
+        assert "evaluation steps" in err, err
+
+
+def test_verify_axioms_builds_the_pair_list_once(capsys, monkeypatch):
+    builds = []
+    real = frobenius.frobenius_axiom_terms
+
+    def counting(field):
+        builds.append(field)
+        return real(field)
+
+    monkeypatch.setattr(frobenius, "frobenius_axiom_terms", counting)
+    monkeypatch.setattr(suites, "frobenius_axiom_terms", counting)
+    code, _, _ = run_cli(capsys, "verify", "axioms", "--q", "3")
+    assert code == 0 and builds == [Fq(3)]
 
 
 def test_random_relations_guard_before_building_rows(capsys):

@@ -1,6 +1,7 @@
 """Concrete structure checker, matrix-action evaluation, and the
 generator-level realization of codomain-surjective relations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from relcat.frobenius import (
     rel_matrix,
     standard_target,
     term_eval,
+    term_steps,
+    widest_layer,
 )
 from relcat.matrix import MatFq
 from relcat.poly import PolyQ
@@ -85,7 +88,8 @@ def test_guards_count_pairs_and_cells():
 @pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F4, 1), (F2, 2)])
 def test_standard_target_passes_all_axioms(field, n):
     data = standard_target(field, n)
-    failed = [(name, cell) for name, cell in check_axioms(data) if cell is not None]
+    results = check_axioms(data, frobenius_axiom_terms(field))
+    failed = [(name, cell) for name, cell in results if cell is not None]
     assert not failed, failed
     assert term_eval(data, parse("eps* . eps", field)).to_dense() == [[field.q**n]]
 
@@ -93,7 +97,7 @@ def test_standard_target_passes_all_axioms(field, n):
 def test_corrupted_scaling_fails_named_check():
     data = standard_target(F2, 1)
     bad = replaced(data, G("mu", 0), data.maps[G("mu", 1)])
-    assert dict(check_axioms(bad))["Lin3 mu(0) = z . eps*"] is not None
+    assert dict(check_axioms(bad, frobenius_axiom_terms(F2)))["Lin3 mu(0) = z . eps*"] is not None
 
 
 UNIT_PAIRS = {
@@ -135,7 +139,7 @@ def test_semi_mode_on_unitless_data(monkeypatch):
         wanted = [name for name, lhs, rhs in pairs if not (_uses_unit(lhs) or _uses_unit(rhs))]
         semi = drop_unit(standard_target(field, 1))
         formed.clear()
-        results = check_axioms(semi)
+        results = check_axioms(semi, pairs)
         assert all(cell is None for _, cell in results), results
         assert [name for name, _ in results] == wanted
         assert not set(wanted) & UNIT_PAIRS
@@ -156,13 +160,14 @@ def test_each_corrupted_map_fails_a_named_check(name):
     data = standard_target(F3, 1)
     # m_star and eps_star are the aliases of m* and eps*
     atom = G("mu", 2) if name == "mu" else G(name)
-    results = check_axioms(replaced(data, atom, _wrong(data.maps[atom])))
+    bad = replaced(data, atom, _wrong(data.maps[atom]))
+    results = check_axioms(bad, frobenius_axiom_terms(F3))
     assert any(cell is not None for _, cell in results), name
 
 
 def test_semi_mode_never_touches_unit():
     semi = drop_unit(standard_target(F2, 1))
-    assert all(cell is None for _, cell in check_axioms(semi))
+    assert all(cell is None for _, cell in check_axioms(semi, frobenius_axiom_terms(F2)))
     with pytest.raises(MissingUnit):
         term_eval(semi, tm.Gen("coev"))
 
@@ -606,6 +611,65 @@ def test_deep_permutation_run_evaluates():
         outer, tm.perm_term(run_perm(after)), middle, tm.perm_term(run_perm(before)), outer
     )
     assert term_eval(data, chain) == dense(data, shallow, None)
+
+
+# -- shared builder instances and the per-structure permutation memo -----------
+
+
+def test_builders_share_one_instance_per_argument():
+    p = [2, 0, 3, 1]
+    assert tm.perm_term(p) is tm.perm_term(tuple(p))
+    assert tm.adjacent_swap_term(1, 4) is tm.adjacent_swap_term(1, 4)
+    assert tm.mstar_it_term(3) is tm.mstar_it_term(3)
+    assert tm.plus_it_term(3) is tm.plus_it_term(3)
+    assert tm.atom("mu", 2) is tm.atom("mu", 2) and tm.atom("mu", 2) == G("mu", 2)
+    a = tm.mu_matrix_term(MatFq(F3, 2, 3, [1, 2, 0, 0, 1, 1]))
+    b = tm.mu_matrix_term(MatFq(F3, 2, 3, [2, 2, 1, 0, 0, 1]))
+    # add . scale . transpose . split: only the scaling differs
+    assert a != b and a.left.left.right != b.left.left.right
+    assert a.right is b.right
+    assert a.left.right is b.left.right
+    assert a.left.left.left is b.left.left.left
+
+
+def test_builder_cache_is_bounded():
+    for p in itertools.islice(itertools.permutations(range(7)), 1000):
+        tm.perm_term(p)
+    assert tm._perm_term.cache_info().currsize <= tm.BUILDER_CACHE
+
+
+def test_strand_perm_walks_each_factor_once_per_structure(monkeypatch):
+    walked = []
+    real = frobenius._strand_perm
+
+    def counting(term):
+        walked.append(term)
+        return real(term)
+
+    monkeypatch.setattr(frobenius, "_strand_perm", counting)
+    rng = random.Random(95)
+    lits = [tm.MuLit(MatFq(F3, 2, 3, [rng.randrange(3) for _ in range(6)])) for _ in range(5)]
+    pair = tm.t_compose(tm.ev_bar_term(2), tm.t_tensor(*lits[:2]))
+    for data in (standard_target(F3, 1), standard_target(F3, 1)):
+        walked.clear()
+        for term in lits + [pair]:
+            term_eval(data, term)
+        assert walked and len(walked) == len(set(walked))
+
+
+def test_widest_layer_counts_expanded_strands():
+    rng = random.Random(96)
+    for rows, cols in ((0, 2), (2, 0), (1, 3), (3, 1), (3, 2), (3, 3)):
+        mat = MatFq(F3, rows, cols, [rng.randrange(3) for _ in range(rows * cols)])
+        assert widest_layer(tm.MuLit(mat)) == widest_layer(tm.mu_matrix_term(mat)), (rows, cols)
+    # the widest lemma side, transp_mu_A GL_3: two 9-strand expansions side by side
+    lit = tm.MuLit(MatFq.identity(F2, 3))
+    side = tm.t_compose(tm.ev_bar_term(3), tm.t_tensor(lit, lit))
+    assert widest_layer(side) == 18 and term_steps(2, side) == 2**6 * 18
+    # a map used through its definition is as wide as the definition
+    assert widest_layer(G("z*")) == 2 == widest_layer(frobenius.DEFINED["z*"])
+    combo = tm.LinComb([(1, tm.t_compose(G("m"), G("m*"))), (2, tm.t_id(1))])
+    assert widest_layer(combo) == 2
 
 
 # -- the hat_f memo -------------------------------------------------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relcat.errors import ScalarParseError
 from relcat.dsl import parse_poly
@@ -89,3 +89,58 @@ def test_rational_roots():
     assert rational_roots(parse_poly("t^2 + 1")) == []
     with pytest.raises(ValueError):
         rational_roots(PolyQ.zero())
+
+
+# -- trusted arithmetic against the checking constructor ----------------------
+
+
+def _checked_sum(p, q):
+    out = dict(p.coeffs)
+    for d, c in q.coeffs.items():
+        out[d] = out.get(d, 0) + c
+    return PolyQ(out)
+
+
+def _checked_product(p, q):
+    out = {}
+    for d1, c1 in p.coeffs.items():
+        for d2, c2 in q.coeffs.items():
+            out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
+    return PolyQ(out)
+
+
+def _canonical(p):
+    return all(type(d) is int and type(c) is Fraction and c for d, c in p.coeffs.items())
+
+
+@settings(max_examples=50)
+@given(coeff_maps, coeff_maps, st.fractions(), st.integers(0, 5))
+def test_trusted_arithmetic_matches_checking_constructor(a, b, c, d):
+    p, q = PolyQ(a), PolyQ(b)
+    neg_p = PolyQ({deg: -v for deg, v in a.items()})
+    cases = [
+        (p + q, _checked_sum(p, q)),
+        # every degree of p cancels
+        (p + neg_p, _checked_sum(p, neg_p)),
+        ((p + q) + neg_p, _checked_sum(_checked_sum(p, q), neg_p)),
+        (p * q, _checked_product(p, q)),
+        # the cross terms of (p + q)(p - q) cancel
+        ((p + q) * (p - q), _checked_product(_checked_sum(p, q), _checked_sum(p, -q))),
+        (-p, neg_p),
+        (p.scale(c), PolyQ({deg: c * v for deg, v in a.items()})),
+        (p * int(c), PolyQ({deg: int(c) * v for deg, v in a.items()})),
+        (PolyQ.t_power(d, c), PolyQ({d: c})),
+        (PolyQ.const(c), PolyQ({0: c})),
+    ]
+    for got, want in cases:
+        assert got == want and hash(got) == hash(want)
+        assert _canonical(got), got.coeffs
+
+
+def test_one_term_products_and_cancelling_sums():
+    t, one = PolyQ.t_power(1), PolyQ.one()
+    assert (t * PolyQ.t_power(2, Fraction(-3, 2))).coeffs == {3: Fraction(-3, 2)}
+    assert ((t + one) * (t - one)).coeffs == {2: 1, 0: -1}
+    assert (PolyQ.t_power(3, 5) + PolyQ.t_power(3, -5)).coeffs == {}
+    assert PolyQ.t_power(2, 0).coeffs == {} and PolyQ.const(0) == PolyQ.zero()
+    assert (t * 0).coeffs == {} and t.scale(Fraction(0)).coeffs == {}
