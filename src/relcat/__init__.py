@@ -44,5 +44,19 @@ from .relations import (
 )
 from .terms import decompose_generators
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public API: every name imported above, and no submodule
+__all__ = [
+    "Morphism", "compose", "dual", "gram", "identity", "mu_morphism", "orbit_expand",
+    "orbit_invert", "permutation", "phi", "symmetry", "t_inv", "t_iso", "tensor", "trace",
+    "ConcreteMap", "f_r_matrix", "independence_check", "rel_infty_stability", "specialize",
+    "eval_formal", "parse", "parse_poly", "parse_program",
+    "Fq", "parse_q",
+    "FrobeniusData", "check_axioms", "frobenius_axiom_terms", "hat_f", "standard_target",
+    "term_eval",
+    "MatFq", "enumerate_subspaces", "gaussian_binomial",
+    "PolyQ",
+    "Relation", "generator_relation", "is_rel_infty", "knop_diamond", "product",
+    "rel_infty_normal_form", "sigma_relation", "star",
+    "decompose_generators",
+]
 __version__ = "0.1.0"

@@ -4,6 +4,10 @@ Subcommands: eval, specialize, verify, gram, count, knop-convert.  Exit
 codes: 0 success, 1 verification failure, 2 usage or parse error, 3
 feasibility guard exceeded.  Given identical flags (including --seed) the
 output is byte-identical across runs.
+
+The argparse parser is built on the first ``main`` call, not at import, and
+then shared by every later call in the process: it holds no state between
+calls, and each ``parse_args`` returns a fresh namespace.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import category as cat
 from .concrete import specialize
@@ -264,7 +269,9 @@ COMMANDS = (
 )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The relcat parser, built once per process on first use."""
     top = argparse.ArgumentParser(
         prog="relcat",
         description="exact calculus of subspace relations, their interpolation "
@@ -281,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_counts(args)
         return args.fn(args)

@@ -26,9 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .category import Morphism
-from .errors import ArityMismatch, FieldMismatch, NotRelInfty, TooLarge
+from .errors import ArityMismatch, NotRelInfty, TooLarge
 from .field import Fq
-from .matrix import MatFq, enumerate_subspaces, null_rows, subspace_count
+from .matrix import enumerate_subspaces, null_rows
 from .qmat import QMat
 from .relations import Relation, is_rel_infty
 
@@ -139,14 +139,6 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
     return ConcreteMap(F, n, s, k, QMat._trusted(q ** (n * k), width, dict.fromkeys(cells, 1)))
 
 
-def _dot(F: Fq, coeffs, values) -> int:
-    acc = 0
-    for c, v in zip(coeffs, values):
-        if c and v:
-            acc = F.add(acc, F.mul(c, v))
-    return acc
-
-
 def specialize(f: Morphism, n: int) -> ConcreteMap:
     """Evaluate every coefficient at t = q^n and sum the basis matrices."""
     F = f.field
@@ -158,22 +150,6 @@ def specialize(f: Morphism, n: int) -> ConcreteMap:
         if value:
             acc = acc.add(f_r_matrix(rel, n).mat.scale(value))
     return ConcreteMap(F, n, f.s, f.k, acc)
-
-
-def concrete_compose(f: ConcreteMap, g: ConcreteMap) -> ConcreteMap:
-    """Matrix product f ∘ g."""
-    if (f.field, f.n) != (g.field, g.n):
-        raise FieldMismatch("compose of maps over different specializations")
-    if f.s != g.k:
-        raise ArityMismatch(f"compose [{g.s}]->[{g.k}] then [{f.s}]->[{f.k}]")
-    return ConcreteMap(f.field, f.n, g.s, f.k, f.mat @ g.mat)
-
-
-def concrete_tensor(f: ConcreteMap, g: ConcreteMap) -> ConcreteMap:
-    """Kronecker product under the fixed index encoding (f least significant)."""
-    if (f.field, f.n) != (g.field, g.n):
-        raise FieldMismatch("tensor of maps over different specializations")
-    return ConcreteMap(f.field, f.n, f.s + g.s, f.k + g.k, f.mat.kron(g.mat))
 
 
 def independence_check(field: Fq, s: int, k: int, n: int) -> tuple[int, bool]:
@@ -219,25 +195,3 @@ def rel_infty_stability(rel: Relation, n: int) -> bool:
         if got != expected:
             return False
     return True
-
-
-def action_matrix(g: MatFq, s: int, n: int) -> QMat:
-    """Permutation matrix of an invertible g acting on s-tuples over F_q^n."""
-    F = g.field
-    if g.rows != n or g.cols != n:
-        raise ArityMismatch("group element must be n x n")
-    q = F.q
-    size = q ** (n * s)
-    data = {}
-    for col in range(size):
-        vectors = code_tuple(F, n, col, s)
-        moved = []
-        for vec in vectors:
-            moved.append(tuple(_dot(F, g.row(i), vec) for i in range(n)))
-        data[(tuple_code(F, n, moved), col)] = 1
-    return QMat(size, size, data)
-
-
-def hom_dimension(field: Fq, s: int, k: int) -> int:
-    """Number of relations, i.e. dim Hom([s],[k]) in the formal category."""
-    return subspace_count(field, s + k)

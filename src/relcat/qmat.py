@@ -105,12 +105,6 @@ class QMat:
         """The row-major vectorization: {r * cols + c: value}.  Do not mutate it."""
         return self.data
 
-    def to_dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.cells().items():
-            out[r][c] = v
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, QMat)

@@ -66,15 +66,6 @@ class Relation:
     def from_rows(cls, field: Fq, s: int, k: int, rows) -> "Relation":
         return cls(field, s, k, MatFq.from_rows(field, rows, s + k))
 
-    @classmethod
-    def zero_space(cls, field: Fq, s: int, k: int) -> "Relation":
-        return cls(field, s, k, MatFq.from_rows(field, [], s + k))
-
-    @classmethod
-    def full_space(cls, field: Fq, s: int, k: int) -> "Relation":
-        _check_cells(s, k)
-        return cls(field, s, k, MatFq.identity(field, s + k))
-
     @property
     def dim(self) -> int:
         return self.basis.rows

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import full_space, zero_space
+
 from relcat.errors import ArityMismatch
 from relcat import category as cat
 from relcat.category import Morphism
@@ -34,7 +36,7 @@ def test_compose_scalar_loop():
     eps = cat.generator(F2, "eps")
     eps_star = cat.generator(F2, "eps*")
     loop = cat.compose(eps_star, eps)
-    assert loop == Morphism(F2, 0, 0, {Relation.zero_space(F2, 0, 0): PolyQ.t_power(1)})
+    assert loop == Morphism(F2, 0, 0, {zero_space(F2, 0, 0): PolyQ.t_power(1)})
 
 
 def test_compose_identity_neutral():
@@ -57,7 +59,7 @@ def test_compose_then_evaluate():
     eps = cat.generator(F2, "eps")
     eps_star = cat.generator(F2, "eps*")
     loop = cat.compose(eps_star, eps).evaluate(4)
-    assert loop == Morphism(F2, 0, 0, {Relation.zero_space(F2, 0, 0): PolyQ.const(4)})
+    assert loop == Morphism(F2, 0, 0, {zero_space(F2, 0, 0): PolyQ.const(4)})
 
 
 def test_evaluate_commutes_with_compose_and_tensor():
@@ -107,7 +109,7 @@ def test_interchange_law():
 def test_tensor_identities():
     assert cat.tensor(cat.identity(F2, 1), cat.identity(F2, 1)) == cat.identity(F2, 2)
     eps = cat.generator(F3, "eps")
-    assert cat.tensor(eps, eps) == Morphism.from_relation(Relation.zero_space(F3, 0, 2))
+    assert cat.tensor(eps, eps) == Morphism.from_relation(zero_space(F3, 0, 2))
 
 
 def test_symmetry_coherence():
@@ -238,7 +240,7 @@ def test_phi_is_retype():
     r = Relation.from_rows(F2, 1, 1, [[1, 1]])
     form = cat.phi(r)
     assert (form.s, form.k) == (2, 0)
-    assert cat.phi(Relation.zero_space(F2, 0, 1)) == cat.generator(F2, "eps*")
+    assert cat.phi(zero_space(F2, 0, 1)) == cat.generator(F2, "eps*")
 
 
 def test_t_iso_round_trip_and_phi():
@@ -283,9 +285,9 @@ def test_t_iso_tensor_with_interchange():
 
 
 def test_orbit_expand_counts():
-    full = Relation.full_space(F2, 1, 1)
+    full = full_space(F2, 1, 1)
     assert cat.orbit_expand(full) == {full: Fraction(1)}
-    zero = Relation.zero_space(F2, 1, 1)
+    zero = zero_space(F2, 1, 1)
     expansion = cat.orbit_expand(zero)
     assert len(expansion) == 5
     assert set(expansion.values()) == {Fraction(1)}
@@ -302,9 +304,9 @@ def test_orbit_round_trip_exhaustive():
 def test_decompose_generators_examples():
     term = decompose_generators(identity_relation(F2, 1))
     assert eval_formal(term, F2) == cat.identity(F2, 1)
-    zero = Relation.zero_space(F2, 1, 1)
+    zero = zero_space(F2, 1, 1)
     assert eval_formal(decompose_generators(zero), F2) == Morphism.from_relation(zero)
-    unit_object = Relation.zero_space(F3, 0, 0)
+    unit_object = zero_space(F3, 0, 0)
     assert eval_formal(decompose_generators(unit_object), F3) == cat.identity(F3, 0)
 
 

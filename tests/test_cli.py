@@ -1,10 +1,13 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from relcat import frobenius, suites
 from relcat.cli import build_parser, main
@@ -559,3 +562,63 @@ def test_flags_a_subcommand_does_not_take_exit_2(capsys):
                 code = exc.code
             out = capsys.readouterr().out
             assert code == 2 and out == "", argv
+
+
+# -- the shared parser ----------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+def run_in_process(argv):
+    """Exit code and stdout of one in-process call, argparse exits included."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    script = (
+        "import relcat.cli as cli\n"
+        "print(cli.build_parser.cache_info().currsize)\n"
+        "cli.main(['count', '--q', '3'])\n"
+        "cli.main(['eval', 'id(1)'])\n"
+        "print(cli.build_parser.cache_info().misses)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 4 and (lines[0], lines[1], lines[3]) == ("0", "6", "1"), lines
+
+
+def test_shared_parser_keeps_no_state_between_calls():
+    # golden cases, a command line argparse refuses, a help page, then the
+    # golden cases again backwards: one parser serves every call alike
+    def check(case):
+        assert run_in_process(case["argv"]) == (
+            case["exit"], (GOLDEN / f"{case['name']}.out").read_text()
+        ), case["name"]
+
+    for case in CASES:
+        check(case)
+    assert run_in_process(["verify", "knop", "--t", "1"])[0] == 2
+    code, out = run_in_process(["count", "--help"])
+    assert code == 0 and out.startswith("usage: relcat count")
+    for case in reversed(CASES):
+        check(case)
+
+
+def test_help_matches_a_fresh_parser():
+    fresh = build_parser.__wrapped__()
+    assert run_in_process(["--help"]) == (0, fresh.format_help())
+    sub = next(a for a in fresh._actions if a.dest == "command")
+    for name, parser in sub.choices.items():
+        assert run_in_process([name, "--help"]) == (0, parser.format_help()), name

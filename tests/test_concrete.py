@@ -6,18 +6,23 @@ from functools import reduce
 
 import pytest
 
+from helpers import (
+    concrete_compose,
+    concrete_tensor,
+    full_space,
+    hom_dimension,
+    to_dense,
+    zero_space,
+)
+
 from relcat import category as cat
 from relcat import matrix, relations
 from relcat.category import Morphism
 from relcat.concrete import (
     ConcreteMap,
-    action_matrix,
     code_tuple,
-    concrete_compose,
-    concrete_tensor,
     embed_code,
     f_r_matrix,
-    hom_dimension,
     independence_check,
     rel_infty_stability,
     specialize,
@@ -101,7 +106,7 @@ def test_f_r_matrix_matches_reference():
     # the zero and full spaces, s + k = 0 included, by name
     for F in (F2, F3, F4):
         for s, k in ((0, 0), (1, 0), (0, 1), (1, 2), (2, 1)):
-            for rel in (Relation.zero_space(F, s, k), Relation.full_space(F, s, k)):
+            for rel in (zero_space(F, s, k), full_space(F, s, k)):
                 for n in (1, 2):
                     _assert_matches_reference(rel, n)
     # seeded random relations with s, k <= 3; the double enumeration is kept
@@ -144,7 +149,7 @@ def test_f_r_matrix_does_no_elimination(monkeypatch):
     rng = random.Random(49)
     rels = [random_relation(rng, F, rng.randrange(4), rng.randrange(4)) for F in (F2, F3, F4)
             for _ in range(8)]
-    rels += [Relation.zero_space(F3, 0, 0), Relation.full_space(F4, 1, 1)]
+    rels += [zero_space(F3, 0, 0), full_space(F4, 1, 1)]
     expected = [_reference_cells(rel, 1) for rel in rels]
     monkeypatch.setattr(matrix, "row_reduce", forbidden)
     monkeypatch.setattr(MatFq, "kernel", forbidden)
@@ -153,19 +158,19 @@ def test_f_r_matrix_does_no_elimination(monkeypatch):
 
 
 def test_all_ones_map():
-    rel = Relation.zero_space(F2, 1, 1)
-    assert f_r_matrix(rel, 1).mat.to_dense() == [[1, 1], [1, 1]]
+    rel = zero_space(F2, 1, 1)
+    assert to_dense(f_r_matrix(rel, 1).mat) == [[1, 1], [1, 1]]
 
 
 def test_zero_vector_inclusion():
     rel = Relation(F2, 0, 1, MatFq.identity(F2, 1))
-    assert f_r_matrix(rel, 1).mat.to_dense() == [[1], [0]]
+    assert to_dense(f_r_matrix(rel, 1).mat) == [[1], [0]]
 
 
 def test_kill_nonzero_then_sum():
     rel = Relation.from_rows(F2, 1, 1, [[1, 0]])
     # the zero input goes to the sum of everything, others to 0
-    assert f_r_matrix(rel, 1).mat.to_dense() == [[1, 0], [1, 0]]
+    assert to_dense(f_r_matrix(rel, 1).mat) == [[1, 0], [1, 0]]
 
 
 def test_scalar_multiple_map():
@@ -206,11 +211,11 @@ def test_monoidality_oracle_random():
 
 def test_specialize_sums_terms():
     # 2 * all-ones at n=1 equals the square of the all-ones matrix
-    rel = Relation.zero_space(F2, 1, 1)
+    rel = zero_space(F2, 1, 1)
     f = Morphism.from_relation(rel)
     square = cat.compose(f, f)
     got = specialize(square, 1).mat
-    assert got.to_dense() == [[2, 2], [2, 2]]
+    assert to_dense(got) == [[2, 2], [2, 2]]
 
 
 def test_specialize_identity():
@@ -237,7 +242,7 @@ def test_specialize_evaluates_t():
     loop = cat.compose(cat.generator(F2, "eps*"), cat.generator(F2, "eps"))
     for n in (1, 2):
         got = specialize(loop, n).mat
-        assert got.to_dense() == [[2**n]]
+        assert to_dense(got) == [[2**n]]
 
 
 def test_independence_basis_and_dependence():
@@ -256,6 +261,25 @@ def test_faithful_at_large_rank():
         g = Morphism.from_relation(random_relation(rng, F2, 1, 1))
         if f != g:
             assert specialize(f, 2) != specialize(g, 2)
+
+
+def action_matrix(g: MatFq, s: int, n: int) -> QMat:
+    """Permutation matrix of an invertible n x n matrix g acting on s-tuples over F_q^n."""
+    F = g.field
+    size = F.q ** (n * s)
+    data = {}
+    for col in range(size):
+        moved = []
+        for vec in code_tuple(F, n, col, s):
+            image = []
+            for i in range(n):
+                acc = 0
+                for c, v in zip(g.row(i), vec):
+                    acc = F.add(acc, F.mul(c, v))
+                image.append(acc)
+            moved.append(tuple(image))
+        data[(tuple_code(F, n, moved), col)] = 1
+    return QMat(size, size, data)
 
 
 def test_equivariance_spot_check():
@@ -279,7 +303,7 @@ def test_rel_infty_stability_identity():
 
 def test_rel_infty_stability_rejects_non_members():
     with pytest.raises(NotRelInfty):
-        rel_infty_stability(Relation.zero_space(F2, 1, 1), 1)
+        rel_infty_stability(zero_space(F2, 1, 1), 1)
 
 
 def test_rel_infty_stability_random():
@@ -319,8 +343,8 @@ def test_embed_code():
 
 
 def test_concrete_shape_checks():
-    a = f_r_matrix(Relation.zero_space(F2, 1, 1), 1)
-    b = f_r_matrix(Relation.zero_space(F2, 0, 1), 1)
+    a = f_r_matrix(zero_space(F2, 1, 1), 1)
+    b = f_r_matrix(zero_space(F2, 0, 1), 1)
     with pytest.raises(ArityMismatch):
         concrete_compose(b, a)
     with pytest.raises(ArityMismatch):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import zero_space
+
 from relcat import category as cat
 from relcat import terms as tm
 from relcat.concrete import specialize
@@ -22,7 +24,7 @@ from relcat.field import Fq
 from relcat.frobenius import frobenius_axiom_terms, standard_target, term_eval
 from relcat.matrix import MatFq
 from relcat.poly import PolyQ
-from relcat.relations import Relation, random_relation
+from relcat.relations import random_relation
 from relcat.suites import mu_lemma_terms
 from relcat.terms import to_text
 
@@ -186,7 +188,7 @@ def test_eval_examples():
 
 
 def Morphism_scalar(field, coeff):
-    return cat.Morphism(field, 0, 0, {Relation.zero_space(field, 0, 0): coeff})
+    return cat.Morphism(field, 0, 0, {zero_space(field, 0, 0): coeff})
 
 
 def test_evaluate_after_formal_evaluation():

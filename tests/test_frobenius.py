@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import full_space, to_dense, zero_space
+
 from relcat import frobenius, matrix, relations
 from relcat import terms as tm
 from relcat.concrete import f_r_matrix
@@ -62,11 +64,11 @@ def replaced(data: FrobeniusData, atom, mat: QMat) -> FrobeniusData:
 def test_standard_target_maps():
     data = standard_target(F2, 1)
     # merge: v (x) w -> v when v = w, else 0
-    assert data.maps[G("m")].to_dense() == [[1, 0, 0, 0], [0, 0, 0, 1]]
-    assert data.maps[G("eps")].to_dense() == [[1], [1]]
-    assert data.maps[G("z")].to_dense() == [[1], [0]]
+    assert to_dense(data.maps[G("m")]) == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    assert to_dense(data.maps[G("eps")]) == [[1], [1]]
+    assert to_dense(data.maps[G("z")]) == [[1], [0]]
     # addition table of F_2: 0+0=0, 0+1=1, 1+0=1, 1+1=0
-    assert data.maps[G("plus")].to_dense() == [[1, 0, 0, 1], [0, 1, 1, 0]]
+    assert to_dense(data.maps[G("plus")]) == [[1, 0, 0, 1], [0, 1, 1, 0]]
 
 
 def test_guards_count_pairs_and_cells():
@@ -91,7 +93,7 @@ def test_standard_target_passes_all_axioms(field, n):
     results = check_axioms(data, frobenius_axiom_terms(field))
     failed = [(name, cell) for name, cell in results if cell is not None]
     assert not failed, failed
-    assert term_eval(data, parse("eps* . eps", field)).to_dense() == [[field.q**n]]
+    assert to_dense(term_eval(data, parse("eps* . eps", field))) == [[field.q**n]]
 
 
 def test_corrupted_scaling_fails_named_check():
@@ -245,7 +247,7 @@ def test_hat_f_works_without_unit():
 
 def test_hat_f_rejects_non_members():
     with pytest.raises(NotRelInfty):
-        hat_f(standard_target(F2, 1), Relation.zero_space(F2, 1, 1))
+        hat_f(standard_target(F2, 1), zero_space(F2, 1, 1))
 
 
 def test_hat_f_guard_counts_expansion_work():
@@ -253,22 +255,22 @@ def test_hat_f_guard_counts_expansion_work():
     # relation [20] -> [0] has no rows but still runs 2^20 columns through
     # 20 strands
     data = standard_target(F4, 1)
-    big = Relation.full_space(F4, 8, 0)
+    big = full_space(F4, 8, 0)
     assert rel_infty_normal_form(big)[1].rows == 8
     with pytest.raises(TooLarge):
         hat_f(data, big)
     with pytest.raises(TooLarge):
-        hat_f(standard_target(F2, 1), Relation.zero_space(F2, 20, 0))
-    small = Relation.full_space(F4, 2, 1)
+        hat_f(standard_target(F2, 1), zero_space(F2, 20, 0))
+    small = full_space(F4, 2, 1)
     assert hat_f(data, small) == f_r_matrix(small, 1).mat
 
 
 def test_term_eval_examples():
     data = standard_target(F2, 1)
     assert term_eval(data, parse("m . m*", F2)) == QMat.identity(2)
-    assert term_eval(data, parse("eps* . eps", F2)).to_dense() == [[2]]
+    assert to_dense(term_eval(data, parse("eps* . eps", F2))) == [[2]]
     data3 = standard_target(F3, 1)
-    assert term_eval(data3, parse("eps* . eps", F3)).to_dense() == [[3]]
+    assert to_dense(term_eval(data3, parse("eps* . eps", F3))) == [[3]]
 
 
 def test_term_eval_needs_unit_only_when_used():
@@ -292,8 +294,8 @@ def test_term_eval_matches_functor_on_decompositions():
 
 def test_rel_matrix_dispatch():
     data = standard_target(F2, 1)
-    rel = Relation.zero_space(F2, 1, 1)
-    assert rel_matrix(data, rel).to_dense() == [[1, 1], [1, 1]]
+    rel = zero_space(F2, 1, 1)
+    assert to_dense(rel_matrix(data, rel)) == [[1, 1], [1, 1]]
     semi = drop_unit(data)
     with pytest.raises(MissingUnit):
         rel_matrix(semi, rel)
@@ -706,7 +708,7 @@ def test_hat_f_memo_is_per_structure():
 def test_hat_f_memo_still_rejects_non_members():
     data = standard_target(F2, 1)
     hat_f(data, Relation.from_rows(F2, 1, 1, [[1, 1]]))
-    rel = Relation.zero_space(F2, 1, 1)
+    rel = zero_space(F2, 1, 1)
     for _ in range(2):
         with pytest.raises(NotRelInfty, match="does not surject onto the codomain block"):
             hat_f(data, rel)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import to_dense
+
 import relcat.suites as suites
 from relcat.errors import ShapeMismatch
 from relcat.field import Fq
@@ -155,7 +157,7 @@ def _check(mat: QMat, dense, cols: int):
     assert (mat.rows, mat.cols) == (len(dense), cols)
     assert mat.entries_sorted() == _dense_entries(dense)
     assert mat.cells() == dict(_dense_entries(dense))
-    assert mat.to_dense() == dense
+    assert to_dense(mat) == dense
     assert all(mat.get(i, j) == v for i, row in enumerate(dense) for j, v in enumerate(row))
     assert mat == _from_dense(dense, cols)
 

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from helpers import full_space, zero_space
+
 import relcat.matrix as matrix
 import relcat.relations as relations
 from relcat.errors import ArityMismatch, NotRelInfty, UnknownGenerator
@@ -38,7 +40,7 @@ def test_star_counit_after_unit():
     eps = generator_relation(F2, "eps")
     eps_star = generator_relation(F2, "eps*")
     sr, d = star(eps, eps_star)
-    assert sr == Relation.zero_space(F2, 0, 0)
+    assert sr == zero_space(F2, 0, 0)
     assert d == 1
 
 
@@ -84,7 +86,7 @@ def test_product_identities():
 
 def test_product_zero_spaces():
     eps = generator_relation(F3, "eps")
-    assert product(eps, eps) == Relation.zero_space(F3, 0, 2)
+    assert product(eps, eps) == zero_space(F3, 0, 2)
 
 
 def _product_rows(r1, r2):
@@ -106,8 +108,8 @@ def test_product_rows_are_already_reduced():
         assert product(r1, r2) == want, (trial, r1, r2)
         seen |= {r.dim == 0 for r in (r1, r2)} | {("empty", r.s + r.k == 0) for r in (r1, r2)}
     assert seen == {True, False, ("empty", True), ("empty", False)}
-    empty = Relation.zero_space(F3, 0, 0)
-    for r in (empty, Relation.zero_space(F3, 2, 1), Relation.full_space(F3, 1, 2),
+    empty = zero_space(F3, 0, 0)
+    for r in (empty, zero_space(F3, 2, 1), full_space(F3, 1, 2),
               Relation.from_rows(F3, 2, 1, [[0, 1, 2]])):
         for r1, r2 in ((r, empty), (empty, r), (r, r)):
             want = Relation.from_rows(F3, r1.s + r2.s, r1.k + r2.k, _product_rows(r1, r2))
@@ -120,10 +122,10 @@ def test_diamond_examples():
     image, e = knop_diamond(line, line)
     assert image == line and e == 0
     # degenerate arities: fiber product over F_q^1 of two zero spaces
-    rp = Relation.zero_space(F3, 0, 1)
-    sp = Relation.zero_space(F3, 1, 0)
+    rp = zero_space(F3, 0, 1)
+    sp = zero_space(F3, 1, 0)
     image, e = knop_diamond(rp, sp)
-    assert image == Relation.zero_space(F3, 0, 0) and e == 0
+    assert image == zero_space(F3, 0, 0) and e == 0
 
 
 def test_diamond_matches_star_through_perp():
@@ -228,7 +230,7 @@ def test_rel_infty_membership():
     assert is_rel_infty(Relation.from_rows(F2, 1, 1, [[1, 1]]))
     assert not is_rel_infty(Relation.from_rows(F2, 1, 1, [[1, 0]]))
     # the empty-codomain case is vacuously surjective
-    assert is_rel_infty(Relation.zero_space(F2, 2, 0))
+    assert is_rel_infty(zero_space(F2, 2, 0))
 
 
 def test_rel_infty_normal_form_line():
