@@ -31,13 +31,17 @@ call then asks the root for basis columns; every node memoizes the
 columns it computes for that call only, so wide intermediate tensor
 powers never materialize as full matrices and no column outlives its
 call.  ``hat_f`` evaluates the one term of a relation's normal form
-and caches the result on the structure by relation.  ``term_steps`` counts
-a term's evaluation steps before anything is compiled, for work guards.
+(``hat_f_term``) and caches the result on the structure by relation.
+``check_steps`` refuses terms past ``EVAL_GUARD`` evaluation steps in all
+(``term_steps``: D^(dom + unit uses) columns through the widest layer);
+hat_f, the unit path of ``rel_matrix`` and the lemma and relinfty suites
+call it before they evaluate.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
+from functools import lru_cache
 from itertools import groupby
 
 from . import terms as tm
@@ -57,14 +61,10 @@ from .terms import Term
 STANDARD_GUARD = 2**12
 # frobenius_axiom_terms has 2q^2 + 4q + 26 pairs; it refuses to build more.
 AXIOM_PAIR_GUARD = 2**12
-# hat_f evaluates the expansion of a rows x cols matrix literal column by
-# column: D^cols columns, each through rows*cols strands (cols when rows is
-# 0) whose indices carry as many base-D digits, so D^cols * strands^2 steps;
-# more are refused.  The bound was set at 0.4 us a step (2-vCPU x86-64 VM,
-# Python 3.11).  With permutation runs folded, a column costs about linear
-# in strands, so the count overstates the work; re-deriving the bound waits
-# for a hat_f micro workload in perfbench.
-HAT_F_GUARD = 2**22
+# ``check_steps`` refuses more evaluation steps (``term_steps``) than this:
+# hat_f, the unit path and the lemma suite ran at 0.5-2.7 us a step, most
+# near 1 us (2-vCPU x86-64 VM, Python 3.11), so a few seconds.
+EVAL_GUARD = 2**22
 
 
 # The unit, the one map a structure may lack: a semi-Frobenius space has none.
@@ -78,26 +78,18 @@ DEFINED = {
 }
 
 
-def hat_f_guard(dim: int, rows: int, cols: int, source: str = "hat_f"):
-    """TooLarge if hat_f of a rows x cols normal form at D = dim is too much work."""
-    strands = max(rows, 1) * cols
-    # dim >= 2, so cols past the guard's bit length already gives too many columns
-    if cols > HAT_F_GUARD.bit_length() or dim**cols * strands**2 > HAT_F_GUARD:
-        raise TooLarge(
-            f"{source}: a {rows}x{cols} normal form at D = {dim} takes "
-            f"D^{cols} * {strands}^2 evaluation steps, more than {HAT_F_GUARD}"
-        )
+@lru_cache(maxsize=tm.BUILDER_CACHE)
+def fan_and_width(term: Term) -> tuple[int, int]:
+    """(fan-out exponent, strands of the widest layer) of a term as compiled.
 
-
-def widest_layer(term: Term) -> int:
-    """Strands of the widest layer of a term as compiled.
-
-    A matrix literal's expansion is rows * cols strands wide, a map used
-    through its definition (``DEFINED``) is as wide as the definition, a
-    tensor adds the widths of its sides and any other composite takes the
-    widest of its parts.  Walks the term without recursion.
+    The exponent is dom plus the unit uses: each eps, itself or in coev's
+    definition, fans a column out D-fold.  A map used through its definition
+    (``DEFINED``) is as wide as the definition, a matrix literal's expansion
+    rows * cols strands; a tensor adds the widths and the uses of its sides,
+    a composite takes the widest part and adds the uses, and a linear
+    combination takes the most of each.
     """
-    done = []  # the widths of the finished subterms, in walk order
+    done = []  # (unit uses, width) of the finished subterms, in walk order
     stack = [(term, False)]
     while stack:
         sub, ready = stack.pop()
@@ -109,21 +101,30 @@ def widest_layer(term: Term) -> int:
             parts = (DEFINED[sub.name],)
         else:
             wide = sub.dom * sub.cod if isinstance(sub, tm.MuLit) else 0
-            done.append(max(wide, sub.dom, sub.cod))
+            done.append((int(sub == UNIT), max(wide, sub.dom, sub.cod)))
             continue
         if not ready:
             stack.append((sub, True))
             stack += ((part, False) for part in parts)
             continue
-        widths = [done.pop() for _ in parts]
-        done.append(sum(widths) if isinstance(sub, tm.Tensor) else max(widths))
-    return done[0]
+        uses, widths = zip(*(done.pop() for _ in parts))
+        uses = max(uses) if isinstance(sub, tm.LinComb) else sum(uses)
+        done.append((uses, sum(widths) if isinstance(sub, tm.Tensor) else max(widths)))
+    uses, width = done[0]
+    return term.dom + uses, width
 
 
 def term_steps(dim: int, term: Term) -> int:
-    """The evaluation steps of a term at D = dim: its D^dom root columns,
-    each through the strands of its widest layer."""
-    return dim**term.dom * widest_layer(term)
+    """D^(dom + unit uses) root columns at D = dim through the widest layer;
+    EVAL_GUARD + 1, without forming D^fan, when the exponent passes its bit length."""
+    fan, width = fan_and_width(term)
+    return EVAL_GUARD + 1 if dim > 1 and fan > EVAL_GUARD.bit_length() else dim**fan * width
+
+
+def check_steps(dim: int, terms, source: str) -> None:
+    """TooLarge if the terms take more than EVAL_GUARD steps in all at D = dim."""
+    if sum(term_steps(dim, term) for term in terms) > EVAL_GUARD:
+        raise TooLarge(f"{source}: more than {EVAL_GUARD} evaluation steps at D = {dim}")
 
 
 class FrobeniusData:
@@ -517,22 +518,26 @@ def term_eval(data: FrobeniusData, term: Term, t_value=None) -> QMat:
     return QMat._trusted_columns(data.dim**term.cod, cols, (node.col(c, memo) for c in range(cols)))
 
 
-def hat_f(data: FrobeniusData, rel: Relation) -> QMat:
-    """Generator-level realization of a codomain-surjective relation.
+@lru_cache(maxsize=tm.BUILDER_CACHE)
+def hat_f_term(rel: Relation) -> Term:
+    """The term hat_f evaluates, built once per relation.
 
-    Uses the Row[-A I; A' 0] normal form: the term
-    (id(k) @ z*^{rows of A'}) . mu([A; A']) scales by the stacked matrix,
-    then zero-tests the A' outputs.  The result is cached on the structure
-    by relation.  A relation that is not codomain-surjective has no normal
-    form: NotRelInfty.
+    For the Row[-A I; A' 0] normal form, (id(k) @ z*^{rows of A'}) . mu([A; A'])
+    scales by the stacked matrix, then zero-tests the A' outputs.  A relation
+    that is not codomain-surjective has no normal form: NotRelInfty.
     """
+    a, ap = rel_infty_normal_form(rel)
+    cap = tm.t_tensor(tm.t_id(rel.k), tm.t_power(tm.atom("z*"), ap.rows))
+    return tm.t_compose(cap, tm.MuLit(a.vstack(ap)))
+
+
+def hat_f(data: FrobeniusData, rel: Relation) -> QMat:
+    """``hat_f_term(rel)`` evaluated, and cached on the structure by relation."""
     out = data._realized.get(rel)
     if out is None:
-        a, ap = rel_infty_normal_form(rel)
-        stacked = a.vstack(ap)
-        hat_f_guard(data.dim, stacked.rows, stacked.cols)
-        cap = tm.t_tensor(tm.t_id(rel.k), tm.t_power(tm.atom("z*"), ap.rows))
-        out = data._realized[rel] = term_eval(data, tm.t_compose(cap, tm.MuLit(stacked)))
+        term = hat_f_term(rel)
+        check_steps(data.dim, [term], f"hat_f of a [{rel.s}] -> [{rel.k}] relation")
+        out = data._realized[rel] = term_eval(data, term)
     return out
 
 
@@ -546,7 +551,9 @@ def rel_matrix(data: FrobeniusData, rel: Relation) -> QMat:
     try:
         return hat_f(data, rel)
     except NotRelInfty:
-        return term_eval(data, tm.decompose_generators(rel))
+        term = tm.decompose_generators(rel)
+        check_steps(data.dim, [term], f"the unit path of a [{rel.s}] -> [{rel.k}] relation")
+        return term_eval(data, term)
 
 
 # -- the axiom checklist ----------------------------------------------------

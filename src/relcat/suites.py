@@ -7,8 +7,10 @@ an exact formal identity (symbolic t) and as an exact matrix identity on
 the standard target: the axiom pairs (``frobenius.frobenius_axiom_terms``)
 through the structure checker ``check_axioms``, the lemma pairs here.  A
 pair that fails on the structure names its first differing cell
-(``frobenius.first_difference``).  The functor and
-stability suites compare the formal category against its specializations.
+(``frobenius.first_difference``).  The lemma and relinfty suites pass what
+they will evaluate through ``frobenius.check_steps`` before evaluating any
+of it.  The functor and stability suites compare the formal category
+against its specializations.
 """
 
 from __future__ import annotations
@@ -18,18 +20,17 @@ import random
 from . import terms as tm
 from .concrete import f_r_matrix, rel_infty_stability
 from .dsl import eval_formal
-from .errors import TooLarge
 from .field import Fq
 from .frobenius import (
     FrobeniusData,
     check_axioms,
+    check_steps,
     first_difference,
     frobenius_axiom_terms,
     hat_f,
-    hat_f_guard,
+    hat_f_term,
     standard_target,
     term_eval,
-    term_steps,
 )
 from .matrix import MatFq
 from .relations import (
@@ -264,22 +265,11 @@ def suite_axioms(field: Fq, n: int = 1):
     return out
 
 
-# The lemma suite takes 0.6-0.75 us per step of ``term_steps`` summed over
-# its pair sides (q = 7, 2^3 and 3^2 at n = 1, q = 2 at n = 3 and q = 3 at
-# n = 2 on a 2-vCPU x86-64 VM, Python 3.11); it refuses more than about 3 s.
-LEMMA_GUARD = 2**22
-
-
 def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
     # the target's cell guard runs before the pair list loops over F_q
     data = standard_target(field, n)
     pairs = mu_lemma_terms(field, seed)
-    steps = sum(term_steps(data.dim, side) for _, lhs, rhs in pairs for side in (lhs, rhs))
-    if steps > LEMMA_GUARD:
-        raise TooLarge(
-            f"lemmas at D = {data.dim}: the pairs take {steps} evaluation steps, "
-            f"more than {LEMMA_GUARD}"
-        )
+    check_steps(data.dim, [side for _, lhs, rhs in pairs for side in (lhs, rhs)], "lemmas")
     return run_term_pairs(field, pairs, data)
 
 
@@ -386,13 +376,13 @@ def suite_knop(field: Fq, trials: int, seed: int, max_arity: int = 3):
 
 
 def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3):
-    """Closure, zero defect, concrete realization, and rank stability."""
-    # the widest relation realized is a product of two draws, [2m] -> [2m]
-    # of dimension up to 4m; refuse its work before anything is built
-    hat_f_guard(field.q, 4 * max_arity, 2 * max_arity, f"relinfty at max-arity {max_arity}")
+    """Closure, zero defect, concrete realization, and rank stability; every
+    trial is drawn and its realizations' work checked before any is realized."""
+    # the target's cell guard refuses a large field before any draw
+    data = standard_target(field, 1)
     rng = random.Random(seed)
     closure, realization, stability = _Tally(seed), _Tally(seed), _Tally(seed)
-    data = standard_target(field, 1)
+    closed_trials = []  # (r1, r2, r2 . r1, t2, r1 @ t2) of each closed trial
     for _ in range(trials):
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
         r1 = random_rel_infty(rng, field, s_, k_)
@@ -400,11 +390,14 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
         sr, d = star(r1, r2)
         closed = d == 0 and is_rel_infty(sr) and is_rel_infty(product(r1, r2))
         closure.record(closed, lambda: _composite(r1, r2))
-        if not closed:
-            continue
+        if closed:
+            t2 = random_rel_infty(rng, field, rng.randrange(max_arity + 1), rng.randrange(max_arity + 1))
+            closed_trials.append((r1, r2, sr, t2, product(r1, t2)))
+    realized = dict.fromkeys(rel for trial in closed_trials for rel in trial)
+    check_steps(field.q, [hat_f_term(rel) for rel in realized], "relinfty realizations")
+    for r1, r2, sr, t2, r1t2 in closed_trials:
         comp_ok = hat_f(data, r2) @ hat_f(data, r1) == hat_f(data, sr)
-        t2 = random_rel_infty(rng, field, rng.randrange(max_arity + 1), rng.randrange(max_arity + 1))
-        ten_ok = hat_f(data, r1).kron(hat_f(data, t2)) == hat_f(data, product(r1, t2))
+        ten_ok = hat_f(data, r1).kron(hat_f(data, t2)) == hat_f(data, r1t2)
         realization.record(
             comp_ok and ten_ok, lambda: _composite(r1, r2) if not comp_ok else _product(r1, t2)
         )

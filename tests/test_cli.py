@@ -359,6 +359,14 @@ def test_relinfty_guard_counts_hat_f_work(capsys):
     assert_guard_error(capsys, "verify", "relinfty", "--q", "2^4", "--trials", "1")
 
 
+def test_relinfty_guard_sums_the_drawn_work(capsys):
+    # the guard sums what the drawn trials realize, not a max-arity worst
+    # case (a 12x6 normal form, which refused every run at q = 4)
+    code, out, err = run_cli(capsys, "verify", "relinfty", "--q", "2^2", "--trials", "10")
+    assert code == 0, err
+    assert all(line.startswith("PASS ") for line in out.splitlines()), out
+
+
 WITNESS = re.compile(
     r"\[(\d+) failures; first at trial (\d+) of seed 7: "
     r"(s \. r|r1 @ r2) with (?:r|r1) = (rel\([^)]*\)), (?:s|r2) = (rel\([^)]*\))\]$"

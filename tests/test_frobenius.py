@@ -3,6 +3,7 @@ generator-level realization of codomain-surjective relations."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,9 @@ from relcat.frobenius import (
     hat_f,
     rel_matrix,
     standard_target,
+    fan_and_width,
     term_eval,
     term_steps,
-    widest_layer,
 )
 from relcat.matrix import MatFq
 from relcat.poly import PolyQ
@@ -251,12 +252,13 @@ def test_hat_f_rejects_non_members():
 
 
 def test_hat_f_guard_counts_expansion_work():
-    # an 8x8 normal form at D = 4 takes 4^8 * 64^2 = 2^28 steps; the zero
-    # relation [20] -> [0] has no rows but still runs 2^20 columns through
-    # 20 strands
+    # a 9x9 normal form at D = 4 runs 4^9 columns through 81 strands; the
+    # zero relation [20] -> [0] has no rows but still runs 2^20 columns
+    # through 20 strands
     data = standard_target(F4, 1)
-    big = full_space(F4, 8, 0)
-    assert rel_infty_normal_form(big)[1].rows == 8
+    big = full_space(F4, 9, 0)
+    assert rel_infty_normal_form(big)[1].rows == 9
+    assert term_steps(4, frobenius.hat_f_term(big)) == 4**9 * 81 > frobenius.EVAL_GUARD
     with pytest.raises(TooLarge):
         hat_f(data, big)
     with pytest.raises(TooLarge):
@@ -313,6 +315,19 @@ def test_rel_matrix_dispatch():
         else:
             with pytest.raises(MissingUnit):
                 rel_matrix(semi, rel)
+
+
+def test_unit_path_guard_counts_fan_out():
+    # each of the three coev caps fans a column out 8-fold: 8^6 * 21 steps,
+    # which ran about 5 s unguarded
+    rel = Relation.from_rows(F2, 3, 3, [[1, 0, 0, 0, 0, 1], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 0]])
+    assert not is_rel_infty(rel)
+    assert term_steps(8, tm.decompose_generators(rel)) == 8**6 * 21 > frobenius.EVAL_GUARD
+    data = standard_target(F2, 3)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        rel_matrix(data, rel)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rel_matrix_reduces_once_then_reads_the_cache(monkeypatch):
@@ -659,6 +674,10 @@ def test_strand_perm_walks_each_factor_once_per_structure(monkeypatch):
         assert walked and len(walked) == len(set(walked))
 
 
+def widest_layer(term):
+    return fan_and_width(term)[1]
+
+
 def test_widest_layer_counts_expanded_strands():
     rng = random.Random(96)
     for rows, cols in ((0, 2), (2, 0), (1, 3), (3, 1), (3, 2), (3, 3)):
@@ -672,6 +691,14 @@ def test_widest_layer_counts_expanded_strands():
     assert widest_layer(G("z*")) == 2 == widest_layer(frobenius.DEFINED["z*"])
     combo = tm.LinComb([(1, tm.t_compose(G("m"), G("m*"))), (2, tm.t_id(1))])
     assert widest_layer(combo) == 2
+    # each unit use, eps itself or inside coev, fans the root columns out D-fold
+    unit = Relation.from_rows(F3, 2, 2, [[1, 0, 0, 1]])
+    term = tm.decompose_generators(unit)
+    assert fan_and_width(term) == (2 + 2, widest_layer(term))
+    assert term_steps(3, term) == 3 ** (2 + 2) * widest_layer(term)
+    assert fan_and_width(G("coev")) == (1, 2) and fan_and_width(combo) == (1, 2)
+    # past the bound's bit length the count saturates instead of forming D^100
+    assert term_steps(3, tm.t_power(G("eps"), 100)) == frobenius.EVAL_GUARD + 1
 
 
 # -- the hat_f memo -------------------------------------------------------------
