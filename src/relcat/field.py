@@ -19,6 +19,14 @@ Lidl-Niederreiter, *Finite Fields*, ch. 9), add digit-wise (XOR in
 characteristic 2).  Larger fields with e > 1 compute on digits directly.
 The arithmetic methods take valid element codes; ``check`` makes them.
 
+Three whole-row kernels choose the arithmetic path once per row instead
+of once per entry: ``translate`` (v + a), ``scale_row`` (c * x) and
+``sub_multiple`` (x - f * y, the elimination step of ``matrix.row_reduce``).
+In the last two a prime field works mod p on plain ints, a table field
+reads row c or f of its mul table (and subtracts by XOR in characteristic
+2, by its sub table otherwise), and a field above TABLE_LIMIT uses the
+per-entry digit arithmetic, its only path.
+
 All values are immutable and all operations pure.
 """
 
@@ -324,6 +332,34 @@ class Fq:
             return list(map(table[a].__getitem__, values))
         da = self.digits(a)
         return [self.encode([x + y for x, y in zip(self.digits(v), da)]) for v in values]
+
+    def scale_row(self, c: int, row) -> list[int]:
+        """[mul(c, x) for x in row], in one pass on the path that applies."""
+        if self.e == 1:
+            p = self.p
+            return [c * x % p for x in row]
+        table = self._mul
+        if table is not None:
+            return list(map(table[c].__getitem__, row))
+        p, e, modulus = self.p, self.e, self.modulus
+        return [_digit_mul(c, x, p, e, modulus) for x in row]
+
+    def sub_multiple(self, a, f: int, b) -> list[int]:
+        """[sub(x, mul(f, y)) for x, y in zip(a, b)], in one pass on the path that applies.
+
+        Characteristic 2 subtracts by XOR against row f of the mul table.
+        """
+        if self.e == 1:
+            p = self.p
+            return [(x - f * y) % p for x, y in zip(a, b)]
+        table = self._mul
+        if table is not None:
+            times_f = table[f]
+            if self.p == 2:
+                return [x ^ times_f[y] for x, y in zip(a, b)]
+            sub = self._sub
+            return [sub[x][times_f[y]] for x, y in zip(a, b)]
+        return [self.sub(x, self.mul(f, y)) for x, y in zip(a, b)]
 
     def neg(self, a: int) -> int:
         if self.e == 1:

@@ -121,10 +121,13 @@ def term_steps(dim: int, term: Term) -> int:
     return EVAL_GUARD + 1 if dim > 1 and fan > EVAL_GUARD.bit_length() else dim**fan * width
 
 
-def check_steps(dim: int, terms, source: str) -> None:
-    """TooLarge if the terms take more than EVAL_GUARD steps in all at D = dim."""
-    if sum(term_steps(dim, term) for term in terms) > EVAL_GUARD:
+def check_steps(dim: int, terms, source: str, spent: int = 0) -> int:
+    """TooLarge if spent plus the terms' steps at D = dim pass EVAL_GUARD;
+    returns that total, so a caller can keep a running sum."""
+    spent += sum(term_steps(dim, term) for term in terms)
+    if spent > EVAL_GUARD:
         raise TooLarge(f"{source}: more than {EVAL_GUARD} evaluation steps at D = {dim}")
+    return spent
 
 
 class FrobeniusData:

@@ -3,7 +3,11 @@
 All row reduction goes through one loop, ``row_reduce``, which brings a
 list of rows to reduced row-echelon form and reports the pivot columns;
 ``MatFq.rref``, ``MatFq.kernel`` and the relation composition in
-``relations`` call it.  ``null_rows`` reads a null-space basis off rows
+``relations`` call it.  It works a whole row at a time through the
+field's row kernels (``Fq.scale_row``, ``Fq.sub_multiple``), which choose
+the arithmetic path once per row.  ``MatFq.matmul`` builds
+each product row as a sum of scaled rows of the right factor with the
+same kernels.  ``null_rows`` reads a null-space basis off rows
 that are already reduced, with no elimination; ``MatFq.kernel``, the
 relation complement and the f_R matrices in ``concrete`` share it.  On
 top of these: rank, kernel, inverse and deterministic subspace
@@ -19,7 +23,7 @@ already are valid codes, for results computed inside the library.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import FieldMismatch, ShapeMismatch, Singular, TooLarge
 from .field import COUNT_DIGITS, Fq
@@ -51,7 +55,7 @@ class MatFq:
     @classmethod
     def _trusted_rows(cls, field: Fq, rows, cols: int) -> "MatFq":
         """Wrap rows of valid element codes, e.g. the output of ``row_reduce``."""
-        return cls._trusted(field, len(rows), cols, tuple(x for row in rows for x in row))
+        return cls._trusted(field, len(rows), cols, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def from_rows(cls, field: Fq, row_list, cols: int | None = None) -> "MatFq":
@@ -82,7 +86,8 @@ class MatFq:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def tolist(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        ent, cols = self.entries, self.cols
+        return [list(ent[i * cols : (i + 1) * cols]) for i in range(self.rows)]
 
     def __eq__(self, other):
         return (
@@ -134,7 +139,7 @@ class MatFq:
 
     def neg(self) -> "MatFq":
         F = self.field
-        return MatFq._trusted(F, self.rows, self.cols, tuple(F.neg(x) for x in self.entries))
+        return MatFq._trusted(F, self.rows, self.cols, tuple(F.scale_row(F.neg(1), self.entries)))
 
     # -- linear algebra --------------------------------------------------
 
@@ -144,15 +149,16 @@ class MatFq:
         if self.cols != other.rows:
             raise ShapeMismatch(f"matmul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         F = self.field
+        # row i of the product is the sum of x * (row k of other) over the
+        # entries x = self[i, k]; acc + x * row is sub_multiple(acc, -x, row)
+        other_rows = other.tolist()
         ent = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = 0
-                for k in range(self.cols):
-                    if ri[k]:
-                        acc = F.add(acc, F.mul(ri[k], other[k, j]))
-                ent.append(acc)
+        for ri in self.tolist():
+            acc = [0] * other.cols
+            for x, row in zip(ri, other_rows):
+                if x:
+                    acc = F.sub_multiple(acc, F.neg(x), row)
+            ent.extend(acc)
         return MatFq._trusted(F, self.rows, other.cols, tuple(ent))
 
     def __matmul__(self, other):
@@ -193,22 +199,28 @@ def row_reduce(field: Fq, rows: list[list[int]], cols: int):
     form in order and the pivot column of each.  This is the library's
     only elimination loop.
     """
-    F = field
+    scale_row, sub_multiple = field.scale_row, field.sub_multiple
     pivots = []
+    n = len(rows)
     r = 0
     for c in range(cols):
-        if r == len(rows):
+        if r == n:
             break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, n):
+            if rows[pivot][c]:
+                break
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        head = rows[pivot]
+        rows[pivot] = rows[r]
+        lead = head[c]
+        if lead != 1:
+            head = scale_row(field.inv(lead), head)
+        rows[r] = head
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = sub_multiple(row, f, head)
         pivots.append(c)
         r += 1
     return rows[:r], pivots

@@ -136,8 +136,8 @@ def _compose(r: Relation, s: Relation, sign: int, op: str) -> tuple[Relation, in
         rows.append(list(v[ns:] + v[:ns]) + [0] * nl)
     for i in range(s.dim):
         v = s.basis.row(i)
-        mid = v[:nk] if sign == 1 else tuple(F.neg(x) for x in v[:nk])
-        rows.append(list(mid) + [0] * ns + list(v[nk:]))
+        mid = list(v[:nk]) if sign == 1 else F.scale_row(F.neg(1), v[:nk])
+        rows.append(mid + [0] * ns + list(v[nk:]))
     red, pivots = row_reduce(F, rows, nk + ns + nl)
     middle = sum(1 for c in pivots if c < nk)
     outer = tuple(x for row in red[middle:] for x in row[nk:])

@@ -377,12 +377,15 @@ def suite_knop(field: Fq, trials: int, seed: int, max_arity: int = 3):
 
 def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3):
     """Closure, zero defect, concrete realization, and rank stability; every
-    trial is drawn and its realizations' work checked before any is realized."""
+    trial is drawn before any is realized, and the realizations' work is
+    summed as the trials are drawn, so a refusal comes as soon as it is due."""
     # the target's cell guard refuses a large field before any draw
     data = standard_target(field, 1)
     rng = random.Random(seed)
     closure, realization, stability = _Tally(seed), _Tally(seed), _Tally(seed)
     closed_trials = []  # (r1, r2, r2 . r1, t2, r1 @ t2) of each closed trial
+    realized = set()  # the distinct relations of the closed trials
+    steps = 0  # their hat_f evaluation steps
     for _ in range(trials):
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
         r1 = random_rel_infty(rng, field, s_, k_)
@@ -392,9 +395,11 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
         closure.record(closed, lambda: _composite(r1, r2))
         if closed:
             t2 = random_rel_infty(rng, field, rng.randrange(max_arity + 1), rng.randrange(max_arity + 1))
-            closed_trials.append((r1, r2, sr, t2, product(r1, t2)))
-    realized = dict.fromkeys(rel for trial in closed_trials for rel in trial)
-    check_steps(field.q, [hat_f_term(rel) for rel in realized], "relinfty realizations")
+            trial = (r1, r2, sr, t2, product(r1, t2))
+            closed_trials.append(trial)
+            new = [hat_f_term(rel) for rel in dict.fromkeys(trial) if rel not in realized]
+            realized.update(trial)
+            steps = check_steps(field.q, new, "relinfty realizations", steps)
     for r1, r2, sr, t2, r1t2 in closed_trials:
         comp_ok = hat_f(data, r2) @ hat_f(data, r1) == hat_f(data, sr)
         ten_ok = hat_f(data, r1).kron(hat_f(data, t2)) == hat_f(data, r1t2)

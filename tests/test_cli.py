@@ -367,6 +367,13 @@ def test_relinfty_guard_sums_the_drawn_work(capsys):
     assert all(line.startswith("PASS ") for line in out.splitlines()), out
 
 
+def test_relinfty_guard_refuses_as_it_draws(capsys):
+    # the sum is kept as the trials are drawn: a refused field stops at the
+    # trial that passes the bound, not after drawing 10000 (3.8 s)
+    err = assert_guard_error(capsys, "verify", "relinfty", "--q", "2^3", "--trials", "10000")
+    assert "relinfty realizations: more than 4194304 evaluation steps at D = 8" in err, err
+
+
 WITNESS = re.compile(
     r"\[(\d+) failures; first at trial (\d+) of seed 7: "
     r"(s \. r|r1 @ r2) with (?:r|r1) = (rel\([^)]*\)), (?:s|r2) = (rel\([^)]*\))\]$"

@@ -173,6 +173,36 @@ def test_translate_matches_add_on_digits(p, e):
     assert F.translate([], 1) == []
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 8)])
+def test_row_kernels_match_mul_and_sub(p, e):
+    # e = 1 works mod p, characteristic 2 XORs a row of the mul table, F_9
+    # looks up its sub table
+    F = Fq(p, e)
+    values = list(F.elements())
+    shifted = values[1:] + values[:1]
+    for f in F.elements():
+        assert F.scale_row(f, values) == [F.mul(f, x) for x in values]
+        assert F.sub_multiple(values, f, shifted) == [
+            F.sub(x, F.mul(f, y)) for x, y in zip(values, shifted)
+        ]
+        assert F.sub_multiple(shifted, f, values) == [
+            F.sub(x, F.mul(f, y)) for x, y in zip(shifted, values)
+        ]
+    assert F.scale_row(1, []) == [] and F.sub_multiple([], 1, []) == []
+
+
+@pytest.mark.parametrize("p,e", [(17, 2), (3, 6)])
+def test_row_kernels_match_mul_and_sub_on_digits(p, e):
+    # above the table limit the kernels compute digit by digit
+    F = Fq(p, e)
+    assert F._mul is None
+    rng = random.Random(f"row kernels {p}^{e}")
+    for _ in range(500):
+        f, x, y = (rng.randrange(F.q) for _ in range(3))
+        assert F.scale_row(f, [x]) == [F.mul(f, x)]
+        assert F.sub_multiple([x], f, [y]) == [F.sub(x, F.mul(f, y))]
+
+
 @pytest.mark.parametrize("p,e", [(2, 8), (3, 5)])
 def test_tables_are_built_once_per_field(p, e):
     assert Fq(p, e)._mul is Fq(p, e)._mul

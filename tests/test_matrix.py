@@ -11,6 +11,7 @@ from relcat.matrix import (
     MatFq,
     enumerate_subspaces,
     gaussian_binomial,
+    row_reduce,
     subspace_count,
 )
 
@@ -67,6 +68,72 @@ def _random_invertible(rng, F, n):
         m = MatFq(F, n, n, [rng.randrange(F.q) for _ in range(n * n)])
         if m.is_invertible():
             return m
+
+
+def reference_row_reduce(F, rows, cols):
+    """Gauss-Jordan one entry at a time with the field's mul, sub and inv."""
+    rows = [list(row) for row in rows]
+    pivots, r = [], 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (17, 2)])
+def test_row_reduce_matches_per_entry_reference(p, e):
+    F = Fq(p, e)
+    rng = random.Random(f"row_reduce {p}^{e}")
+
+    def draw(n, cols):
+        return [[rng.randrange(F.q) for _ in range(cols)] for _ in range(n)]
+
+    cases = [[], [[]], [[], []], draw(2, 0), draw(3, 4)]
+    for _ in range(60):
+        n, cols = rng.randrange(6), rng.randrange(1, 7)
+        rows = draw(n, cols)
+        if rows and rng.random() < 0.3:
+            rows.insert(rng.randrange(n + 1), [0] * cols)  # a zero row
+        if rows and rng.random() < 0.3:
+            zero = rng.randrange(cols)  # an all-zero column
+            for row in rows:
+                row[zero] = 0
+        if rows and rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))  # a duplicate row
+        cases.append(rows)
+    for rows in cases:
+        cols = len(rows[0]) if rows else rng.randrange(4)
+        expected = reference_row_reduce(F, rows, cols)
+        assert row_reduce(F, [list(row) for row in rows], cols) == expected, rows
+
+
+def test_tolist_keeps_rows_without_columns():
+    assert MatFq.zeros(F3, 2, 0).tolist() == [[], []]
+    assert MatFq.zeros(F3, 0, 2).tolist() == []
+
+
+def test_matmul_and_neg_match_per_entry_reference():
+    rng = random.Random(4)
+    for F in (F2, F3, F4, Fq(2, 3), Fq(3, 2), Fq(17, 2)):
+        for _ in range(10):
+            n, m, l = rng.randrange(4), rng.randrange(4), rng.randrange(4)
+            a = MatFq(F, n, m, [rng.randrange(F.q) for _ in range(n * m)])
+            b = MatFq(F, m, l, [rng.randrange(F.q) for _ in range(m * l)])
+            product = [0] * (n * l)
+            for i, j, k in itertools.product(range(n), range(l), range(m)):
+                product[i * l + j] = F.add(product[i * l + j], F.mul(a[i, k], b[k, j]))
+            assert (a @ b).entries == tuple(product)
+            assert a.neg().entries == tuple(F.neg(x) for x in a.entries)
 
 
 def test_matmul_identity():
