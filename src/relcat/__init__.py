@@ -1,62 +1,53 @@
 """Exact calculus of subspace relations over F_q, the interpolation
 category they span, and its specializations to finite-rank matrix
-representations."""
+representations.
 
-from .category import (
-    Morphism,
-    compose,
-    dual,
-    gram,
-    identity,
-    mu_morphism,
-    orbit_expand,
-    orbit_invert,
-    permutation,
-    phi,
-    symmetry,
-    t_inv,
-    t_iso,
-    tensor,
-    trace,
-)
-from .concrete import ConcreteMap, f_r_matrix, independence_check, rel_infty_stability, specialize
-from .dsl import eval_formal, parse, parse_poly, parse_program
-from .field import Fq, parse_q
-from .frobenius import (
-    FrobeniusData,
-    check_axioms,
-    frobenius_axiom_terms,
-    hat_f,
-    standard_target,
-    term_eval,
-)
-from .matrix import MatFq, enumerate_subspaces, gaussian_binomial
-from .poly import PolyQ
-from .relations import (
-    Relation,
-    generator_relation,
-    is_rel_infty,
-    knop_diamond,
-    product,
-    rel_infty_normal_form,
-    sigma_relation,
-    star,
-)
-from .terms import decompose_generators
+Importing the package loads no submodule: each public name is imported
+from its submodule on first access (PEP 562), so ``relcat.cli`` and other
+callers pay only for the layers they use.
+"""
 
-# the public API: every name imported above, and no submodule
-__all__ = [
-    "Morphism", "compose", "dual", "gram", "identity", "mu_morphism", "orbit_expand",
-    "orbit_invert", "permutation", "phi", "symmetry", "t_inv", "t_iso", "tensor", "trace",
-    "ConcreteMap", "f_r_matrix", "independence_check", "rel_infty_stability", "specialize",
-    "eval_formal", "parse", "parse_poly", "parse_program",
-    "Fq", "parse_q",
-    "FrobeniusData", "check_axioms", "frobenius_axiom_terms", "hat_f", "standard_target",
-    "term_eval",
-    "MatFq", "enumerate_subspaces", "gaussian_binomial",
-    "PolyQ",
-    "Relation", "generator_relation", "is_rel_infty", "knop_diamond", "product",
-    "rel_infty_normal_form", "sigma_relation", "star",
-    "decompose_generators",
-]
+from importlib import import_module as _import_module
+
+# the public API, grouped by the submodule that defines each name; no
+# submodule is itself a public name
+_EXPORTS = {
+    "category": (
+        "Morphism", "compose", "dual", "gram", "identity", "mu_morphism", "orbit_expand",
+        "orbit_invert", "permutation", "phi", "symmetry", "t_inv", "t_iso", "tensor", "trace",
+    ),
+    "concrete": (
+        "ConcreteMap", "f_r_matrix", "independence_check", "rel_infty_stability", "specialize",
+    ),
+    "dsl": ("eval_formal", "parse", "parse_poly", "parse_program"),
+    "field": ("Fq", "parse_q"),
+    "frobenius": (
+        "FrobeniusData", "check_axioms", "frobenius_axiom_terms", "hat_f", "standard_target",
+        "term_eval",
+    ),
+    "matrix": ("MatFq", "enumerate_subspaces", "gaussian_binomial"),
+    "poly": ("PolyQ",),
+    "relations": (
+        "Relation", "generator_relation", "is_rel_infty", "knop_diamond", "product",
+        "rel_infty_normal_form", "sigma_relation", "star",
+    ),
+    "terms": ("decompose_generators",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import a public name from its submodule on first access, then keep it."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,6 +8,10 @@ output is byte-identical across runs.
 The argparse parser is built on the first ``main`` call, not at import, and
 then shared by every later call in the process: it holds no state between
 calls, and each ``parse_args`` returns a fresh namespace.
+
+Importing this module loads only ``errors`` and ``field`` of the package;
+each ``cmd_*`` imports the layers it runs when it runs, so a one-shot
+command pays only for those.
 """
 
 from __future__ import annotations
@@ -19,9 +23,6 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from . import category as cat
-from .concrete import specialize
-from .dsl import eval_formal, parse, parse_program
 from .errors import (
     ParseError,
     RelcatError,
@@ -31,10 +32,6 @@ from .errors import (
     UsageError,
 )
 from .field import COUNT_DIGITS, parse_q
-from .matrix import subspace_count
-from .poly import DET_POLY_GUARD, PolyQ, det_poly, printable, rational_roots
-from .suites import suite_axioms, suite_functor, suite_knop, suite_lemmas, suite_relinfty
-from .terms import RelLit
 
 # the least value of each size flag; below --trials 1 no trial runs, and a
 # suite that ran none must not pass
@@ -94,8 +91,11 @@ def _read_expr(args) -> str:
     return args.expr
 
 
-def _eval_expr(args, field) -> cat.Morphism:
-    """Parse the expression, evaluate it over Q[t], then substitute --t if given."""
+def _eval_expr(args, field):
+    """The expression's ``category.Morphism``: parsed, evaluated over Q[t],
+    then --t substituted if given."""
+    from .dsl import eval_formal, parse, parse_program
+
     text = _read_expr(args)
     term = parse_program(text, field) if args.file else parse(text, field)
     value = _t_value(args)
@@ -103,7 +103,7 @@ def _eval_expr(args, field) -> cat.Morphism:
     return morphism if value is None else morphism.evaluate(value)
 
 
-def _morphism_json(m: cat.Morphism) -> dict:
+def _morphism_json(m) -> dict:
     return {
         "q": str(m.field),
         "s": m.s,
@@ -112,12 +112,6 @@ def _morphism_json(m: cat.Morphism) -> dict:
             {"coeff": str(coeff), "rel": rel.to_json()} for rel, coeff in m.sorted_terms()
         ],
     }
-
-
-def _json_rational(v):
-    """An exact rational for JSON: an int when it is one, else its text."""
-    v = printable(Fraction(v))
-    return v.numerator if v.denominator == 1 else str(v)
 
 
 def cmd_eval(args) -> int:
@@ -131,6 +125,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_specialize(args) -> int:
+    from .concrete import specialize
+    from .poly import printable
+
     field = parse_q(args.q)
     morphism = _eval_expr(args, field)
     if args.t == "sym" and any(c.degree() > 0 for c in morphism.terms.values()):
@@ -139,25 +136,32 @@ def cmd_specialize(args) -> int:
             "drop --t to substitute t = q^n"
         )
     conc = specialize(morphism, args.n)
-    entries = [[r, c, _json_rational(v)] for (r, c), v in conc.mat.entries_sorted()]
+    entries = []
+    for (r, c), v in conc.mat.entries_sorted():
+        # an exact rational for JSON: an int when it is one, else its text
+        v = printable(Fraction(v))
+        entries.append([r, c, v.numerator if v.denominator == 1 else str(v)])
     payload = {"q": str(field), "n": args.n, "s": conc.s, "k": conc.k, "entries": entries}
     _emit(args, json.dumps(payload, sort_keys=True))
     return 0
 
 
-# each suite by name, called with the flags it reads
+# each suite by name: its runner in the ``suites`` module, called with the
+# flags it reads
 SUITES = {
-    "axioms": lambda F, a: suite_axioms(F, a.n),
-    "lemmas": lambda F, a: suite_lemmas(F, a.n, a.seed),
-    "functor": lambda F, a: suite_functor(F, a.n, a.trials, a.seed, a.max_arity),
-    "relinfty": lambda F, a: suite_relinfty(F, a.n, a.trials, a.seed, a.max_arity),
-    "knop": lambda F, a: suite_knop(F, a.trials, a.seed, a.max_arity),
+    "axioms": lambda s, F, a: s.suite_axioms(F, a.n),
+    "lemmas": lambda s, F, a: s.suite_lemmas(F, a.n, a.seed),
+    "functor": lambda s, F, a: s.suite_functor(F, a.n, a.trials, a.seed, a.max_arity),
+    "relinfty": lambda s, F, a: s.suite_relinfty(F, a.n, a.trials, a.seed, a.max_arity),
+    "knop": lambda s, F, a: s.suite_knop(F, a.trials, a.seed, a.max_arity),
 }
 
 
 def cmd_verify(args) -> int:
+    from . import suites
+
     field = parse_q(args.q)
-    results = SUITES[args.suite](field, args)
+    results = SUITES[args.suite](suites, field, args)
     passed = all(r.passed for r in results)
     if args.format == "json":
         _emit(args, json.dumps(
@@ -176,6 +180,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    from . import category as cat
+    from .matrix import subspace_count
+    from .poly import DET_POLY_GUARD, PolyQ, det_poly, rational_roots
+
     field = parse_q(args.q)
     value = _t_value(args)
     count = subspace_count(field, args.s + args.k)
@@ -209,6 +217,8 @@ def cmd_gram(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .matrix import subspace_count
+
     field = parse_q(args.q)
     count = subspace_count(field, args.s + args.k)
     if args.format == "json":
@@ -219,6 +229,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_knop_convert(args) -> int:
+    from .dsl import parse
+    from .terms import RelLit
+
     field = parse_q(args.q)
     term = parse(args.rel, field)
     if not isinstance(term, RelLit):

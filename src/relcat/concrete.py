@@ -24,13 +24,16 @@ becomes the Kronecker product, and t evaluates to q^n.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .category import Morphism
 from .errors import ArityMismatch, NotRelInfty, TooLarge
 from .field import Fq
 from .matrix import enumerate_subspaces, null_rows
 from .qmat import QMat
 from .relations import Relation, is_rel_infty
+
+if TYPE_CHECKING:  # an annotation only: the functor never runs category code
+    from .category import Morphism
 
 SIZE_GUARD = 2**22
 

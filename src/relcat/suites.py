@@ -9,29 +9,23 @@ through the structure checker ``check_axioms``, the lemma pairs here.  A
 pair that fails on the structure names its first differing cell
 (``frobenius.first_difference``).  The lemma and relinfty suites pass what
 they will evaluate through ``frobenius.check_steps`` before evaluating any
-of it.  The functor and stability suites compare the formal category
-against its specializations.
+of it, and the randomized suites refuse a trial count whose measured
+per-trial cost passes ``TRIAL_GUARD`` before their first draw.  The functor
+and stability suites compare the formal category against its
+specializations.
+
+Only ``field``, ``matrix`` and ``relations`` load with this module; each
+suite imports the layers above them that it runs, so ``verify knop`` loads
+no term, evaluator or functor code.
 """
 
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-from . import terms as tm
-from .concrete import f_r_matrix, rel_infty_stability
-from .dsl import eval_formal
+from .errors import TooLarge
 from .field import Fq
-from .frobenius import (
-    FrobeniusData,
-    check_axioms,
-    check_steps,
-    first_difference,
-    frobenius_axiom_terms,
-    hat_f,
-    hat_f_term,
-    standard_target,
-    term_eval,
-)
 from .matrix import MatFq
 from .relations import (
     is_rel_infty,
@@ -43,6 +37,9 @@ from .relations import (
     random_relation,
     star,
 )
+
+if TYPE_CHECKING:  # the layers above relations load only in the suites that run them
+    from .frobenius import FrobeniusData
 
 
 class SuiteResult:
@@ -72,6 +69,8 @@ def _block_diag(a: MatFq, b: MatFq) -> MatFq:
 
 def mu_lemma_terms(field: Fq, seed: int = 0):
     """Matrix-action calculus lemmas, as generator/matrix-literal term pairs."""
+    from . import terms as tm
+
     rng = random.Random(seed)
     g = tm.atom
     I1 = tm.t_id(1)
@@ -234,6 +233,9 @@ def run_term_pairs(field: Fq, pairs, data: FrobeniusData | None):
     One formal memo serves every pair, so a subterm the pairs share is
     evaluated once per run.
     """
+    from .dsl import eval_formal
+    from .frobenius import first_difference
+
     out = []
     memo: dict = {}
     for name, lhs, rhs in pairs:
@@ -249,6 +251,9 @@ def run_term_pairs(field: Fq, pairs, data: FrobeniusData | None):
 
 def suite_axioms(field: Fq, n: int = 1):
     """Each axiom pair formally, then on the standard target by the structure checker."""
+    from . import terms as tm
+    from .frobenius import check_axioms, frobenius_axiom_terms, standard_target, term_eval
+
     # the pair list refuses a large q before the target is built
     pairs = frobenius_axiom_terms(field)
     data = standard_target(field, n)
@@ -266,6 +271,8 @@ def suite_axioms(field: Fq, n: int = 1):
 
 
 def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
+    from .frobenius import check_steps, standard_target
+
     # the target's cell guard runs before the pair list loops over F_q
     data = standard_target(field, n)
     pairs = mu_lemma_terms(field, seed)
@@ -273,9 +280,54 @@ def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
     return run_term_pairs(field, pairs, data)
 
 
+# A randomized suite refuses, before its first draw, a run whose trials pass
+# TRIAL_GUARD microseconds at its per-trial cost below, the budget that
+# frobenius.EVAL_GUARD gives in steps of about 1 us.  Each cost bounds from
+# above the time of one trial measured over q <= 8, n <= 12 and max-arity
+# <= 160 (2-vCPU x86-64 VM, Python 3.11), in terms of what a trial builds.
+TRIAL_GUARD = 2**22
+# The cells of any f_R a functor trial builds: more are skipped by _arity_guard.
+HOM_CELLS = 2**12
+
+
+def _power(q: int, e: int) -> int:
+    """q^e, or TRIAL_GUARD + 1 without forming it once e passes the guard's bit length."""
+    return TRIAL_GUARD + 1 if e > TRIAL_GUARD.bit_length() else q**e
+
+
 def _arity_guard(field: Fq, n: int, *pairs) -> bool:
-    # bound the hom-space cell count so worst-case dense products stay fast
-    return all(field.q ** (n * (a + b)) <= 2**12 for a, b in pairs)
+    # bound the hom-space cell count so worst-case dense products stay fast;
+    # a huge n is refused without forming q^(n(a+b))
+    return all(_power(field.q, n * (a + b)) <= HOM_CELLS for a, b in pairs)
+
+
+def _knop_trial_us(max_arity: int) -> int:
+    # the draws, the star and the diamond eliminate over at most N = 3m
+    # strands: 40 us, about 1 us a cell of the N x N square, and N^3 / 300 us
+    # of row operations, which take over past N = 300 (0.56 s a trial at m = 160)
+    strands = 3 * max_arity
+    return 40 + strands**2 + strands**3 // 300
+
+
+def _functor_trial_us(field: Fq, n: int, max_arity: int) -> int:
+    # f_R products of at most q^(2nm) cells, and no more than HOM_CELLS: about
+    # 0.6 us a cell (2.2 ms a trial at q = 2, n = 12), plus 150 us
+    return 150 + 3 * min(_power(field.q, 2 * n * max_arity), HOM_CELLS) // 5
+
+
+def _relinfty_trial_us(field: Fq, max_arity: int) -> int:
+    # 120 us, compiling the realizations of new draws, which grows as (m+1)^3
+    # (1.3 ms a trial at q = 2, m = 3), and maps of q^(2m) cells multiplied
+    # and compared, about 6 us a cell (24.6 ms a trial at q = 8, m = 2)
+    return 120 + 20 * (max_arity + 1) ** 3 + 6 * _power(field.q, 2 * max_arity)
+
+
+def _check_trials(suite: str, trials: int, trial_us: int) -> None:
+    """TooLarge if trials at trial_us microseconds each pass TRIAL_GUARD."""
+    if trials * trial_us > TRIAL_GUARD:
+        raise TooLarge(
+            f"{suite}: {trials} trials of about {trial_us} us each, more than {TRIAL_GUARD} us"
+        )
 
 
 class _Tally:
@@ -323,6 +375,9 @@ def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3)
 
     Each distinct relation's f_R is built once per run, by ``f_r_matrix``.
     """
+    from .concrete import f_r_matrix
+
+    _check_trials("functor", trials, _functor_trial_us(field, n, max_arity))
     rng = random.Random(seed)
     comp, ten = _Tally(seed), _Tally(seed)
     built: dict = {}  # relation -> its f_R matrix at rank n
@@ -363,6 +418,7 @@ def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3)
 
 def suite_knop(field: Fq, trials: int, seed: int, max_arity: int = 3):
     """Orthogonal-indexing compatibility: diamond vs star, e vs d."""
+    _check_trials("knop", trials, _knop_trial_us(max_arity))
     rng = random.Random(seed)
     tally = _Tally(seed)
     for _ in range(trials):
@@ -377,15 +433,22 @@ def suite_knop(field: Fq, trials: int, seed: int, max_arity: int = 3):
 
 def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3):
     """Closure, zero defect, concrete realization, and rank stability; every
-    trial is drawn before any is realized, and the realizations' work is
-    summed as the trials are drawn, so a refusal comes as soon as it is due."""
+    trial is drawn before any is realized.  The trials' own work, in steps of
+    about 1 us, is summed before the first draw, and the realizations' steps
+    are added to it as the trials are drawn, so a refusal comes as soon as it
+    is due."""
+    from .concrete import rel_infty_stability
+    from .frobenius import check_steps, hat_f, hat_f_term, standard_target
+
     # the target's cell guard refuses a large field before any draw
     data = standard_target(field, 1)
     rng = random.Random(seed)
     closure, realization, stability = _Tally(seed), _Tally(seed), _Tally(seed)
     closed_trials = []  # (r1, r2, r2 . r1, t2, r1 @ t2) of each closed trial
     realized = set()  # the distinct relations of the closed trials
-    steps = 0  # their hat_f evaluation steps
+    # the trials' own work, then their realizations' hat_f evaluation steps
+    steps = check_steps(field.q, (), "relinfty realizations",
+                        trials * _relinfty_trial_us(field, max_arity))
     for _ in range(trials):
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
         r1 = random_rel_infty(rng, field, s_, k_)

@@ -22,7 +22,7 @@ from relcat.category import Morphism
 from relcat.concrete import f_r_matrix, independence_check, rel_infty_stability
 from relcat.dsl import eval_formal
 from relcat.field import Fq
-from relcat.frobenius import hat_f, standard_target, term_eval
+from relcat.frobenius import frobenius_axiom_terms, hat_f, standard_target, term_eval
 from relcat.poly import PolyQ, det_poly, rational_roots
 from relcat.relations import (
     is_rel_infty,
@@ -33,7 +33,7 @@ from relcat.relations import (
     random_relation,
     star,
 )
-from relcat.suites import frobenius_axiom_terms, mu_lemma_terms, run_term_pairs
+from relcat.suites import mu_lemma_terms, run_term_pairs
 from relcat.terms import Gen, decompose_generators
 
 F2, F3, F4 = Fq(2), Fq(3), Fq(2, 2)

@@ -9,7 +9,7 @@ import sys
 import time
 from pathlib import Path
 
-from relcat import frobenius, suites
+from relcat import concrete, frobenius, suites
 from relcat.cli import build_parser, main
 from relcat.concrete import ConcreteMap, f_r_matrix, rel_infty_stability
 from relcat.field import Fq
@@ -321,7 +321,6 @@ def test_verify_axioms_builds_the_pair_list_once(capsys, monkeypatch):
         return real(field)
 
     monkeypatch.setattr(frobenius, "frobenius_axiom_terms", counting)
-    monkeypatch.setattr(suites, "frobenius_axiom_terms", counting)
     code, _, _ = run_cli(capsys, "verify", "axioms", "--q", "3")
     assert code == 0 and builds == [Fq(3)]
 
@@ -374,6 +373,21 @@ def test_relinfty_guard_refuses_as_it_draws(capsys):
     assert "relinfty realizations: more than 4194304 evaluation steps at D = 8" in err, err
 
 
+def test_trial_counts_are_refused_by_their_per_trial_cost(capsys):
+    # each of these used to run 10-15 s and exit 0: relinfty's per-trial work
+    # at D = 2 or 3, which its step count does not see, and suites with no
+    # step count
+    for argv in (["relinfty", "--q", "2", "--trials", "14000"],
+                 ["relinfty", "--q", "3", "--trials", "3000"]):
+        err = assert_guard_error(capsys, "verify", *argv)
+        assert "relinfty realizations: more than 4194304 evaluation steps" in err, err
+    for suite, argv in (("functor", ["--q", "2", "--n", "2", "--trials", "30000"]),
+                        ("knop", ["--q", "2", "--trials", "200000"]),
+                        ("knop", ["--q", "2", "--max-arity", "160", "--trials", "20"])):
+        err = assert_guard_error(capsys, "verify", suite, *argv)
+        assert err.startswith(f"error: {suite}: ") and "us each, more than 4194304 us" in err, err
+
+
 WITNESS = re.compile(
     r"\[(\d+) failures; first at trial (\d+) of seed 7: "
     r"(s \. r|r1 @ r2) with (?:r|r1) = (rel\([^)]*\)), (?:s|r2) = (rel\([^)]*\))\]$"
@@ -387,7 +401,7 @@ def test_functor_failure_names_a_witness(capsys, monkeypatch):
         m = f_r_matrix(rel, n)
         return ConcreteMap(m.field, n, m.s, m.k, m.mat.scale(2)) if rel.dim == 1 else m
 
-    monkeypatch.setattr(suites, "f_r_matrix", corrupted)
+    monkeypatch.setattr(concrete, "f_r_matrix", corrupted)
     argv = ["verify", "functor", "--q", "2", "--n", "1", "--seed", "7"]
     code, out, _ = run_cli(capsys, *argv, "--trials", "20")
     assert code == 1
@@ -437,8 +451,8 @@ def test_relinfty_failures_name_witnesses(capsys, monkeypatch):
         m = hat_f(data, rel)
         return m.scale(2) if rel.dim == 1 else m
 
-    monkeypatch.setattr(suites, "hat_f", corrupted)
-    monkeypatch.setattr(suites, "rel_infty_stability", lambda rel, n: rel.dim != 1)
+    monkeypatch.setattr(frobenius, "hat_f", corrupted)
+    monkeypatch.setattr(concrete, "rel_infty_stability", lambda rel, n: rel.dim != 1)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     closure, realization, stability, last = out.splitlines()
@@ -461,7 +475,7 @@ def test_lemma_failures_name_a_cell(capsys, monkeypatch):
         data = standard_target(field, n)
         return FrobeniusData(field, data.dim, {**data.maps, Gen("mu", 0): data.maps[Gen("mu", 1)]})
 
-    monkeypatch.setattr(suites, "standard_target", corrupted)
+    monkeypatch.setattr(frobenius, "standard_target", corrupted)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1 and out.splitlines()[-1] == "FAIL suite lemmas"
     pairs = {name: (lhs, rhs) for name, lhs, rhs in suites.mu_lemma_terms(Fq(2), 7)}
@@ -490,7 +504,7 @@ def test_rank_stability_passes_only_on_checks_that_ran(capsys, monkeypatch):
         calls.append(rel)
         return rel_infty_stability(rel, n)
 
-    monkeypatch.setattr(suites, "rel_infty_stability", counted)
+    monkeypatch.setattr(concrete, "rel_infty_stability", counted)
     outcomes = set()
     for seed in range(1, 9):
         calls.clear()

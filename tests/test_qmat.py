@@ -7,6 +7,7 @@ import pytest
 
 from helpers import to_dense
 
+import relcat.concrete as concrete
 import relcat.suites as suites
 from relcat.errors import ShapeMismatch
 from relcat.field import Fq
@@ -206,7 +207,7 @@ def test_equality_sees_shape():
 
 
 def test_functor_suite_builds_each_f_r_once(monkeypatch):
-    build = suites.f_r_matrix
+    build = concrete.f_r_matrix
     built = []
 
     def counting(rel, n):
@@ -216,7 +217,7 @@ def test_functor_suite_builds_each_f_r_once(monkeypatch):
     for q, n in ((2, 1), (2, 2), (3, 1)):
         expected = [res.line() for res in suites.suite_functor(Fq(q), n, 30, 4)]
         built.clear()
-        monkeypatch.setattr(suites, "f_r_matrix", counting)
+        monkeypatch.setattr(concrete, "f_r_matrix", counting)
         got = [res.line() for res in suites.suite_functor(Fq(q), n, 30, 4)]
         monkeypatch.undo()
         assert got == expected and all(line.startswith("PASS ") for line in got)
