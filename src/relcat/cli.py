@@ -311,6 +311,11 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # the parser and eval_formal take one frame per nesting level
+        print(f"error: the expression nests deeper than the recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
+        return 3
     except RelcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,10 @@ f_R at rank n is the slotwise product of the kernel points: its nonzero
 cells are the sums of one kernel point per slot, q^{n·dim ker} of them,
 built directly without solving for any column.  The basis is already in
 RREF, so the kernel is read off it (``matrix.null_rows``) and no
-elimination runs.  Only ``matrix`` and ``field`` are used, never
+elimination runs.  ``f_r_matrix`` and ``specialize`` count those cells
+before they build any and refuse more than ``CELL_GUARD``; each guard
+decides its power of q from the exponent first (``field.capped_power``),
+so a huge n is refused without forming q^n.  Only ``matrix`` and ``field`` are used, never
 ``star``, ``product`` or ``category``.
 
 These matrices are the ground-truth oracle for every formal identity:
@@ -27,7 +30,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ArityMismatch, NotRelInfty, TooLarge
-from .field import Fq
+from .field import Fq, capped_power
 from .matrix import enumerate_subspaces, null_rows
 from .qmat import QMat
 from .relations import Relation, is_rel_infty
@@ -35,7 +38,12 @@ from .relations import Relation, is_rel_infty
 if TYPE_CHECKING:  # an annotation only: the functor never runs category code
     from .category import Morphism
 
+# A map of more than q^(n max(s, k, 1)) = SIZE_GUARD rows or columns is refused.
 SIZE_GUARD = 2**22
+# f_r_matrix and specialize refuse to build more f_R cells than this:
+# specialize took 8-9 us a cell end to end, printing included, and 2.2 s
+# for 2^18 cells (2-vCPU x86-64 VM, Python 3.11).
+CELL_GUARD = 2**18
 
 
 class ConcreteMap:
@@ -66,8 +74,16 @@ class ConcreteMap:
 
 
 def _guard(field: Fq, n: int, s: int, k: int):
-    if field.q ** (n * max(s, k, 1)) > SIZE_GUARD:
+    if capped_power(field.q, n * max(s, k, 1), SIZE_GUARD) > SIZE_GUARD:
         raise TooLarge(f"q^(n*max(s,k)) exceeds {SIZE_GUARD}")
+
+
+def _check_cells(field: Fq, n: int, rels, source: str):
+    """TooLarge if the f_R of the relations at rank n have more than
+    CELL_GUARD cells in all: q^(n dim ker) each."""
+    cells = sum(capped_power(field.q, n * (r.s + r.k - r.basis.rows), CELL_GUARD) for r in rels)
+    if cells > CELL_GUARD:
+        raise TooLarge(f"{source}: more than {CELL_GUARD} f_R cells at n = {n}")
 
 
 def tuple_code(field: Fq, n: int, vectors) -> int:
@@ -113,6 +129,7 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
     """
     F, s, k = rel.field, rel.s, rel.k
     _guard(F, n, s, k)
+    _check_cells(F, n, [rel], f"f_R of a [{s}] -> [{k}] relation")
     q = F.q
     kernel = null_rows(F, rel.basis.tolist(), s + k)
     coords = [[0] for _ in range(s + k)]
@@ -143,24 +160,26 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
 
 
 def specialize(f: Morphism, n: int) -> ConcreteMap:
-    """Evaluate every coefficient at t = q^n and sum the basis matrices."""
+    """Evaluate every coefficient at t = q^n and sum the basis matrices;
+    the cells of every f_R to build are counted before any is built."""
     F = f.field
     _guard(F, n, f.s, f.k)
     t_value = Fraction(F.q) ** n
+    values = {rel: coeff.evaluate(t_value) for rel, coeff in f.terms.items()}
+    values = {rel: value for rel, value in values.items() if value}
+    _check_cells(F, n, values, "specialize")
     acc = QMat.zero(F.q ** (n * f.k), F.q ** (n * f.s))
-    for rel, coeff in f.terms.items():
-        value = coeff.evaluate(t_value)
-        if value:
-            acc = acc.add(f_r_matrix(rel, n).mat.scale(value))
+    for rel, value in values.items():
+        acc = acc.add(f_r_matrix(rel, n).mat.scale(value))
     return ConcreteMap(F, n, f.s, f.k, acc)
 
 
 def independence_check(field: Fq, s: int, k: int, n: int) -> tuple[int, bool]:
     """Rank of the stacked, vectorized basis matrices at rank n."""
     rels = [Relation._trusted(field, s, k, b) for b in enumerate_subspaces(field, s + k)]
-    width = field.q ** (n * (s + k))
-    if width > SIZE_GUARD:
+    if capped_power(field.q, n * (s + k), SIZE_GUARD) > SIZE_GUARD:
         raise TooLarge("vectorized matrices too large")
+    width = field.q ** (n * (s + k))
     stack = QMat._trusted_rows(len(rels), width, (f_r_matrix(rel, n).mat.vec() for rel in rels))
     rank = stack.rank()
     return rank, rank == len(rels)

@@ -25,10 +25,6 @@ class ShapeMismatch(RelcatError):
     pass
 
 
-class Singular(RelcatError):
-    pass
-
-
 class TooLarge(RelcatError):
     """A feasibility guard was exceeded (desk-scale enumeration bound)."""
 

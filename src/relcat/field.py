@@ -43,6 +43,12 @@ TABLE_LIMIT = 256
 # Python reads and prints no int of more digits than this (sys.get_int_max_str_digits)
 COUNT_DIGITS = 4300
 
+
+def capped_power(q: int, e: int, cap: int) -> int:
+    """q^e for q >= 2, or cap + 1 without forming it once e passes cap's bit
+    length, so that a guard can compare a huge power with its bound."""
+    return cap + 1 if e > cap.bit_length() else q**e
+
 # Miller-Rabin with these bases is exact below MR_LIMIT (Sorenson and
 # Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -18,19 +18,20 @@ compiled once per structure into a tree of nodes cached on the structure
 by term: stored maps and relation literals hold their columns, ev, coev
 and z* compile their definitions (``DEFINED``), a matrix literal points at
 the one compiled expansion of its matrix, and other composites hold their
-compiled children, so subterms shared between terms are compiled once.
-A composition chain is one node over its factors, in which each run of
-two or more permutation factors (sigma, identities, and their tensors and
-composites) is one ``_Perm``: it maps the base-D digits of an index and
-holds no matrix.  A tensor chain is one node too: a whisker over its one
-factor that is not an identity, else one flat ``_Kron`` over all its
-factors.  Each chain factor's strand permutation is walked once per
-structure and memoized on it beside the compile cache; the term builders
-hand out shared instances, so both caches mostly hit on identity.  Each
-call then asks the root for basis columns; every node memoizes the
-columns it computes for that call only, so wide intermediate tensor
-powers never materialize as full matrices and no column outlives its
-call.  ``hat_f`` evaluates the one term of a relation's normal form
+compiled children, so subterms shared between terms are compiled once;
+the term builders hand out shared instances, so the cache mostly hits on
+identity.  Strand permutations are compiled bottom-up by the same walk:
+sigma is a ``_Perm``, which maps the base-D digits of an index and holds
+no matrix, and a tensor chain of permutations and identities is one
+``_Perm``.  A composition chain is one node over its factors, in which
+each permutation folds into the one just before it, so a run of them is
+one ``_Perm``, or nothing when it composes to the identity.  Any other
+tensor chain is one node too: a whisker over its one factor that is not
+an identity, else one flat ``_Kron`` over all its factors.  Each call then
+asks the root for basis columns; every node memoizes the columns it
+computes for that call only, so wide intermediate tensor powers never
+materialize as full matrices and no column outlives its call.
+``hat_f`` evaluates the one term of a relation's normal form
 (``hat_f_term``) and caches the result on the structure by relation.
 ``check_steps`` refuses terms past ``EVAL_GUARD`` evaluation steps in all
 (``term_steps``: D^(dom + unit uses) columns through the widest layer);
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 from contextlib import suppress
 from functools import lru_cache
-from itertools import groupby
 
 from . import terms as tm
 from .errors import (
@@ -139,7 +139,7 @@ class FrobeniusData:
     cached on the structure, so a cached value never goes stale.
     """
 
-    __slots__ = ("field", "dim", "maps", "_compiled", "_perms", "_realized")
+    __slots__ = ("field", "dim", "maps", "_compiled", "_realized")
 
     def __init__(self, field: Fq, dim: int, maps):
         self.field = field
@@ -147,8 +147,6 @@ class FrobeniusData:
         self.maps = dict(maps)
         # t_value -> term -> compiled node (see _compile)
         self._compiled: dict = {}
-        # chain factor -> its strand permutation or None (see _build_chain)
-        self._perms: dict = {}
         # relation -> its hat_f matrix
         self._realized: dict = {}
         required = [tm.atom(name) for name in ("m", "m*", "eps*", "plus", "z")]
@@ -166,10 +164,6 @@ class FrobeniusData:
     @property
     def has_unit(self) -> bool:
         return UNIT in self.maps
-
-    def swap(self) -> QMat:
-        d = self.dim
-        return QMat(d * d, d * d, {(j + d * i, i + d * j): 1 for i in range(d) for j in range(d)})
 
 
 def standard_target(field: Fq, n: int) -> FrobeniusData:
@@ -295,15 +289,17 @@ class _Kron:
 
 
 class _Perm:
-    """A strand permutation: input strand j goes to output strand p[j].
+    """A strand permutation other than the identity: input strand j goes to
+    output strand p[j].
 
     Maps the base-D digits of an index and holds no matrix.
     """
 
-    __slots__ = ("dim", "weights")
+    __slots__ = ("dim", "p", "weights")
 
     def __init__(self, dim: int, p):
         self.dim = dim
+        self.p = p
         self.weights = [dim**j for j in p]
 
     def col(self, i: int, memo: dict) -> dict:
@@ -389,7 +385,7 @@ def _build(data: FrobeniusData, term: Term, t_value):
         if name in DEFINED:
             return _compile(data, DEFINED[name], t_value)
         if name == "sigma":
-            return _Cols(data.swap())
+            return _Perm(data.dim, [1, 0])
         if term == UNIT and not data.has_unit:
             raise MissingUnit("term uses eps but the structure has no unit")
         return _Cols(data.maps[term])
@@ -416,40 +412,11 @@ def _build(data: FrobeniusData, term: Term, t_value):
     raise TypeError(f"not a Term: {term!r}")
 
 
-def _strand_perm(term: Term):
-    """Where a term built from sigma and identities sends each input strand, or None.
-
-    Walks the term without recursion: a composite inside it may be deep.
-    """
-    done = []  # the permutations of the finished subterms, in walk order
-    stack = [(term, False)]
-    while stack:
-        sub, ready = stack.pop()
-        if isinstance(sub, tm.IdK):
-            done.append(list(range(sub.k)))
-        elif isinstance(sub, tm.Gen) and sub.name == "sigma":
-            done.append([1, 0])
-        elif not isinstance(sub, (tm.Compose, tm.Tensor)):
-            return None
-        elif not ready:
-            stack += ((sub, True), (sub.right, False), (sub.left, False))
-        else:
-            right = done.pop()
-            left = done.pop()
-            if isinstance(sub, tm.Tensor):
-                done.append(left + [len(left) + j for j in right])
-            else:
-                done.append([left[j] for j in right])
-    return done[0]
-
-
 def _build_chain(data: FrobeniusData, term: Term, t_value):
-    """A composition chain as one node over its factors.
+    """A composition chain as one node over its compiled factors.
 
-    Each run of two or more permutation factors (``_strand_perm``) is folded
-    into one ``_Perm``, or into nothing when the run is the identity; a
-    lone one is compiled as it stands.  Each factor's permutation is walked
-    once per structure and looked up in ``data._perms`` after that.
+    Identity factors drop out, and each ``_Perm`` folds into a ``_Perm``
+    just before it; a fold that gives the identity leaves no node.
     """
     factors = []  # in the order they apply
     stack = [term]
@@ -459,45 +426,44 @@ def _build_chain(data: FrobeniusData, term: Term, t_value):
             stack += (sub.left, sub.right)
         else:
             factors.append(sub)
-    perms = data._perms
-    tagged = []
-    for sub in factors:
-        if sub not in perms:
-            perms[sub] = _strand_perm(sub)
-        tagged.append((sub, perms[sub]))
     nodes = []
-    runs = groupby(tagged, key=lambda f: f[1] is not None)
-    for is_perm, run in runs:
-        run = list(run)
-        if not is_perm or len(run) == 1:
-            nodes += [_compile(data, sub, t_value) for sub, _ in run]
+    for sub in factors:
+        node = _compile(data, sub, t_value)
+        if node is _ID:
             continue
-        p = run[0][1]
-        for _, then in run[1:]:
-            p = [then[j] for j in p]
-        if p != list(range(len(p))):
-            nodes.append(_Perm(data.dim, p))
-    nodes = [node for node in nodes if node is not _ID]
+        if isinstance(node, _Perm) and nodes and isinstance(nodes[-1], _Perm):
+            p = [node.p[j] for j in nodes.pop().p]
+            if p == list(range(len(p))):
+                continue
+            node = _Perm(data.dim, p)
+        nodes.append(node)
     if not nodes:
         return _ID
     return nodes[0] if len(nodes) == 1 else _Chain(nodes)
 
 
 def _build_tensor(data: FrobeniusData, term: Term, t_value):
-    """A tensor chain as one node: a ``_Whisker`` when every factor but one
-    is an identity, else one ``_Kron`` over all of them."""
+    """A tensor chain as one node: a ``_Perm`` when every factor is a
+    permutation or an identity, a ``_Whisker`` when every factor but one is
+    an identity, else one ``_Kron`` over all of them."""
     D = data.dim
-    factors = []  # (node, D^dom, D^cod), left to right
+    subs = []  # the factors, left to right
     stack = [term]
     while stack:
         sub = stack.pop()
         if isinstance(sub, tm.Tensor):
             stack += (sub.right, sub.left)
         else:
-            factors.append((_compile(data, sub, t_value), D**sub.dom, D**sub.cod))
+            subs.append(sub)
+    nodes = [_compile(data, sub, t_value) for sub in subs]
+    if all(node is _ID or isinstance(node, _Perm) for node in nodes):
+        p = []
+        for sub, node in zip(subs, nodes):
+            base = len(p)
+            p += [base + j for j in (range(sub.dom) if node is _ID else node.p)]
+        return _ID if p == list(range(len(p))) else _Perm(D, p)
+    factors = [(node, D**sub.dom, D**sub.cod) for sub, node in zip(subs, nodes)]
     real = [k for k, (node, _, _) in enumerate(factors) if node is not _ID]
-    if not real:
-        return _ID
     if len(real) > 1:
         return _Kron(factors)
     (k,) = real

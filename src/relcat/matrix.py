@@ -2,18 +2,17 @@
 
 All row reduction goes through one loop, ``row_reduce``, which brings a
 list of rows to reduced row-echelon form and reports the pivot columns;
-``MatFq.rref``, ``MatFq.kernel`` and the relation composition in
-``relations`` call it.  It works a whole row at a time through the
-field's row kernels (``Fq.scale_row``, ``Fq.sub_multiple``), which choose
-the arithmetic path once per row.  ``MatFq.matmul`` builds
-each product row as a sum of scaled rows of the right factor with the
-same kernels.  ``null_rows`` reads a null-space basis off rows
-that are already reduced, with no elimination; ``MatFq.kernel``, the
-relation complement and the f_R matrices in ``concrete`` share it.  On
-top of these: rank, kernel, inverse and deterministic subspace
-enumeration.  A subspace is always represented by its unique reduced
-row-echelon basis with zero rows dropped; two equal row spaces therefore
-have structurally equal representations.
+``MatFq.rref`` and the relation composition in ``relations`` call it.  It
+works a whole row at a time through the field's row kernels
+(``Fq.scale_row``, ``Fq.sub_multiple``), which choose the arithmetic path
+once per row.  ``MatFq.matmul`` builds each product row as a sum of scaled
+rows of the right factor with the same kernels.  ``null_rows`` reads a
+null-space basis off rows that are already reduced, with no elimination;
+the relation complement and the f_R matrices in ``concrete`` share it.  On
+top of these: rank and deterministic subspace enumeration.  A subspace is
+always represented by its unique reduced row-echelon basis with zero rows
+dropped; two equal row spaces therefore have structurally equal
+representations.
 
 Matrices are immutable: entries are stored row-major in a tuple of
 element codes.  Vectors are rows throughout.  The public constructors
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
-from .errors import FieldMismatch, ShapeMismatch, Singular, TooLarge
+from .errors import FieldMismatch, ShapeMismatch, TooLarge
 from .field import COUNT_DIGITS, Fq
 
 ENUMERATION_GUARD = 2**20
@@ -172,24 +171,8 @@ class MatFq:
     def rank(self) -> int:
         return self.rref()[1]
 
-    def kernel(self) -> "MatFq":
-        """RREF basis (as rows) of {x : self @ x^T = 0}."""
-        F = self.field
-        red, _ = row_reduce(F, self.tolist(), self.cols)
-        basis, _ = row_reduce(F, null_rows(F, red, self.cols), self.cols)
-        return MatFq._trusted_rows(F, basis, self.cols)
-
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
-
-    def inverse(self) -> "MatFq":
-        if self.rows != self.cols:
-            raise ShapeMismatch("inverse of a non-square matrix")
-        n = self.rows
-        if self.rank() < n:
-            raise Singular("matrix is not invertible")
-        aug, _ = self.hstack(MatFq.identity(self.field, n)).rref()
-        return aug.take_cols(range(n, 2 * n))
 
 
 def row_reduce(field: Fq, rows: list[list[int]], cols: int):

@@ -3,8 +3,8 @@
 Entries are Python ints or Fractions in one dict keyed by the row-major
 flat index r * cols + c of cell (r, c); zeros are never stored.  This
 module is the only one that encodes or decodes those keys: other modules
-read cells through ``get``, ``cells``, ``entries_sorted``, ``columns``,
-``vec`` and ``first_difference``.  The public constructor takes entries
+read cells through ``get``, ``entries_sorted``, ``columns``, ``vec`` and
+``first_difference``.  The public constructor takes entries
 keyed by (row, col) and checks every one: its position, and that it is an
 int or a Fraction.  ``QMat._trusted`` wraps flat entries computed here,
 which are exact, nonzero and in range already, and ``_trusted_rows`` and
@@ -82,11 +82,6 @@ class QMat:
         """The entry in cell (row, col); 0 when none is stored."""
         return self.data.get(row * self.cols + col, 0)
 
-    def cells(self) -> dict:
-        """The nonzero entries keyed by (row, col)."""
-        cols = self.cols
-        return {divmod(k, cols): v for k, v in self.data.items()}
-
     def entries_sorted(self):
         """((row, col), value) for each nonzero entry, in row-major order."""
         cols = self.cols
@@ -127,14 +122,6 @@ class QMat:
             return None
         key = next(k for k in sorted(a.keys() | b.keys()) if a.get(k, 0) != b.get(k, 0))
         return divmod(key, self.cols)
-
-    def transpose(self) -> "QMat":
-        rows, cols = self.rows, self.cols
-        out = {}
-        for k, v in self.data.items():
-            r, c = divmod(k, cols)
-            out[c * rows + r] = v
-        return QMat._trusted(cols, rows, out)
 
     def add(self, other: "QMat") -> "QMat":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -5,9 +5,9 @@ these from its public pieces instead.
 """
 
 from relcat.concrete import ConcreteMap
-from relcat.errors import ArityMismatch
+from relcat.errors import ArityMismatch, ShapeMismatch
 from relcat.field import Fq
-from relcat.matrix import MatFq, subspace_count
+from relcat.matrix import MatFq, null_rows, row_reduce, subspace_count
 from relcat.qmat import QMat
 from relcat.relations import Relation
 
@@ -22,12 +22,39 @@ def full_space(field: Fq, s: int, k: int) -> Relation:
     return Relation(field, s, k, MatFq.identity(field, s + k))
 
 
+def nonzero_cells(mat: QMat) -> dict:
+    """The nonzero entries keyed by (row, col)."""
+    return {divmod(key, mat.cols): v for key, v in mat.vec().items()}
+
+
 def to_dense(mat: QMat) -> list:
     """The matrix as a list of rows, zeros included."""
     out = [[0] * mat.cols for _ in range(mat.rows)]
-    for (r, c), v in mat.cells().items():
+    for (r, c), v in nonzero_cells(mat).items():
         out[r][c] = v
     return out
+
+
+def transpose(mat: QMat) -> QMat:
+    return QMat(mat.cols, mat.rows, {(c, r): v for (r, c), v in nonzero_cells(mat).items()})
+
+
+def kernel(mat: MatFq) -> MatFq:
+    """RREF basis (as rows) of {x : mat @ x^T = 0}."""
+    F = mat.field
+    red, _ = row_reduce(F, mat.tolist(), mat.cols)
+    return MatFq.from_rows(F, null_rows(F, red, mat.cols), mat.cols).rref()[0]
+
+
+def inverse(mat: MatFq) -> MatFq:
+    """The inverse of a square matrix; ValueError when it is singular."""
+    n = mat.rows
+    if mat.cols != n:
+        raise ShapeMismatch("inverse of a non-square matrix")
+    if mat.rank() < n:
+        raise ValueError("matrix is not invertible")
+    aug, _ = mat.hstack(MatFq.identity(mat.field, n)).rref()
+    return aug.take_cols(range(n, 2 * n))
 
 
 def concrete_compose(f: ConcreteMap, g: ConcreteMap) -> ConcreteMap:

@@ -14,7 +14,7 @@ from relcat.cli import build_parser, main
 from relcat.concrete import ConcreteMap, f_r_matrix, rel_infty_stability
 from relcat.field import Fq
 from relcat.frobenius import FrobeniusData, hat_f, standard_target, term_eval
-from relcat.relations import knop_diamond
+from relcat.relations import Relation, knop_diamond
 from relcat.terms import Gen
 
 
@@ -285,6 +285,42 @@ def test_oversized_identities_are_guard_errors(capsys):
     assert_guard_error(capsys, "knop-convert", "--q", "2", "rel(2;100000000,0;[])")
 
 
+def test_specialize_guards_decide_from_exponents_and_count_cells(capsys):
+    # q^(n max(s, k, 1)) is refused from its exponent, before it is formed
+    assert_guard_error(capsys, "verify", "relinfty", "--q", "2", "--n", "100000000",
+                       "--trials", "1")
+    assert_guard_error(capsys, "specialize", "--q", "2", "--n", "100000000", "id(1)")
+    # an f_R of 2^22 cells passes the size guard, and its cells are counted first
+    err = assert_guard_error(capsys, "specialize", "--q", "2", "--n", "1", "rel(2;11,11;[])")
+    assert err == "error: specialize: more than 262144 f_R cells at n = 1\n", err
+    # the count is summed over the terms: 2^18 + 2^17 cells
+    line = "[[" + ",".join(["1"] + ["0"] * 17) + "]]"
+    assert_guard_error(capsys, "specialize", "--q", "2", "--n", "1",
+                       f"rel(2;9,9;[]) + rel(2;9,9;{line})")
+    concrete._check_cells(Fq(2), 1, [Relation.from_rows(Fq(2), 9, 9, [])], "at the bound")
+    # a term whose coefficient vanishes at t = q^n builds nothing
+    code, out, _ = run_cli(capsys, "specialize", "--q", "2", "--n", "1",
+                           "(t - 2) * rel(2;10,10;[])")
+    assert code == 0 and json.loads(out)["entries"] == []
+
+
+def test_checks_cut_short_by_the_arity_guard_are_guard_errors(capsys):
+    # at n = 12 the hom-cell bound skips every monoidality draw; no check failed
+    err = assert_guard_error(capsys, "verify", "functor", "--q", "2", "--n", "12", "--trials", "5")
+    assert "only 0 of 5 trials drew arities whose f_R have at most 4096 cells" in err, err
+
+
+def test_deep_expressions_are_guard_errors(capsys):
+    # the parser and eval_formal take one frame per level
+    deep = " . ".join(["m", "m*"] * 1500)
+    assert_guard_error(capsys, "eval", "--q", "2", deep)
+    assert_guard_error(capsys, "specialize", "--q", "2", "--n", "1", deep)
+    assert_guard_error(capsys, "eval", "--q", "2", "(" * 1200 + "id(1)" + ")" * 1200)
+    # 800 factors nest within the limit
+    code, out, _ = run_cli(capsys, "eval", "--q", "2", " . ".join(["m", "m*"] * 400))
+    assert code == 0 and out == run_cli(capsys, "eval", "--q", "2", "id(1)")[1]
+
+
 def test_pair_suites_guard_before_building_pairs(capsys):
     # the axiom and lemma pairs loop over F_q x F_q and F_q; q^n is refused first
     assert_guard_error(capsys, "verify", "axioms", "--q", "101^8")
@@ -497,7 +533,7 @@ def test_lemma_failures_name_a_cell(capsys, monkeypatch):
 
 def test_rank_stability_passes_only_on_checks_that_ran(capsys, monkeypatch):
     # at n = 20 only [0] -> [0] draws pass the arity guard, so some seeds run
-    # no stability check, and those must not pass
+    # no stability check, and those are refused, not passed
     calls = []
 
     def counted(rel, n):
@@ -508,13 +544,14 @@ def test_rank_stability_passes_only_on_checks_that_ran(capsys, monkeypatch):
     outcomes = set()
     for seed in range(1, 9):
         calls.clear()
-        _, out, _ = run_cli(capsys, "verify", "relinfty", "--q", "2", "--n", "20",
-                            "--trials", "1", "--max-arity", "1", "--seed", str(seed))
-        line = out.splitlines()[2]
+        code, out, err = run_cli(capsys, "verify", "relinfty", "--q", "2", "--n", "20",
+                                 "--trials", "1", "--max-arity", "1", "--seed", str(seed))
         if calls:
-            assert line == "PASS rank stability n=20  [0 failures]", (seed, line)
+            line = out.splitlines()[2]
+            assert code == 0 and line == "PASS rank stability n=20  [0 failures]", (seed, line)
         else:
-            assert line == "FAIL rank stability n=20  [0 failures; only 0 of 1 trials ran]", line
+            assert code == 3 and out == "", (seed, out)
+            assert err.startswith("error: relinfty rank stability: only 0 of 1 trials"), err
         outcomes.add(bool(calls))
     assert outcomes == {True, False}
 

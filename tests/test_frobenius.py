@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import full_space, to_dense, zero_space
+from helpers import full_space, nonzero_cells, to_dense, zero_space
 
 from relcat import frobenius, matrix, relations
 from relcat import terms as tm
@@ -60,6 +60,11 @@ def drop_unit(data: FrobeniusData) -> FrobeniusData:
 def replaced(data: FrobeniusData, atom, mat: QMat) -> FrobeniusData:
     """The structure with the map of one atom replaced."""
     return FrobeniusData(data.field, data.dim, {**data.maps, atom: mat})
+
+
+def swap_matrix(d: int) -> QMat:
+    """The D^2 x D^2 matrix of sigma: basis i + D j goes to j + D i."""
+    return QMat(d * d, d * d, {(j + d * i, i + d * j): 1 for i in range(d) for j in range(d)})
 
 
 def test_standard_target_maps():
@@ -153,7 +158,7 @@ def test_semi_mode_on_unitless_data(monkeypatch):
 
 def _wrong(mat: QMat) -> QMat:
     """A matrix of the same shape that differs from mat in cell (0, 0)."""
-    data = mat.cells()
+    data = nonzero_cells(mat)
     data[(0, 0)] = data.get((0, 0), 0) + 1
     return QMat(mat.rows, mat.cols, data)
 
@@ -187,7 +192,7 @@ def test_shape_validation():
     with pytest.raises(ShapeMismatch):
         FrobeniusData(F2, 2, missing)
     with pytest.raises(ShapeMismatch):
-        replaced(data, G("sigma"), data.swap())
+        replaced(data, G("sigma"), swap_matrix(2))
 
 
 def test_mu_A_eval_is_matrix_action():
@@ -371,7 +376,7 @@ def dense(data, term, t_value):
         if term in data.maps:
             return data.maps[term]
         ev = data.maps[G("eps*")] @ data.maps[G("m")]
-        defined = {"sigma": data.swap(), "ev": ev,
+        defined = {"sigma": swap_matrix(D), "ev": ev,
                    "coev": data.maps[G("m*")] @ data.maps[G("eps")],
                    "z*": ev @ QMat.identity(D).kron(data.maps[G("z")])}
         return defined[term.name]
@@ -460,25 +465,16 @@ def test_term_eval_matches_dense_reference(field):
 
 def test_mu_matrix_term_expanded_once_per_matrix(monkeypatch):
     expanded = []
-    swaps = []
     real_expand = tm.mu_matrix_term
-    real_swap = FrobeniusData.swap
 
     def counting_expand(mat):
         expanded.append(mat)
         return real_expand(mat)
 
-    def counting_swap(self):
-        swaps.append(self)
-        return real_swap(self)
-
     monkeypatch.setattr(tm, "mu_matrix_term", counting_expand)
-    monkeypatch.setattr(FrobeniusData, "swap", counting_swap)
     results = suite_lemmas(F3, seed=7)
     assert all(r.passed for r in results)
     assert expanded and len(expanded) == len(set(expanded))
-    # one structure, and its swap matrix is built once
-    assert len(swaps) == 1
 
 
 def test_deep_composite_evaluates():
@@ -488,7 +484,7 @@ def test_deep_composite_evaluates():
     chain = tm.Gen("sigma")
     for i in range(3000):
         chain = tm.Compose(tm.Gen("sigma"), chain) if i % 2 else tm.Compose(chain, tm.Gen("sigma"))
-    assert term_eval(data, chain) == data.swap()
+    assert term_eval(data, chain) == swap_matrix(2)
     assert hash(chain) == hash(tm.Compose(chain.left, chain.right))
 
 
@@ -585,10 +581,9 @@ def test_runs_and_tensor_chains_compile_to_one_node():
     # a run of two or more permutation factors is one node
     assert isinstance(_compile(data, tm.perm_term([2, 0, 1]), None), _Perm)
     assert isinstance(_compile(data, tm.reversal_term(4), None), _Perm)
-    # a lone sigma is not: it stays the swap matrix, whiskered where needed
+    # so is a lone sigma, between two other factors
     chain = _compile(data, tm.t_compose(tm.Gen("m"), tm.Gen("sigma"), tm.Gen("m*")), None)
-    assert isinstance(chain, _Chain)
-    assert not any(isinstance(node, _Perm) for node in (chain.first, *chain.rest))
+    assert isinstance(chain, _Chain) and isinstance(chain.rest[0], _Perm)
     # a run that composes to the identity leaves no node
     swap = tm.adjacent_swap_term(0, 2)
     chain = _compile(data, tm.t_compose(tm.Gen("m"), swap, swap, tm.Gen("m*")), None)
@@ -596,6 +591,34 @@ def test_runs_and_tensor_chains_compile_to_one_node():
     # a tensor chain of non-identity factors is one flat node over all of them
     node = _compile(data, tm.t_tensor(*(tm.Gen("mu", a) for a in range(3))), None)
     assert isinstance(node, _Kron) and len(node.factors) == 3
+
+
+def test_permutations_compile_bottom_up_to_one_perm():
+    data = standard_target(F3, 1)
+    sigma, I1 = G("sigma"), tm.t_id(1)
+
+    def compiled(term):
+        node = _compile(data, term, None)
+        assert term_eval(data, term) == dense(data, term, None), term
+        return node
+
+    # a lone sigma, and a tensor of permutations and identities
+    assert compiled(sigma).p == [1, 0]
+    assert compiled(tm.t_tensor(sigma, I1, sigma)).p == [1, 0, 2, 4, 3]
+    assert compiled(tm.t_tensor(I1, tm.perm_term([2, 0, 1]))).p == [0, 3, 1, 2]
+    # a run of permutation factors between two other factors is one node
+    run = [tm.adjacent_swap_term(0, 3), tm.adjacent_swap_term(1, 3), tm.t_tensor(I1, I1, I1)]
+    outer = tm.t_tensor(G("mu", 2), I1, I1)
+    chain = compiled(tm.t_compose(outer, *run, outer))
+    assert isinstance(chain, _Chain) and len(chain.rest) == 2
+    # t_compose applies its last factor first: strand 0 goes to 1, 1 to 2, 2 to 0
+    assert chain.rest[0].p == [1, 2, 0]
+    assert compiled(tm.t_compose(*run)).p == [1, 2, 0]
+    # a run that composes to the identity leaves no node
+    assert compiled(tm.t_compose(sigma, sigma)) is frobenius._ID
+    chain = compiled(tm.t_compose(G("m"), sigma, tm.t_tensor(I1, I1), sigma, G("m*")))
+    assert not any(isinstance(node, _Perm) for node in (chain.first, *chain.rest))
+    assert len(chain.rest) == 1
 
 
 def test_deep_permutation_run_evaluates():
@@ -630,7 +653,7 @@ def test_deep_permutation_run_evaluates():
     assert term_eval(data, chain) == dense(data, shallow, None)
 
 
-# -- shared builder instances and the per-structure permutation memo -----------
+# -- shared builder instances -------------------------------------------------
 
 
 def test_builders_share_one_instance_per_argument():
@@ -653,25 +676,6 @@ def test_builder_cache_is_bounded():
     for p in itertools.islice(itertools.permutations(range(7)), 1000):
         tm.perm_term(p)
     assert tm._perm_term.cache_info().currsize <= tm.BUILDER_CACHE
-
-
-def test_strand_perm_walks_each_factor_once_per_structure(monkeypatch):
-    walked = []
-    real = frobenius._strand_perm
-
-    def counting(term):
-        walked.append(term)
-        return real(term)
-
-    monkeypatch.setattr(frobenius, "_strand_perm", counting)
-    rng = random.Random(95)
-    lits = [tm.MuLit(MatFq(F3, 2, 3, [rng.randrange(3) for _ in range(6)])) for _ in range(5)]
-    pair = tm.t_compose(tm.ev_bar_term(2), tm.t_tensor(*lits[:2]))
-    for data in (standard_target(F3, 1), standard_target(F3, 1)):
-        walked.clear()
-        for term in lits + [pair]:
-            term_eval(data, term)
-        assert walked and len(walked) == len(set(walked))
 
 
 def widest_layer(term):
