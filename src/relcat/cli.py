@@ -139,7 +139,7 @@ def cmd_specialize(args) -> int:
     entries = []
     for (r, c), v in conc.mat.entries_sorted():
         # an exact rational for JSON: an int when it is one, else its text
-        v = printable(Fraction(v))
+        v = printable(v)
         entries.append([r, c, v.numerator if v.denominator == 1 else str(v)])
     payload = {"q": str(field), "n": args.n, "s": conc.s, "k": conc.k, "entries": entries}
     _emit(args, json.dumps(payload, sort_keys=True))

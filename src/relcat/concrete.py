@@ -12,12 +12,14 @@ A relation's basis rows are equations on one coordinate slot of the
 f_R at rank n is the slotwise product of the kernel points: its nonzero
 cells are the sums of one kernel point per slot, q^{n·dim ker} of them,
 built directly without solving for any column.  The basis is already in
-RREF, so the kernel is read off it (``matrix.null_rows``) and no
-elimination runs.  ``f_r_matrix`` and ``specialize`` count those cells
-before they build any and refuse more than ``CELL_GUARD``; each guard
-decides its power of q from the exponent first (``field.capped_power``),
-so a huge n is refused without forming q^n.  Only ``matrix`` and ``field`` are used, never
-``star``, ``product`` or ``category``.
+RREF, so the kernel points are enumerated straight off its rows and no
+elimination runs: each free column takes every value, and each pivot
+column the value its row forces.  ``f_r_matrix``, ``specialize`` and
+``independence_check`` count those cells before they build any and refuse
+more than ``CELL_GUARD``; each guard decides its power of q from the
+exponent first (``field.capped_power``), so a huge n is refused without
+forming q^n.  Only ``matrix`` and ``field`` are used, never ``star``,
+``product`` or ``category``.
 
 These matrices are the ground-truth oracle for every formal identity:
 composition becomes exact matrix product scaled by q^{n·defect}, tensor
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ArityMismatch, NotRelInfty, TooLarge
 from .field import Fq, capped_power
-from .matrix import enumerate_subspaces, null_rows
+from .matrix import enumerate_subspaces, subspace_count
 from .qmat import QMat
 from .relations import Relation, is_rel_infty
 
@@ -40,9 +42,10 @@ if TYPE_CHECKING:  # an annotation only: the functor never runs category code
 
 # A map of more than q^(n max(s, k, 1)) = SIZE_GUARD rows or columns is refused.
 SIZE_GUARD = 2**22
-# f_r_matrix and specialize refuse to build more f_R cells than this:
-# specialize took 8-9 us a cell end to end, printing included, and 2.2 s
-# for 2^18 cells (2-vCPU x86-64 VM, Python 3.11).
+# f_r_matrix, specialize and independence_check refuse to build more f_R
+# cells than this: specialize of rel(2;9,9;[]), 2^18 cells, took 0.73-0.89 s
+# in a fresh process, printing included, about 3 us a cell (2-vCPU x86-64
+# VM, Python 3.11).
 CELL_GUARD = 2**18
 
 
@@ -114,44 +117,56 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
 
     The basis rows are equations on one coordinate slot of the
     (domain | codomain) tuple, and each of the n slots obeys them on its
-    own.  The basis is already in RREF, so ``null_rows`` reads a kernel
-    basis off it and no elimination runs.  The q^{dim ker} kernel points
-    are its combinations, held as one list per coordinate: a kernel
-    vector b grows coordinate j by the translates of the list by c·b_j,
-    c = 1..q-1 (a copy where b_j = 0).  A point with domain part x and
-    codomain part y sits at slot 0 in cell (sum_i y_i q^{n i},
-    sum_i x_i q^{n i}), which is one flat ``QMat`` index (row · cols +
-    col).  At slot j the cell is that one with row and column scaled by
-    q^j, so its flat index is scaled by q^j too.  The cells are the sums
-    of one flat offset per slot, built in n rounds of one list of ints
-    each, so the cost is the q^{n dim ker} cells themselves: no column
-    is solved.
+    own.  The basis is in RREF, so the kernel points are read straight off
+    its rows: the free columns take every value independently, and the
+    pivot column of a row takes minus that row's combination of them.  A
+    point with domain part x and codomain part y sits at slot 0 in cell
+    (sum_i y_i q^{n i}, sum_i x_i q^{n i}), which is one flat ``QMat``
+    index (row · cols + col), a weighted sum of the coordinates.  So each
+    free column, in turn, multiplies the list of flat offsets q-fold by
+    adding weight · c for c = 0..q-1, and only a pivot column keeps a list
+    of values, grown by translates of its row's entries and added with
+    its weight in one pass.  At slot j the cell is that one with row and
+    column scaled by q^j, so its flat index is scaled by q^j too.  The
+    cells are the sums of one flat offset per slot, built in n rounds of
+    one list of ints each, so the cost is the q^{n dim ker} cells
+    themselves: no column is solved and no elimination runs.
     """
     F, s, k = rel.field, rel.s, rel.k
     _guard(F, n, s, k)
     _check_cells(F, n, [rel], f"f_R of a [{s}] -> [{k}] relation")
-    q = F.q
-    kernel = null_rows(F, rel.basis.tolist(), s + k)
-    coords = [[0] for _ in range(s + k)]
-    for b in kernel:
-        for j, x in enumerate(b):
-            old = coords[j]
-            if x:
-                grown = old[:]
-                for c in range(1, q):
-                    grown += F.translate(old, F.mul(c, x))
-                coords[j] = grown
-            else:
-                coords[j] = old * q
-
+    q, m = F.q, s + k
     width = q ** (n * s)
     # the flat offset of a point at slot 0: domain coordinate i weighs
     # q^(n i), codomain coordinate i weighs width * q^(n i)
     weights = [q ** (n * i) for i in range(s)] + [width * q ** (n * i) for i in range(k)]
-    offsets = [0] * q ** len(kernel)
-    for w, coord in zip(weights, coords):
-        if any(coord):
-            offsets = [o + w * v for o, v in zip(offsets, coord)]
+    entries = rel.basis.entries
+    rows = [entries[i * m : (i + 1) * m] for i in range(rel.basis.rows)]
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    free = [c for c in range(m) if c not in pivots]
+    offsets = [0]
+    for c in free:
+        w = weights[c]
+        grown = offsets[:]
+        for step in range(w, w * q, w):
+            grown += [o + step for o in offsets]
+        offsets = grown
+    for row, pc in zip(rows, pivots):
+        # the pivot value at a point is the sum of -row[c] times free value c
+        coeffs = [F.neg(row[c]) for c in free]
+        if not any(coeffs):
+            continue
+        values = [0]
+        for x in coeffs:
+            if x:
+                grown = values[:]
+                for v in range(1, q):
+                    grown += F.translate(values, F.mul(v, x))
+                values = grown
+            else:
+                values = values * q
+        w = weights[pc]
+        offsets = [o + w * v for o, v in zip(offsets, values)]
     cells = offsets if n else [0]  # at rank 0 the one cell is (0, 0)
     for j in range(1, n):
         shifted = [o * q**j for o in offsets]
@@ -161,25 +176,46 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
 
 def specialize(f: Morphism, n: int) -> ConcreteMap:
     """Evaluate every coefficient at t = q^n and sum the basis matrices;
-    the cells of every f_R to build are counted before any is built."""
+    the cells of every f_R to build are counted before any is built.
+
+    An integral coefficient scales as an int, so integer combinations keep
+    int entries, and a one-term sum is its scaled f_R itself.
+    """
     F = f.field
     _guard(F, n, f.s, f.k)
     t_value = Fraction(F.q) ** n
-    values = {rel: coeff.evaluate(t_value) for rel, coeff in f.terms.items()}
-    values = {rel: value for rel, value in values.items() if value}
+    values = {}
+    for rel, coeff in f.terms.items():
+        value = coeff.evaluate(t_value)
+        if value:
+            values[rel] = value.numerator if value.denominator == 1 else value
     _check_cells(F, n, values, "specialize")
-    acc = QMat.zero(F.q ** (n * f.k), F.q ** (n * f.s))
+    acc = None
     for rel, value in values.items():
-        acc = acc.add(f_r_matrix(rel, n).mat.scale(value))
+        mat = f_r_matrix(rel, n).mat.scale(value)
+        acc = mat if acc is None else acc.add(mat)
+    if acc is None:
+        acc = QMat.zero(F.q ** (n * f.k), F.q ** (n * f.s))
     return ConcreteMap(F, n, f.s, f.k, acc)
 
 
 def independence_check(field: Fq, s: int, k: int, n: int) -> tuple[int, bool]:
-    """Rank of the stacked, vectorized basis matrices at rank n."""
-    rels = [Relation._trusted(field, s, k, b) for b in enumerate_subspaces(field, s + k)]
-    if capped_power(field.q, n * (s + k), SIZE_GUARD) > SIZE_GUARD:
-        raise TooLarge("vectorized matrices too large")
-    width = field.q ** (n * (s + k))
+    """Rank of the stacked, vectorized basis matrices at rank n.
+
+    The stack has one row of q^(n(s+k)) columns per subspace of F_q^{s+k}.
+    A stack of more than SIZE_GUARD cells is refused before any subspace is
+    listed, and so is a count of subspaces past CELL_GUARD, since each f_R
+    has a cell at least; the f_R cells are summed before any is built.
+    """
+    r = s + k
+    count = subspace_count(field, r)
+    if count * capped_power(field.q, n * r, SIZE_GUARD) > SIZE_GUARD:
+        raise TooLarge(f"{count} vectorized matrices of q^(n(s+k)) entries exceed {SIZE_GUARD}")
+    if count > CELL_GUARD:
+        raise TooLarge(f"independence check: more than {CELL_GUARD} f_R cells at n = {n}")
+    rels = [Relation._trusted(field, s, k, b) for b in enumerate_subspaces(field, r)]
+    _check_cells(field, n, rels, "independence check")
+    width = field.q ** (n * r)
     stack = QMat._trusted_rows(len(rels), width, (f_r_matrix(rel, n).mat.vec() for rel in rels))
     rank = stack.rank()
     return rank, rank == len(rels)

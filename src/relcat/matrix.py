@@ -7,12 +7,11 @@ works a whole row at a time through the field's row kernels
 (``Fq.scale_row``, ``Fq.sub_multiple``), which choose the arithmetic path
 once per row.  ``MatFq.matmul`` builds each product row as a sum of scaled
 rows of the right factor with the same kernels.  ``null_rows`` reads a
-null-space basis off rows that are already reduced, with no elimination;
-the relation complement and the f_R matrices in ``concrete`` share it.  On
-top of these: rank and deterministic subspace enumeration.  A subspace is
-always represented by its unique reduced row-echelon basis with zero rows
-dropped; two equal row spaces therefore have structurally equal
-representations.
+null-space basis off rows that are already reduced, with no elimination,
+for the relation complement.  On top of these: rank and deterministic
+subspace enumeration.  A subspace is always represented by its unique
+reduced row-echelon basis with zero rows dropped; two equal row spaces
+therefore have structurally equal representations.
 
 Matrices are immutable: entries are stored row-major in a tuple of
 element codes.  Vectors are rows throughout.  The public constructors

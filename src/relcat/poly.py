@@ -19,8 +19,9 @@ from .field import COUNT_DIGITS
 _PRINT_LIMIT = 10**COUNT_DIGITS
 
 
-def printable(value: Fraction) -> Fraction:
-    """The value itself; TooLarge if a part has more digits than Python prints."""
+def printable(value: Fraction | int) -> Fraction | int:
+    """The value itself, a Fraction or an int; TooLarge if a part has more
+    digits than Python prints."""
     if abs(value.numerator) >= _PRINT_LIMIT or value.denominator >= _PRINT_LIMIT:
         raise TooLarge(f"a coefficient has more than {COUNT_DIGITS} digits")
     return value

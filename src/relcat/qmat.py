@@ -136,6 +136,9 @@ class QMat:
         return QMat._trusted(self.rows, self.cols, data)
 
     def scale(self, c) -> "QMat":
+        """c times the matrix; the matrix itself when c = 1, as a QMat is immutable."""
+        if c == 1:
+            return self
         if not c:
             return QMat.zero(self.rows, self.cols)
         return QMat._trusted(self.rows, self.cols, {k: c * v for k, v in self.data.items()})

@@ -40,9 +40,13 @@ def _check_cells(s: int, k: int):
 
 
 class Relation:
-    """A subspace R ⊂ F_q^{s+k} typed as an arrow [s] -> [k]."""
+    """A subspace R ⊂ F_q^{s+k} typed as an arrow [s] -> [k].
 
-    __slots__ = ("field", "s", "k", "basis")
+    Relations are immutable and key many dicts (formal terms, f_R builds),
+    so the hash is computed on first use and kept in ``_hash``.
+    """
+
+    __slots__ = ("field", "s", "k", "basis", "_hash")
 
     def __init__(self, field: Fq, s: int, k: int, basis: MatFq):
         if basis.field != field:
@@ -54,12 +58,13 @@ class Relation:
         self.s = s
         self.k = k
         self.basis = basis.rref()[0]
+        self._hash = None
 
     @classmethod
     def _trusted(cls, field: Fq, s: int, k: int, basis: MatFq) -> "Relation":
         """Wrap a basis that is already in RREF, without reducing it again."""
         rel = object.__new__(cls)
-        rel.field, rel.s, rel.k, rel.basis = field, s, k, basis
+        rel.field, rel.s, rel.k, rel.basis, rel._hash = field, s, k, basis, None
         return rel
 
     @classmethod
@@ -71,7 +76,7 @@ class Relation:
         return self.basis.rows
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Relation)
             and self.field == other.field
             and (self.s, self.k) == (other.s, other.k)
@@ -79,7 +84,10 @@ class Relation:
         )
 
     def __hash__(self):
-        return hash((self.field, self.s, self.k, self.basis))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.field, self.s, self.k, self.basis))
+        return h
 
     def sort_key(self):
         return (self.dim, self.basis.entries)

@@ -18,7 +18,7 @@ from helpers import (
 )
 
 from relcat import category as cat
-from relcat import matrix, relations
+from relcat import matrix, poly, relations
 from relcat.category import Morphism
 from relcat.concrete import (
     ConcreteMap,
@@ -44,6 +44,8 @@ from relcat.relations import (
 )
 
 F2, F3, F4, F5 = Fq(2), Fq(3), Fq(2, 2), Fq(5)
+# the characteristic-2 XOR and odd-characteristic table paths of Fq.translate
+F8, F9 = Fq(2, 3), Fq(3, 2)
 
 
 def test_codec_round_trip():
@@ -97,13 +99,16 @@ def _assert_matches_reference(rel: Relation, n: int):
 
 
 def test_f_r_matrix_matches_reference():
-    # every relation of every type with s + k <= 2
-    for F in (F2, F3, F4):
-        for r in range(3):
+    # every relation of every type with s + k <= 2, and with s + k = 3 over F_2:
+    # pivot and free columns in every position.  F_8 and F_9 stop at n = 1
+    # here (n = 2 is 4096-6561 pairs a relation); the random draws below
+    # reach n = 2 and 3 on them
+    for F, top, ranks in ((F2, 3, 3), (F3, 2, 3), (F4, 2, 3), (F8, 2, 2), (F9, 2, 2)):
+        for r in range(top + 1):
             for basis in enumerate_subspaces(F, r):
                 for s in range(r + 1):
                     rel = Relation(F, s, r - s, basis)
-                    for n in (0, 1, 2):
+                    for n in range(ranks):
                         _assert_matches_reference(rel, n)
     # the zero and full spaces, s + k = 0 included, by name
     for F in (F2, F3, F4):
@@ -114,7 +119,7 @@ def test_f_r_matrix_matches_reference():
     # seeded random relations with s, k <= 3; the double enumeration is kept
     # to at most 2^12 pairs
     rng = random.Random(47)
-    for F in (F2, F3, F5, F4):
+    for F in (F2, F3, F5, F4, F8, F9):
         for n in (1, 2, 3):
             done = 0
             while done < 8:
@@ -240,6 +245,20 @@ def test_specialize_functorial():
         assert specialize(cat.tensor(f, h), n) == concrete_tensor(specialize(f, n), specialize(h, n))
 
 
+def test_specialize_keeps_integral_entries_as_ints():
+    rel = zero_space(F3, 1, 1)
+    one = specialize(Morphism.from_relation(rel), 1).mat
+    assert one == f_r_matrix(rel, 1).mat and all(type(v) is int for v in one.data.values())
+    # t = 3 and the coefficient 1/2 + 3/2 are integral too
+    f = Morphism(F3, 1, 1, {rel: poly.PolyQ({0: Fraction(1, 2), 1: Fraction(1, 2)})})
+    got = specialize(f, 1).mat
+    assert got == f_r_matrix(rel, 1).mat.scale(2)
+    assert all(type(v) is int for v in got.data.values())
+    half = specialize(Morphism(F3, 1, 1, {rel: poly.PolyQ.const(Fraction(1, 2))}), 1).mat
+    assert set(half.data.values()) == {Fraction(1, 2)}
+    assert specialize(Morphism(F3, 1, 1, {}), 1).mat == QMat.zero(3, 3)
+
+
 def test_specialize_evaluates_t():
     loop = cat.compose(cat.generator(F2, "eps*"), cat.generator(F2, "eps"))
     for n in (1, 2):
@@ -258,6 +277,14 @@ def test_independence_basis_and_dependence():
     with pytest.raises(TooLarge):
         independence_check(F2, 1, 1, 10**9)
     assert time.perf_counter() - start < 1.0
+    # the stack of 374 vectorized 2^15-cell matrices, and the 67 of 2^16 cells
+    # at [0] -> [4], are refused before any subspace is listed; at n = 0 the
+    # 417199 one-cell f_R of F_2^8 are too many
+    for s, k, n in ((3, 2, 3), (0, 4, 4), (4, 4, 0)):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            independence_check(F2, s, k, n)
+        assert time.perf_counter() - start < 1.0, (s, k, n)
 
 
 def test_faithful_at_large_rank():

@@ -195,6 +195,12 @@ def test_every_operation_matches_dense_reference():
         assert any(shape[pos] == 0 and shape.count(0) == 1 for shape in shapes), pos
 
 
+def test_scale_by_one_is_the_matrix_itself():
+    a = QMat(2, 2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 1): -1})
+    assert a.scale(1) is a and a.scale(Fraction(1)) is a
+    assert a.scale(-1) is not a and a.scale(-1).scale(-1) == a
+
+
 def test_equality_sees_shape():
     assert QMat.zero(2, 3) != QMat.zero(3, 2)
     assert QMat.zero(0, 4) != QMat.zero(4, 0)

@@ -385,3 +385,23 @@ def test_random_relation_matches_from_rows():
             assert rel == expected and rel.basis.entries == expected.basis.entries
             assert (rel.basis.rows, rel.basis.cols) == (expected.basis.rows, expected.basis.cols)
         assert drawn.getstate() == replay.getstate()
+
+
+def test_equal_relations_hash_equal_and_keep_their_hash():
+    # one subspace of F_3^3 typed [1] -> [2], reached five ways
+    rows = [[1, 0, 2], [0, 1, 1]]
+    built = Relation.from_rows(F3, 1, 2, rows)
+    trusted = Relation._trusted(F3, 1, 2, MatFq.from_rows(F3, rows))
+    starred, d = star(identity_relation(F3, 1), built)
+    tensored = product(built, zero_space(F3, 0, 0))
+    unreduced = Relation.from_rows(F3, 1, 2, [[1, 1, 0], [1, 0, 2], [2, 2, 0]])
+    assert d == 0
+    for rel in (built, trusted, starred, tensored, unreduced):
+        assert rel == built and built == rel and hash(rel) == hash(built)
+    assert len({built, trusted, starred, tensored, unreduced}) == 1
+    first = hash(built)
+    assert built._hash == first and hash(built) == first
+    assert hash(Relation.from_rows(F3, 1, 2, rows)) == first
+    # a different typing or field of the same rows is a different relation
+    assert built != built.retype(2, 1) and built != Relation.from_rows(F2, 1, 2, rows)
+    assert built == built and built != "rel(3;1,2;[[1,0,2],[0,1,1]])"
