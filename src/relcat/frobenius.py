@@ -15,28 +15,34 @@ Every map formed on a structure comes from one evaluator, ``term_eval``.
 Tensor powers are interpreted by the library's Kronecker indexing (first
 factor least significant).  A term is evaluated in two tiers.  It is
 compiled once per structure into a tree of nodes cached on the structure
-by term: stored maps and relation literals hold their columns, ev, coev
-and z* compile their definitions (``DEFINED``), a matrix literal points at
-the one compiled expansion of its matrix, and other composites hold their
-compiled children, so subterms shared between terms are compiled once;
-the term builders hand out shared instances, so the cache mostly hits on
-identity.  Strand permutations are compiled bottom-up by the same walk:
-sigma is a ``_Perm``, which maps the base-D digits of an index and holds
-no matrix, and a tensor chain of permutations and identities is one
-``_Perm``.  A composition chain is one node over its factors, in which
-each permutation folds into the one just before it, so a run of them is
-one ``_Perm``, or nothing when it composes to the identity.  Any other
-tensor chain is one node too: a whisker over its one factor that is not
-an identity, else one flat ``_Kron`` over all its factors.  Each call then
-asks the root for basis columns; every node memoizes the columns it
-computes for that call only, so wide intermediate tensor powers never
-materialize as full matrices and no column outlives its call.
+by term: stored maps hold their columns, ev, coev and z* compile their
+definitions (``DEFINED``), and other composites hold their compiled
+children, so subterms shared between terms are compiled once; the term
+builders hand out shared instances, so the cache mostly hits on identity.
+A nonempty matrix literal compiles straight from its matrix: one
+``_Kron`` of its mu(a_ij) scalings between the compiled split, transpose
+and add nodes of its shape's frame (``terms._mu_frame``), which every
+literal of that shape shares, with no expansion term built.  Strand
+permutations are compiled bottom-up by the same walk: sigma is a
+``_Perm``, which maps the base-D digits of an index and holds no matrix,
+and a tensor chain of permutations and identities is one ``_Perm``.  A
+composition chain is one node over its factors, in which each
+permutation folds into the one just before it, so a run of them is one
+``_Perm``, or nothing when it composes to the identity (``_fold``).  Any
+other tensor chain is one node too: a whisker over its one factor that
+is not an identity, else one flat ``_Kron`` over all its factors; both
+read a stored map's columns straight from its list.  Each call then asks
+the root for basis columns; every node memoizes the columns it computes
+in the call's memo, so wide intermediate tensor powers never
+materialize as full matrices.  The memo is the call's own unless the
+caller passes one: ``first_difference`` evaluates both sides of a pair
+with one memo, which lives only as long as that pair's check.
 ``hat_f`` evaluates the one term of a relation's normal form
 (``hat_f_term``) and caches the result on the structure by relation.
 ``check_steps`` refuses terms past ``EVAL_GUARD`` evaluation steps in all
 (``term_steps``: D^(dom + unit uses) columns through the widest layer);
-hat_f, the unit path of ``rel_matrix`` and the lemma and relinfty suites
-call it before they evaluate.
+hat_f, the unit path of ``rel_matrix`` and the axiom, lemma and relinfty
+suites call it before they evaluate.
 """
 
 from __future__ import annotations
@@ -90,26 +96,30 @@ def fan_and_width(term: Term) -> tuple[int, int]:
     combination takes the most of each.
     """
     done = []  # (unit uses, width) of the finished subterms, in walk order
-    stack = [(term, False)]
+    stack = [(term, 0)]  # (subterm, 0 until its parts are walked, then their number)
     while stack:
-        sub, ready = stack.pop()
-        if isinstance(sub, (tm.Compose, tm.Tensor)):
-            parts = (sub.left, sub.right)
-        elif isinstance(sub, tm.LinComb):
-            parts = tuple(part for _, part in sub.parts)
-        elif isinstance(sub, tm.Gen) and sub.name in DEFINED:
-            parts = (DEFINED[sub.name],)
+        sub, parts = stack.pop()
+        kind = type(sub)
+        if not parts:
+            if kind is tm.Compose or kind is tm.Tensor:
+                stack += ((sub, 2), (sub.left, 0), (sub.right, 0))
+            elif kind is tm.LinComb:
+                stack.append((sub, len(sub.parts)))
+                stack += ((part, 0) for _, part in sub.parts)
+            elif kind is tm.Gen and sub.name in DEFINED:
+                stack.append((DEFINED[sub.name], 0))  # walked in the map's place
+            else:
+                wide = sub.dom * sub.cod if kind is tm.MuLit else 0
+                unit = int(kind is tm.Gen and sub.name == "eps")
+                done.append((unit, max(wide, sub.dom, sub.cod)))
+            continue
+        got = done[-parts:]
+        del done[-parts:]
+        if kind is tm.LinComb:
+            done.append((max(u for u, _ in got), max(w for _, w in got)))
         else:
-            wide = sub.dom * sub.cod if isinstance(sub, tm.MuLit) else 0
-            done.append((int(sub == UNIT), max(wide, sub.dom, sub.cod)))
-            continue
-        if not ready:
-            stack.append((sub, True))
-            stack += ((part, False) for part in parts)
-            continue
-        uses, widths = zip(*(done.pop() for _ in parts))
-        uses = max(uses) if isinstance(sub, tm.LinComb) else sum(uses)
-        done.append((uses, sum(widths) if isinstance(sub, tm.Tensor) else max(widths)))
+            (u1, w1), (u2, w2) = got
+            done.append((u1 + u2, w1 + w2 if kind is tm.Tensor else max(w1, w2)))
     uses, width = done[0]
     return term.dom + uses, width
 
@@ -217,6 +227,11 @@ class _Cols:
         return self.cols[i]
 
 
+def _stored(node):
+    """The column list of a stored map's node, else None."""
+    return node.cols if type(node) is _Cols else None
+
+
 class _Id:
     """id(k) for any k."""
 
@@ -246,7 +261,17 @@ class _Chain:
             return seen[i]
         vec = self.first.col(i, memo)
         for node in self.rest:
-            vec = _apply(node, vec, memo)
+            if len(vec) == 1:
+                # the common case: one node column, shared rather than copied when c is 1
+                ((j, c),) = vec.items()
+                col = node.col(j, memo)
+                vec = col if c == 1 else {r: c * v for r, v in col.items()}
+                continue
+            acc: dict[int, object] = {}
+            for j, c in vec.items():
+                for r, v in node.col(j, memo).items():
+                    acc[r] = acc.get(r, 0) + c * v
+            vec = {r: v for r, v in acc.items() if v}
         seen[i] = vec
         return vec
 
@@ -255,13 +280,15 @@ class _Kron:
     """A tensor chain f_1 @ ... @ f_n of two or more factors, as one node.
 
     The first factor is the least significant digit block of an index; an
-    identity factor is held as ``_ID``.
+    identity factor is held as ``_ID``.  A stored map's columns are read
+    straight from its list.
     """
 
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        self.factors = factors  # (node, D^dom, D^cod) per factor
+        # (stored columns or None, node, D^dom, D^cod) per factor
+        self.factors = [(_stored(node), node, dom, cod) for node, dom, cod in factors]
 
     def col(self, i: int, memo: dict) -> dict:
         seen = memo.get(self)
@@ -272,9 +299,9 @@ class _Kron:
         rest = i
         row, val, scale = 0, 1, 1
         wide = None  # the column so far, once a factor's column has other than one entry
-        for node, dom, cod in self.factors:
+        for cols, node, dom, cod in self.factors:
             rest, j = divmod(rest, dom)
-            part = node.col(j, memo)
+            part = node.col(j, memo) if cols is None else cols[j]
             if wide is None and len(part) == 1:
                 ((r, v),) = part.items()
                 row += scale * r
@@ -314,19 +341,22 @@ class _Perm:
 class _Whisker:
     """id(a) @ node @ id(b): the node acting on the middle strands."""
 
-    __slots__ = ("node", "lo", "mid", "out")
+    __slots__ = ("node", "cols", "lo", "mid", "out")
 
     def __init__(self, node, lo: int, mid: int, out: int):
         self.node = node
+        self.cols = _stored(node)
         self.lo = lo  # D^a
         self.mid = mid  # D^dom and D^cod of the node
         self.out = out
 
     def col(self, i: int, memo: dict) -> dict:
-        lo, rest = self.lo, i // self.lo
-        base = i % lo
-        hi = lo * self.out * (rest // self.mid)
-        return {base + lo * r + hi: v for r, v in self.node.col(rest % self.mid, memo).items()}
+        lo = self.lo
+        rest, base = divmod(i, lo)
+        rest, j = divmod(rest, self.mid)
+        hi = lo * self.out * rest
+        part = self.node.col(j, memo) if self.cols is None else self.cols[j]
+        return {base + lo * r + hi: v for r, v in part.items()}
 
 
 class _LinComb:
@@ -347,19 +377,6 @@ class _LinComb:
                 acc[r] = acc.get(r, 0) + scalar * v
         out = seen[i] = {r: v for r, v in acc.items() if v}
         return out
-
-
-def _apply(node, vec: dict, memo: dict) -> dict:
-    """node applied to a sparse vector; may return one of node's own columns."""
-    if len(vec) == 1:
-        ((j, c),) = vec.items()
-        col = node.col(j, memo)
-        return col if c == 1 else {r: c * v for r, v in col.items()}
-    acc: dict[int, object] = {}
-    for j, c in vec.items():
-        for r, v in node.col(j, memo).items():
-            acc[r] = acc.get(r, 0) + c * v
-    return {r: v for r, v in acc.items() if v}
 
 
 def _compile(data: FrobeniusData, term: Term, t_value):
@@ -392,8 +409,7 @@ def _build(data: FrobeniusData, term: Term, t_value):
     if isinstance(term, tm.IdK):
         return _ID
     if isinstance(term, tm.MuLit):
-        # cached under the literal only: the expansion is a fresh term
-        return _build(data, tm.mu_matrix_term(term.mat), t_value)
+        return _build_mu(data, term.mat, t_value)
     if isinstance(term, tm.RelLit):
         return _Cols(rel_matrix(data, term.rel))
     if isinstance(term, tm.Compose):
@@ -413,11 +429,7 @@ def _build(data: FrobeniusData, term: Term, t_value):
 
 
 def _build_chain(data: FrobeniusData, term: Term, t_value):
-    """A composition chain as one node over its compiled factors.
-
-    Identity factors drop out, and each ``_Perm`` folds into a ``_Perm``
-    just before it; a fold that gives the identity leaves no node.
-    """
+    """A composition chain as one node over its compiled factors (``_fold``)."""
     factors = []  # in the order they apply
     stack = [term]
     while stack:
@@ -426,20 +438,47 @@ def _build_chain(data: FrobeniusData, term: Term, t_value):
             stack += (sub.left, sub.right)
         else:
             factors.append(sub)
-    nodes = []
-    for sub in factors:
-        node = _compile(data, sub, t_value)
+    return _fold(data.dim, [_compile(data, sub, t_value) for sub in factors])
+
+
+def _build_mu(data: FrobeniusData, mat, t_value):
+    """A matrix literal straight from its matrix, with no expansion term.
+
+    The split, transpose and add nodes are the compiled frame of the shape
+    (``tm._mu_frame``), shared by every literal of that shape; between them
+    one ``_Kron`` scales by the mu(a_ij) atoms in row-major order, as
+    ``tm.mu_matrix_term`` lays them out.  A shape with no rows or no columns
+    has no frame and compiles its expansion.
+    """
+    if not (mat.rows and mat.cols):
+        return _build(data, tm.mu_matrix_term(mat), t_value)
+    D = data.dim
+    frame = tm._mu_frame(mat.rows, mat.cols)
+    split, transpose, add = (_compile(data, sub, t_value) for sub in frame)
+    scales = [_compile(data, tm.atom("mu", a), t_value) for a in mat.entries]
+    scale = scales[0] if len(scales) == 1 else _Kron([(node, D, D) for node in scales])
+    return _fold(D, [split, transpose, scale, add])
+
+
+def _fold(dim: int, nodes):
+    """One node for compiled factors that apply in the order given.
+
+    Identity factors drop out, and each ``_Perm`` folds into a ``_Perm``
+    just before it; a fold that gives the identity leaves no node.
+    """
+    out = []
+    for node in nodes:
         if node is _ID:
             continue
-        if isinstance(node, _Perm) and nodes and isinstance(nodes[-1], _Perm):
-            p = [node.p[j] for j in nodes.pop().p]
+        if isinstance(node, _Perm) and out and isinstance(out[-1], _Perm):
+            p = [node.p[j] for j in out.pop().p]
             if p == list(range(len(p))):
                 continue
-            node = _Perm(data.dim, p)
-        nodes.append(node)
-    if not nodes:
+            node = _Perm(dim, p)
+        out.append(node)
+    if not out:
         return _ID
-    return nodes[0] if len(nodes) == 1 else _Chain(nodes)
+    return out[0] if len(out) == 1 else _Chain(out)
 
 
 def _build_tensor(data: FrobeniusData, term: Term, t_value):
@@ -476,13 +515,16 @@ def _build_tensor(data: FrobeniusData, term: Term, t_value):
     return _Whisker(node, lo, mid, out)
 
 
-def term_eval(data: FrobeniusData, term: Term, t_value=None) -> QMat:
+def term_eval(data: FrobeniusData, term: Term, t_value=None, memo=None) -> QMat:
     """Evaluate a term to its D^cod x D^dom matrix, column by column.
 
-    Column results of every node are memoized for this call only.
+    Column results of every node are memoized in ``memo``: a fresh dict for
+    this call unless the caller passes one to share between calls on the
+    same structure and t_value, as ``first_difference`` does for a pair.
     """
     node = _compile(data, term, t_value)
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     cols = data.dim**term.dom
     return QMat._trusted_columns(data.dim**term.cod, cols, (node.col(c, memo) for c in range(cols)))
 
@@ -618,8 +660,13 @@ def frobenius_axiom_terms(field: Fq):
 
 
 def first_difference(data: FrobeniusData, lhs: Term, rhs: Term):
-    """The first (row, column) cell where the two terms differ on the structure, or None."""
-    return term_eval(data, lhs).first_difference(term_eval(data, rhs))
+    """The first (row, column) cell where the two terms differ on the structure, or None.
+
+    Both sides share one column memo, so a node the sides share computes
+    each of its columns once; the memo lives as long as the pair's check.
+    """
+    memo: dict = {}
+    return term_eval(data, lhs, memo=memo).first_difference(term_eval(data, rhs, memo=memo))
 
 
 def check_axioms(data: FrobeniusData, pairs) -> list:

@@ -7,14 +7,14 @@ an exact formal identity (symbolic t) and as an exact matrix identity on
 the standard target: the axiom pairs (``frobenius.frobenius_axiom_terms``)
 through the structure checker ``check_axioms``, the lemma pairs here.  A
 pair that fails on the structure names its first differing cell
-(``frobenius.first_difference``).  The lemma and relinfty suites pass what
-they will evaluate through ``frobenius.check_steps`` before evaluating any
-of it, and the randomized suites refuse a trial count whose measured
-per-trial cost passes ``TRIAL_GUARD`` before their first draw.  The functor
-and stability suites compare the formal category against its
-specializations; a check of theirs that ran fewer trials than asked,
-because ``_arity_guard`` skipped the draws whose f_R pass ``HOM_CELLS``, is
-refused as well (``_check_ran``) rather than reported.
+(``frobenius.first_difference``).  The axiom, lemma and relinfty suites
+pass what they will evaluate through ``frobenius.check_steps`` before
+evaluating any of it, and the randomized suites refuse a trial count
+whose measured per-trial cost passes ``TRIAL_GUARD`` before their first
+draw.  The functor and stability suites compare the formal category
+against its specializations; a check of theirs that ran fewer trials
+than asked, because ``_arity_guard`` skipped the draws whose f_R pass
+``HOM_CELLS``, is refused as well (``_check_ran``) rather than reported.
 
 Only ``field``, ``matrix`` and ``relations`` load with this module; each
 suite imports the layers above them that it runs, so ``verify knop`` loads
@@ -254,17 +254,26 @@ def run_term_pairs(field: Fq, pairs, data: FrobeniusData | None):
 def suite_axioms(field: Fq, n: int = 1):
     """Each axiom pair formally, then on the standard target by the structure checker."""
     from . import terms as tm
-    from .frobenius import check_axioms, frobenius_axiom_terms, standard_target, term_eval
+    from .frobenius import (
+        check_axioms,
+        check_steps,
+        frobenius_axiom_terms,
+        standard_target,
+        term_eval,
+    )
 
     # the pair list refuses a large q before the target is built
     pairs = frobenius_axiom_terms(field)
     data = standard_target(field, n)
+    dim_term = tm.t_compose(tm.atom("eps*"), tm.atom("eps"))
+    sides = [side for _, lhs, rhs in pairs for side in (lhs, rhs)]
+    check_steps(data.dim, sides + [dim_term], "axioms")
     out = run_term_pairs(field, pairs, None)
     for name, cell in check_axioms(data, pairs):
         out.append(SuiteResult(f"standard target {name}", cell is None,
                                "" if cell is None else str(cell)))
     expected_dim = field.q**n
-    dim = term_eval(data, tm.t_compose(tm.atom("eps*"), tm.atom("eps")))
+    dim = term_eval(data, dim_term)
     out.append(SuiteResult(
         f"dim = eps*.eps = q^n = {expected_dim}",
         dim.get(0, 0) == expected_dim,

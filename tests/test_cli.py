@@ -348,6 +348,13 @@ def test_lemma_guard_counts_evaluation_steps(capsys):
         assert "evaluation steps" in err, err
 
 
+def test_axiom_guard_counts_evaluation_steps(capsys):
+    # 5.2-5.4 million steps at D = 64: each ran about 5 s before the suite counted them
+    for argv in (["--q", "2^2", "--n", "3"], ["--q", "2^3", "--n", "2"], ["--q", "2", "--n", "6"]):
+        err = assert_guard_error(capsys, "verify", "axioms", *argv)
+        assert "evaluation steps" in err, err
+
+
 def test_verify_axioms_builds_the_pair_list_once(capsys, monkeypatch):
     builds = []
     real = frobenius.frobenius_axiom_terms

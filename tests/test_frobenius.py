@@ -45,7 +45,7 @@ from relcat.relations import (
     rel_infty_normal_form,
     star,
 )
-from relcat.suites import suite_lemmas
+from relcat.suites import mu_lemma_terms, suite_lemmas
 
 F2, F3, F4 = Fq(2), Fq(3), Fq(2, 2)
 G = tm.Gen
@@ -134,8 +134,8 @@ def test_semi_mode_on_unitless_data(monkeypatch):
     formed = []
     real = frobenius.term_eval
 
-    def counting(*args):
-        out = real(*args)
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
         formed.append(out)
         return out
 
@@ -463,18 +463,79 @@ def test_term_eval_matches_dense_reference(field):
     assert kinds == {"Gen", "IdK", "MuLit", "RelLit", "Compose", "Tensor", "LinComb"}
 
 
-def test_mu_matrix_term_expanded_once_per_matrix(monkeypatch):
-    expanded = []
-    real_expand = tm.mu_matrix_term
+def test_mu_literal_compiles_once_and_builds_no_expansion(monkeypatch):
+    expanded, built = [], []
+    real_expand, real_build = tm.mu_matrix_term, frobenius._build_mu
 
     def counting_expand(mat):
         expanded.append(mat)
         return real_expand(mat)
 
+    def counting_build(data, mat, t_value):
+        built.append((mat, t_value))
+        return real_build(data, mat, t_value)
+
     monkeypatch.setattr(tm, "mu_matrix_term", counting_expand)
+    monkeypatch.setattr(frobenius, "_build_mu", counting_build)
     results = suite_lemmas(F3, seed=7)
     assert all(r.passed for r in results)
-    assert expanded and len(expanded) == len(set(expanded))
+    # the suite checks on one structure: each literal compiles once there
+    assert built and len(built) == len(set(built))
+    assert any(mat.rows and mat.cols for mat, _ in built)
+    # and a nonempty one from its matrix, with no expansion term
+    assert all(not (mat.rows and mat.cols) for mat in expanded), expanded
+
+
+def scrambled(rng, field, dim):
+    """A structure whose maps are random small-int and Fraction matrices of
+    the right shapes, with several entries in most columns."""
+    values = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    atoms = [G(name) for name in ("m", "m*", "eps*", "plus", "z", "eps")]
+    atoms += [G("mu", a) for a in field.elements()]
+    maps = {}
+    for atom in atoms:
+        rows, cols = dim**atom.cod, dim**atom.dom
+        cells = {(r, c): rng.choice(values) for r in range(rows) for c in range(cols)
+                 if rng.random() < 0.6}
+        maps[atom] = QMat(rows, cols, cells)
+    return FrobeniusData(field, dim, maps)
+
+
+@pytest.mark.parametrize("field,dim", [(F2, 3), (F3, 2)])
+def test_term_eval_matches_dense_reference_on_scrambled_maps(field, dim):
+    rng = random.Random(40 + field.q)
+    data = scrambled(rng, field, dim)
+    assert any(len(col) > 1 for mat in data.maps.values() for col in mat.columns())
+    empty = [tm.MuLit(MatFq(field, 0, 2, [])), tm.MuLit(MatFq(field, 2, 0, [])),
+             tm.MuLit(MatFq(field, 0, 0, []))]
+    terms = empty + [tm.Compose(empty[1], empty[0]), tm.Tensor(empty[0], G("m"))]
+    terms += [random_term(rng, field, rng.randrange(3), rng.randrange(3), 4) for _ in range(40)]
+    kinds = set()
+    for trial, term in enumerate(terms):
+        t_value = Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
+        kinds |= node_kinds(term)
+        assert term_eval(data, term, t_value=t_value) == dense(data, term, t_value), (trial, term)
+    assert kinds == {"Gen", "IdK", "MuLit", "RelLit", "Compose", "Tensor", "LinComb"}
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_shared_memo_first_difference_equals_independent_evaluations(field):
+    rng = random.Random(30 + field.q)
+    axioms, lemmas = frobenius_axiom_terms(field), mu_lemma_terms(field, seed=3)
+    target = standard_target(field, 1)
+    # a corrupted scaling keeps the target's one-entry columns, so the wide
+    # lemma sides stay cheap while many pairs differ; a scrambled structure
+    # makes every column dense, so it checks the axioms only
+    corrupted = replaced(target, G("mu", 1), target.maps[G("mu", 0)])
+    cases = [(target, axioms + lemmas), (corrupted, axioms + lemmas),
+             (scrambled(rng, field, 2), axioms)]
+    for data, pairs in cases:
+        cells = []
+        for name, lhs, rhs in pairs:
+            cell = frobenius.first_difference(data, lhs, rhs)
+            assert cell == term_eval(data, lhs).first_difference(term_eval(data, rhs)), name
+            cells.append(cell)
+        assert any(cells) == (data is not target)
 
 
 def test_deep_composite_evaluates():
