@@ -10,6 +10,12 @@ typed by construction and wrap them unchecked (``Morphism._trusted``); a
 product of nonzero coefficients is nonzero, so only a sum can leave a zero
 to drop.
 
+Morphisms are immutable.  ``identity``, ``symmetry``, ``ev_bar``,
+``coev_bar`` and ``generator`` return one shared instance per (field,
+arguments) from a bounded cache, and every basis arrow built by
+``Morphism.from_relation`` carries the shared unit ``PolyQ.one()``; a
+product with that unit is the other factor itself, with no arithmetic.
+
 Besides the category structure (compose, tensor, identities, symmetries)
 this module provides duals by snake composites, the categorical trace and
 Gram pairing, the pairing-form calculus (phi, the T isomorphism and the
@@ -19,6 +25,7 @@ Gram pairing, the pairing-form calculus (phi, the T isomorphism and the
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ArityMismatch, FieldMismatch
 from .field import Fq
@@ -36,6 +43,9 @@ from .relations import (
     sigma_relation,
     star,
 )
+
+# the coefficient of a basis arrow; compose and tensor recognize it by identity
+_ONE = PolyQ.one()
 
 
 class Morphism:
@@ -65,7 +75,7 @@ class Morphism:
         return out
 
     @classmethod
-    def from_relation(cls, rel: Relation, coeff=1) -> "Morphism":
+    def from_relation(cls, rel: Relation, coeff=_ONE) -> "Morphism":
         if not isinstance(coeff, PolyQ):
             coeff = PolyQ.const(coeff)
         return cls._trusted(rel.field, rel.s, rel.k, {rel: coeff} if coeff.coeffs else {})
@@ -112,12 +122,15 @@ class Morphism:
             raise ArityMismatch("sum of morphisms with different types")
         out = dict(self.terms)
         for rel, c in other.terms.items():
-            out[rel] = out.get(rel, PolyQ.zero()) + c
-        return Morphism(self.field, self.s, self.k, out)
+            prev = out.get(rel)
+            out[rel] = c if prev is None else prev + c
+        return Morphism._trusted(self.field, self.s, self.k, _nonzero(out))
 
     def scale(self, coeff) -> "Morphism":
         if not isinstance(coeff, PolyQ):
             coeff = PolyQ.const(coeff)
+        if coeff is _ONE:
+            return self
         return Morphism(
             self.field, self.s, self.k, {r: c * coeff for r, c in self.terms.items()}
         )
@@ -145,7 +158,9 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     for rg, cg in g.terms.items():
         for rf, cf in f.terms.items():
             sr, d = star(rg, rf)
-            coeff = cf * cg * PolyQ.t_power(d) if d else cf * cg
+            coeff = _times(cf, cg)
+            if d:
+                coeff = _times(coeff, PolyQ.t_power(d))
             prev = out.get(sr)
             out[sr] = coeff if prev is None else prev + coeff
     return Morphism._trusted(f.field, g.s, f.k, _nonzero(out))
@@ -159,9 +174,19 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
     for rf, cf in f.terms.items():
         for rg, cg in g.terms.items():
             pr = product(rf, rg)
+            coeff = _times(cf, cg)
             prev = out.get(pr)
-            out[pr] = cf * cg if prev is None else prev + cf * cg
+            out[pr] = coeff if prev is None else prev + coeff
     return Morphism._trusted(f.field, f.s + g.s, f.k + g.k, _nonzero(out))
+
+
+def _times(a: PolyQ, b: PolyQ) -> PolyQ:
+    """a * b; either factor itself when the other is the shared unit."""
+    if a is _ONE:
+        return b
+    if b is _ONE:
+        return a
+    return a * b
 
 
 def _nonzero(terms: dict) -> dict:
@@ -169,10 +194,17 @@ def _nonzero(terms: dict) -> dict:
     return {rel: c for rel, c in terms.items() if c.coeffs}
 
 
+# Entries each generator-morphism cache keeps; the least recently used one is
+# dropped past it.
+GENERATOR_CACHE = 256
+
+
+@lru_cache(maxsize=GENERATOR_CACHE)
 def identity(field: Fq, k: int) -> Morphism:
     return Morphism.from_relation(identity_relation(field, k))
 
 
+@lru_cache(maxsize=GENERATOR_CACHE)
 def symmetry(field: Fq, l: int, k: int) -> Morphism:
     return Morphism.from_relation(sigma_relation(field, l, k))
 
@@ -185,14 +217,17 @@ def mu_morphism(a: MatFq) -> Morphism:
     return Morphism.from_relation(mu_relation(a))
 
 
+@lru_cache(maxsize=GENERATOR_CACHE)
 def ev_bar(field: Fq, k: int) -> Morphism:
     return Morphism.from_relation(ev_bar_relation(field, k))
 
 
+@lru_cache(maxsize=GENERATOR_CACHE)
 def coev_bar(field: Fq, k: int) -> Morphism:
     return Morphism.from_relation(coev_bar_relation(field, k))
 
 
+@lru_cache(maxsize=GENERATOR_CACHE)
 def generator(field: Fq, name: str, a: int | None = None) -> Morphism:
     return Morphism.from_relation(generator_relation(field, name, a))
 

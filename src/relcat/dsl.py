@@ -23,6 +23,12 @@ expression.  A file is parsed as one token stream, so the ";" inside a
 rel(...) or muM(...) literal is part of the literal.  mu scalars and
 matrix entries are reduced into the ambient field, which is why parsing
 takes the field as an argument.
+
+The tokenizer cuts the source in one ``finditer`` pass.  A coefficient of
+1 (a bare term or an explicit ``1 *``) and every ``t^d`` are the shared
+instances of ``poly``, and a generator atom or ``id(k)`` evaluates to the
+shared morphism of ``category``: values are immutable, so nothing copies
+them.
 """
 
 from __future__ import annotations
@@ -39,12 +45,16 @@ from .poly import PolyQ
 from .relations import GENERATOR_ARITIES, Relation
 from .terms import Compose, Gen, IdK, LinComb, MuLit, RelLit, Tensor, Term
 
+# each match is one token after any whitespace; a character that starts no
+# token is matched alone as "bad", so the matches cover the source without gaps
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*\*?)
-  | (?P<num>\d+)
-  | (?P<op>:=|\^|[().\[\],;@+\-*/])
+    \s*(?:
+      (?P<name>[A-Za-z_][A-Za-z_0-9]*\*?)
+    | (?P<num>\d+)
+    | (?P<op>:=|\^|[().\[\],;@+\-*/])
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
@@ -55,25 +65,24 @@ _STARRED = {name for name in _ATOMS if name.endswith("*")}
 
 
 def _tokenize(src: str):
+    """The (text, position) tokens of src in one pass, ending in ("<end>", len(src))."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        match = _TOKEN_RE.match(src, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        if match.lastgroup != "ws":
-            text = match.group()
-            if match.lastgroup == "num" and len(text) > COUNT_DIGITS:
-                # Python reads no int of more digits
-                raise TooLarge(f"a number of {len(text)} digits (at position {pos}); "
-                               f"at most {COUNT_DIGITS} are read")
-            if match.lastgroup == "name" and text.endswith("*") and text not in _STARRED:
-                # only the starred generators end in '*'; split it off any other name
-                tokens.append((text[:-1], pos))
-                tokens.append(("*", pos + len(text) - 1))
-            else:
-                tokens.append((text, pos))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(src):
+        kind = match.lastgroup
+        text = match.group(kind)
+        pos = match.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", pos)
+        if kind == "num" and len(text) > COUNT_DIGITS:
+            # Python reads no int of more digits
+            raise TooLarge(f"a number of {len(text)} digits (at position {pos}); "
+                           f"at most {COUNT_DIGITS} are read")
+        if kind == "name" and text[-1] == "*" and text not in _STARRED:
+            # only the starred generators end in '*'; split it off any other name
+            tokens.append((text[:-1], pos))
+            tokens.append(("*", pos + len(text) - 1))
+        else:
+            tokens.append((text, pos))
     tokens.append(("<end>", len(src)))
     return tokens
 
@@ -215,7 +224,8 @@ class _Parser:
             sign = -1 if self.advance() == "-" else 1
             parts.append(self.parse_addend(sign))
             explicit = True
-        if len(parts) == 1 and not explicit and parts[0][0] == PolyQ.one():
+        if len(parts) == 1 and not explicit:
+            # a bare term: its coefficient is the unit
             return parts[0][1]
         return LinComb([(c, t) for c, t, _ in parts])
 
@@ -225,7 +235,7 @@ class _Parser:
         if coeff is None:
             coeff = PolyQ.one()
         term = self.parse_tensor()
-        return coeff.scale(sign), term, explicit or sign < 0
+        return (coeff if sign > 0 else -coeff), term, explicit or sign < 0
 
     def parse_tensor(self) -> Term:
         out = self.parse_compose()

@@ -5,11 +5,17 @@ identity asserted downstream is exact, so coefficients are Fractions and
 nothing is ever rounded.  The zero polynomial has degree() == -1 (an
 integer sentinel standing in for minus infinity).  Only the constructor
 checks and coerces; the arithmetic wraps its canonical results unchecked.
+
+A ``PolyQ`` is immutable.  ``PolyQ.one()``, ``const(1)`` and ``t_power(d)``
+with coefficient 1 return one shared instance per degree from a bounded
+cache, so the unit that coefficients in the formal category mostly are is
+built once, and a caller may test for it by identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import TooLarge
@@ -72,10 +78,12 @@ class PolyQ:
 
     @classmethod
     def one(cls) -> "PolyQ":
-        return cls.const(1)
+        return _monomial(0)
 
     @classmethod
     def t_power(cls, d: int, c=1) -> "PolyQ":
+        if (c.__class__ is int or c.__class__ is Fraction) and c == 1:
+            return _monomial(d)
         c = _coerce(c)
         return cls._trusted({d: c} if c else {})
 
@@ -162,6 +170,16 @@ class PolyQ:
         return out
 
     __repr__ = __str__
+
+
+# distinct powers t^d the shared-monomial cache keeps
+MONOMIAL_CACHE = 256
+
+
+@lru_cache(maxsize=MONOMIAL_CACHE)
+def _monomial(d: int) -> PolyQ:
+    """The shared instance of t^d with coefficient 1."""
+    return PolyQ._trusted({d: Fraction(1)})
 
 
 # det_poly forms up to N! products for N rows (N = 8 at q = 5 takes 1.4 s on a

@@ -4,12 +4,14 @@ The library keeps no function that only a test calls; the tests build
 these from its public pieces instead.
 """
 
+import re
+
 from relcat.concrete import ConcreteMap
-from relcat.errors import ArityMismatch, ShapeMismatch
-from relcat.field import Fq
+from relcat.errors import ArityMismatch, ParseError, ShapeMismatch, TooLarge
+from relcat.field import COUNT_DIGITS, Fq
 from relcat.matrix import MatFq, null_rows, row_reduce, subspace_count
 from relcat.qmat import QMat
-from relcat.relations import Relation
+from relcat.relations import GENERATOR_ARITIES, Relation
 
 
 def zero_space(field: Fq, s: int, k: int) -> Relation:
@@ -72,3 +74,41 @@ def concrete_tensor(f: ConcreteMap, g: ConcreteMap) -> ConcreteMap:
 def hom_dimension(field: Fq, s: int, k: int) -> int:
     """Number of relations, i.e. dim Hom([s],[k]) in the formal category."""
     return subspace_count(field, s + k)
+
+
+_STARRED = {name for name in GENERATOR_ARITIES if name.endswith("*")}
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*\*?)
+  | (?P<num>\d+)
+  | (?P<op>:=|\^|[().\[\],;@+\-*/])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(src: str):
+    """The expression tokenizer as one anchored match per position, the
+    reference for ``dsl._tokenize``."""
+    tokens = []
+    pos = 0
+    while pos < len(src):
+        match = _REFERENCE_TOKEN_RE.match(src, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {src[pos]!r}", pos)
+        if match.lastgroup != "ws":
+            text = match.group()
+            if match.lastgroup == "num" and len(text) > COUNT_DIGITS:
+                # Python reads no int of more digits
+                raise TooLarge(f"a number of {len(text)} digits (at position {pos}); "
+                               f"at most {COUNT_DIGITS} are read")
+            if match.lastgroup == "name" and text.endswith("*") and text not in _STARRED:
+                # only the starred generators end in '*'; split it off any other name
+                tokens.append((text[:-1], pos))
+                tokens.append(("*", pos + len(text) - 1))
+            else:
+                tokens.append((text, pos))
+        pos = match.end()
+    tokens.append(("<end>", len(src)))
+    return tokens

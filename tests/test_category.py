@@ -16,11 +16,16 @@ from relcat.field import Fq
 from relcat.matrix import MatFq, enumerate_subspaces
 from relcat.poly import PolyQ, det_poly, rational_roots
 from relcat.relations import (
+    GENERATORS,
     Relation,
+    coev_bar_relation,
+    ev_bar_relation,
+    generator_relation,
     identity_relation,
     product,
     random_invertible,
     random_relation,
+    sigma_relation,
     star,
 )
 from relcat.terms import decompose_generators
@@ -323,52 +328,68 @@ def test_decompose_generators_random():
 # -- trusted compose and tensor against the checked path ------------------------
 
 
-def _checked_compose(f, g):
-    out = {}
-    for rg, cg in g.terms.items():
-        for rf, cf in f.terms.items():
-            sr, d = star(rg, rf)
-            out[sr] = out.get(sr, PolyQ.zero()) + cf * cg * PolyQ.t_power(d)
-    return Morphism(f.field, g.s, f.k, out)
-
-
-def _checked_tensor(f, g):
-    out = {}
-    for rf, cf in f.terms.items():
-        for rg, cg in g.terms.items():
-            pr = product(rf, rg)
-            out[pr] = out.get(pr, PolyQ.zero()) + cf * cg
-    return Morphism(f.field, f.s + g.s, f.k + g.k, out)
-
-
 def _random_coeff(rng):
     """A nonzero polynomial of degree at most 2."""
     return PolyQ({0: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 5), rng.randrange(1, 4)),
                   rng.randrange(1, 3): rng.randrange(-2, 3)})
 
 
+def _mixed_coeff(rng):
+    """The shared unit, a unit built by the checking constructor, a power of
+    t, a rational, or a Q[t] sum."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return PolyQ.one()
+    if kind == 1:
+        return PolyQ({0: 1})
+    if kind == 2:
+        return PolyQ.t_power(rng.randrange(1, 3))
+    if kind == 3:
+        return PolyQ.const(Fraction(rng.choice((-3, -1, 2, 5)), rng.randrange(1, 4)))
+    return _random_coeff(rng)
+
+
+def _checked_product(f, g, combine):
+    """Sum over term pairs of combine(rf, rg) = (relation, defect): every
+    coefficient is multiplied and summed entry by entry and built by the
+    checking PolyQ and Morphism constructors."""
+    acc = {}
+    for rf, cf in f.terms.items():
+        for rg, cg in g.terms.items():
+            rel, d = combine(rf, rg)
+            slot = acc.setdefault(rel, {})
+            for d1, c1 in cf.coeffs.items():
+                for d2, c2 in cg.coeffs.items():
+                    slot[d1 + d2 + d] = slot.get(d1 + d2 + d, 0) + c1 * c2
+    return {rel: PolyQ(slot) for rel, slot in acc.items()}
+
+
 def test_trusted_compose_and_tensor_match_checked_path():
     rng = random.Random(33)
     cancelled = 0
-    for _ in range(150):
-        F = rng.choice([F2, F3])
+    for _ in range(200):
+        F = rng.choice([F2, F3, F4])
         s, k, l = rng.randrange(3), rng.randrange(3), rng.randrange(3)
-        g = Morphism(F, s, k, {random_relation(rng, F, s, k): _random_coeff(rng) for _ in range(2)})
-        f = Morphism(F, k, l, {random_relation(rng, F, k, l): _random_coeff(rng) for _ in range(2)})
+        g = Morphism(F, s, k, {random_relation(rng, F, s, k): _mixed_coeff(rng)
+                               for _ in range(rng.randrange(1, 4))})
+        f = Morphism(F, k, l, {random_relation(rng, F, k, l): _mixed_coeff(rng)
+                               for _ in range(rng.randrange(1, 4))})
         # two relations with the same composite after one term of g, with
         # opposite coefficients: that composite's coefficient cancels
-        (rg, cg), *_ = g.terms.items()
+        rg = next(iter(g.terms))
         for _ in range(20):
             r1, r2 = random_relation(rng, F, k, l), random_relation(rng, F, k, l)
             if r1 != r2 and star(rg, r1) == star(rg, r2):
-                c = _random_coeff(rng)
+                c = _mixed_coeff(rng)
                 f = Morphism(F, k, l, {**f.terms, r1: c, r2: -c})
                 break
         composites = {star(rg, rf)[0] for rg in g.terms for rf in f.terms}
         cancelled += len(cat.compose(f, g).terms) < len(composites)
-        for got, want in ((cat.compose(f, g), _checked_compose(f, g)),
-                          (cat.tensor(f, g), _checked_tensor(f, g)),
-                          (cat.tensor(g, f), _checked_tensor(g, f))):
+        checked = [(cat.compose(f, g), Morphism(F, s, l, _checked_product(g, f, star)))]
+        for a, b in ((f, g), (g, f)):
+            terms = _checked_product(a, b, lambda x, y: (product(x, y), 0))
+            checked.append((cat.tensor(a, b), Morphism(F, a.s + b.s, a.k + b.k, terms)))
+        for got, want in checked:
             assert got == want and hash(got) == hash(want)
             assert all(not c.is_zero() for c in got.terms.values()), got.terms
             assert all((r.field, r.s, r.k) == (F, got.s, got.k) for r in got.terms)
@@ -394,3 +415,44 @@ def test_morphism_arity_checks():
         cat.compose(cat.generator(F2, "m"), cat.generator(F2, "z"))
     with pytest.raises(ArityMismatch):
         cat.generator(F2, "m").add(cat.generator(F2, "m*"))
+
+
+def test_shared_generators_and_monomials_stay_as_built():
+    def fresh_generators(F):
+        """Each cached morphism beside the same one built anew with a new unit."""
+        unit = PolyQ({0: 1})
+        pairs = [(cat.generator(F, name), generator_relation(F, name)) for name in GENERATORS]
+        pairs += [(cat.generator(F, "mu", a), generator_relation(F, "mu", a)) for a in range(F.q)]
+        for k in range(3):
+            pairs += [(cat.identity(F, k), identity_relation(F, k)),
+                      (cat.ev_bar(F, k), ev_bar_relation(F, k)),
+                      (cat.coev_bar(F, k), coev_bar_relation(F, k)),
+                      (cat.symmetry(F, 1, k), sigma_relation(F, 1, k))]
+        return [(shared, Morphism(F, rel.s, rel.k, {rel: unit})) for shared, rel in pairs]
+
+    units = [PolyQ.one(), PolyQ.const(1), PolyQ.t_power(0), PolyQ.t_power(1), PolyQ.t_power(2)]
+    for F in (F2, F3, F4):
+        shared = [morphism for morphism, _ in fresh_generators(F)]
+        for f in shared:
+            for u in units:
+                f.scale(u).add(f)
+                f.add(f.scale(-1))
+                f.scale(u).evaluate(Fraction(3, 2))
+            f.evaluate(1)
+            cat.dual(f)
+            for g in shared:
+                if f.s == g.k:
+                    cat.compose(f, g)
+                if f.s + g.s + f.k + g.k <= 4:
+                    cat.tensor(f, g)
+    cat.gram(F2, 1, 1)
+    for F in (F2, F3, F4):
+        for morphism, fresh in fresh_generators(F):
+            assert morphism == fresh
+    assert cat.identity(F2, 1) is cat.identity(F2, 1)
+    assert cat.generator(F3, "m*") is cat.generator(F3, "m*")
+    assert PolyQ.one() is PolyQ.const(1) is PolyQ.t_power(0) is PolyQ.t_power(0, Fraction(1))
+    assert PolyQ.one().coeffs == {0: Fraction(1)}
+    for d in range(3):
+        assert PolyQ.t_power(d) is PolyQ.t_power(d)
+        assert PolyQ.t_power(d) == PolyQ({d: 1})

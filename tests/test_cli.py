@@ -321,6 +321,17 @@ def test_deep_expressions_are_guard_errors(capsys):
     assert code == 0 and out == run_cli(capsys, "eval", "--q", "2", "id(1)")[1]
 
 
+def test_nesting_past_the_recursion_limit_exits_3_in_a_fresh_process():
+    # m inside 300 parentheses passes the recursion limit of a fresh interpreter
+    # (200 levels do too, 150 evaluate)
+    argv = [sys.executable, "-m", "relcat.cli", "eval", "--q", "2", "(" * 300 + "m" + ")" * 300]
+    start = time.perf_counter()
+    run = subprocess.run(argv, capture_output=True, text=True)
+    assert time.perf_counter() - start < 1.0
+    assert run.returncode == 3 and run.stdout == "", (run.returncode, run.stderr)
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+
+
 def test_pair_suites_guard_before_building_pairs(capsys):
     # the axiom and lemma pairs loop over F_q x F_q and F_q; q^n is refused first
     assert_guard_error(capsys, "verify", "axioms", "--q", "101^8")

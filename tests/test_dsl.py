@@ -7,20 +7,21 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import zero_space
+from helpers import reference_tokenize, zero_space
 
 from relcat import category as cat
 from relcat import terms as tm
 from relcat.concrete import specialize
-from relcat.dsl import eval_formal, parse, parse_program
+from relcat.dsl import _tokenize, eval_formal, parse, parse_program
 from relcat.errors import (
     ArityMismatch,
     FieldMismatch,
     ParseError,
     ScalarParseError,
+    TooLarge,
     UnknownGenerator,
 )
-from relcat.field import Fq
+from relcat.field import COUNT_DIGITS, Fq
 from relcat.frobenius import frobenius_axiom_terms, standard_target, term_eval
 from relcat.matrix import MatFq
 from relcat.poly import PolyQ
@@ -272,3 +273,34 @@ def test_formal_memo_adds_no_frame_per_level():
     expected = cat.generator(F2, "sigma") if depth % 2 == 0 else cat.identity(F2, 2)
     assert eval_formal(chain, F2) == expected
     assert eval_formal(chain, F2, {}) == expected
+
+
+# pieces of random tokenizer input: names (some ending in '*'), numbers,
+# operators, whitespace of every kind, and characters that start no token
+_TOKEN_PIECES = (
+    "eps", "eps*", "m", "m*", "z*", "sigma", "plus", "ev", "coev", "mu", "id", "rel", "muM",
+    "t", "x_1", "foo*", "t*", "_a9*", "0", "7", "42", "1/2", "t^3", ":=", "^", "(", ")",
+    ".", "[", "]", ",", ";", "@", "+", "-", "*", "/", ":", " ", "  ", "\t", "\n", " \t\n ",
+    "#", "$", "\u00e9", "\u00e9t", "1" * (COUNT_DIGITS + 1), "9" * COUNT_DIGITS,
+)
+
+
+def _tokenize_outcome(tokenize, src):
+    try:
+        return tokenize(src)
+    except (ParseError, TooLarge) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_tokenizer_matches_the_per_position_reference():
+    rng = random.Random(23)
+    sources = ["", " ", "\t\n", "m . m*", "m # m*", "1 * (m . m*) - t^0 * (m . m*)"]
+    for _ in range(400):
+        sources.append("".join(rng.choice(_TOKEN_PIECES) for _ in range(rng.randrange(1, 12))))
+    kinds = set()
+    for src in sources:
+        want = _tokenize_outcome(reference_tokenize, src)
+        assert _tokenize_outcome(_tokenize, src) == want, src
+        kinds.add(want[0] if isinstance(want, tuple) else list)
+    # every outcome occurs: a token list, a stray character and an overlong number
+    assert kinds == {list, ParseError, TooLarge}
