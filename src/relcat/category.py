@@ -6,9 +6,10 @@ by t to the power of the defect, and everything else is Q[t]-bilinear.
 Substituting an exact rational for t is a ring map Q[t] -> Q, so it
 commutes with every operation here: ``Morphism.evaluate`` applies it once
 to a finished result.  ``compose`` and ``tensor`` build terms that are
-typed by construction and wrap them unchecked (``Morphism._trusted``); a
-product of nonzero coefficients is nonzero, so only a sum can leave a zero
-to drop.
+typed by construction and wrap them unchecked (``Morphism._trusted``), and
+so do ``Morphism.scale`` and ``Morphism.evaluate``; a product of nonzero
+coefficients is nonzero, so only a sum, a zero scalar or a value of 0 can
+leave a zero to drop.
 
 Morphisms are immutable.  ``identity``, ``symmetry``, ``ev_bar``,
 ``coev_bar`` and ``generator`` return one shared instance per (field,
@@ -131,9 +132,9 @@ class Morphism:
             coeff = PolyQ.const(coeff)
         if coeff is _ONE:
             return self
-        return Morphism(
-            self.field, self.s, self.k, {r: c * coeff for r, c in self.terms.items()}
-        )
+        # a product of nonzero polynomials is nonzero, so only a zero factor leaves zeros
+        terms = {r: _times(c, coeff) for r, c in self.terms.items()} if coeff.coeffs else {}
+        return Morphism._trusted(self.field, self.s, self.k, terms)
 
     def __add__(self, other):
         return self.add(other)
@@ -142,9 +143,11 @@ class Morphism:
         return self.add(other.scale(-1))
 
     def evaluate(self, value) -> "Morphism":
-        """Substitute the exact rational value for t in every coefficient."""
-        return Morphism(
-            self.field, self.s, self.k, {r: c.evaluate(value) for r, c in self.terms.items()}
+        """Substitute the exact rational value for t in every coefficient; a
+        coefficient that comes out 0 is dropped."""
+        values = ((r, c.evaluate(value)) for r, c in self.terms.items())
+        return Morphism._trusted(
+            self.field, self.s, self.k, {r: PolyQ.const(v) for r, v in values if v}
         )
 
 

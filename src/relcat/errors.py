@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one work budget that
+evaluation steps and randomized trials are charged to (``charge``)."""
 
 
 class RelcatError(Exception):
@@ -27,6 +28,22 @@ class ShapeMismatch(RelcatError):
 
 class TooLarge(RelcatError):
     """A feasibility guard was exceeded (desk-scale enumeration bound)."""
+
+
+# Steps of about 1 us a command may charge, so a few seconds: hat_f, the unit
+# path and the lemma suite ran at 0.5-2.7 us an evaluation step, most near
+# 1 us, and trials are priced in us (2-vCPU x86-64 VM, Python 3.11).
+WORK_BUDGET = 2**22
+
+
+def charge(spent: int, source: str, work: str) -> int:
+    """TooLarge, naming the source and its work, if spent passes WORK_BUDGET;
+    returns spent, so a caller can keep a running sum."""
+    if spent > WORK_BUDGET:
+        raise TooLarge(
+            f"{source}: {work}, more than the work budget of {WORK_BUDGET} steps of about 1 us"
+        )
+    return spent
 
 
 class ArityMismatch(UsageError):

@@ -16,7 +16,7 @@ Tensor powers are interpreted by the library's Kronecker indexing (first
 factor least significant).  A term is evaluated in two tiers.  It is
 compiled once per structure into a tree of nodes cached on the structure
 by term: stored maps hold their columns, ev, coev and z* compile their
-definitions (``DEFINED``), and other composites hold their compiled
+definitions (``terms.DEFINED``), and other composites hold their compiled
 children, so subterms shared between terms are compiled once; the term
 builders hand out shared instances, so the cache mostly hits on identity.
 A nonempty matrix literal compiles straight from its matrix: one
@@ -39,10 +39,11 @@ caller passes one: ``first_difference`` evaluates both sides of a pair
 with one memo, which lives only as long as that pair's check.
 ``hat_f`` evaluates the one term of a relation's normal form
 (``hat_f_term``) and caches the result on the structure by relation.
-``check_steps`` refuses terms past ``EVAL_GUARD`` evaluation steps in all
-(``term_steps``: D^(dom + unit uses) columns through the widest layer);
-hat_f, the unit path of ``rel_matrix`` and the axiom, lemma and relinfty
-suites call it before they evaluate.
+``check_steps`` charges terms' evaluation steps to the one work budget
+(``errors.charge``): ``term_steps`` is D^(dom + unit uses) columns through
+the widest layer, both read off the term, which carries its cost as it
+carries its arity.  hat_f, the unit path of ``rel_matrix`` and the axiom,
+lemma and relinfty suites call it before they evaluate.
 """
 
 from __future__ import annotations
@@ -52,11 +53,13 @@ from functools import lru_cache
 
 from . import terms as tm
 from .errors import (
+    WORK_BUDGET,
     MissingUnit,
     NotRelInfty,
     RequiresEvaluation,
     ShapeMismatch,
     TooLarge,
+    charge,
 )
 from .field import Fq
 from .qmat import QMat
@@ -67,77 +70,25 @@ from .terms import Term
 STANDARD_GUARD = 2**12
 # frobenius_axiom_terms has 2q^2 + 4q + 26 pairs; it refuses to build more.
 AXIOM_PAIR_GUARD = 2**12
-# ``check_steps`` refuses more evaluation steps (``term_steps``) than this:
-# hat_f, the unit path and the lemma suite ran at 0.5-2.7 us a step, most
-# near 1 us (2-vCPU x86-64 VM, Python 3.11), so a few seconds.
-EVAL_GUARD = 2**22
 
 
 # The unit, the one map a structure may lack: a semi-Frobenius space has none.
 UNIT = tm.atom("eps")
-# The maps the axiom list defines by the stored ones; a term that uses one
-# is compiled through its definition.
-DEFINED = {
-    "ev": tm.t_compose(tm.atom("eps*"), tm.atom("m")),
-    "coev": tm.t_compose(tm.atom("m*"), tm.atom("eps")),
-    "z*": tm.t_compose(tm.atom("ev"), tm.t_tensor(tm.t_id(1), tm.atom("z"))),
-}
-
-
-@lru_cache(maxsize=tm.BUILDER_CACHE)
-def fan_and_width(term: Term) -> tuple[int, int]:
-    """(fan-out exponent, strands of the widest layer) of a term as compiled.
-
-    The exponent is dom plus the unit uses: each eps, itself or in coev's
-    definition, fans a column out D-fold.  A map used through its definition
-    (``DEFINED``) is as wide as the definition, a matrix literal's expansion
-    rows * cols strands; a tensor adds the widths and the uses of its sides,
-    a composite takes the widest part and adds the uses, and a linear
-    combination takes the most of each.
-    """
-    done = []  # (unit uses, width) of the finished subterms, in walk order
-    stack = [(term, 0)]  # (subterm, 0 until its parts are walked, then their number)
-    while stack:
-        sub, parts = stack.pop()
-        kind = type(sub)
-        if not parts:
-            if kind is tm.Compose or kind is tm.Tensor:
-                stack += ((sub, 2), (sub.left, 0), (sub.right, 0))
-            elif kind is tm.LinComb:
-                stack.append((sub, len(sub.parts)))
-                stack += ((part, 0) for _, part in sub.parts)
-            elif kind is tm.Gen and sub.name in DEFINED:
-                stack.append((DEFINED[sub.name], 0))  # walked in the map's place
-            else:
-                wide = sub.dom * sub.cod if kind is tm.MuLit else 0
-                unit = int(kind is tm.Gen and sub.name == "eps")
-                done.append((unit, max(wide, sub.dom, sub.cod)))
-            continue
-        got = done[-parts:]
-        del done[-parts:]
-        if kind is tm.LinComb:
-            done.append((max(u for u, _ in got), max(w for _, w in got)))
-        else:
-            (u1, w1), (u2, w2) = got
-            done.append((u1 + u2, w1 + w2 if kind is tm.Tensor else max(w1, w2)))
-    uses, width = done[0]
-    return term.dom + uses, width
 
 
 def term_steps(dim: int, term: Term) -> int:
-    """D^(dom + unit uses) root columns at D = dim through the widest layer;
-    EVAL_GUARD + 1, without forming D^fan, when the exponent passes its bit length."""
-    fan, width = fan_and_width(term)
-    return EVAL_GUARD + 1 if dim > 1 and fan > EVAL_GUARD.bit_length() else dim**fan * width
+    """D^(dom + unit uses) root columns at D = dim through the widest layer
+    (``Term.units`` and ``Term.width``); WORK_BUDGET + 1, without forming
+    D^fan, when the exponent passes the budget's bit length."""
+    fan = term.dom + term.units
+    return WORK_BUDGET + 1 if dim > 1 and fan > WORK_BUDGET.bit_length() else dim**fan * term.width
 
 
 def check_steps(dim: int, terms, source: str, spent: int = 0) -> int:
-    """TooLarge if spent plus the terms' steps at D = dim pass EVAL_GUARD;
-    returns that total, so a caller can keep a running sum."""
+    """Charge spent plus the terms' steps at D = dim to the work budget
+    (``errors.charge``); returns that total, so a caller can keep a running sum."""
     spent += sum(term_steps(dim, term) for term in terms)
-    if spent > EVAL_GUARD:
-        raise TooLarge(f"{source}: more than {EVAL_GUARD} evaluation steps at D = {dim}")
-    return spent
+    return charge(spent, source, f"evaluation steps at D = {dim}")
 
 
 class FrobeniusData:
@@ -399,8 +350,8 @@ def _compile(data: FrobeniusData, term: Term, t_value):
 def _build(data: FrobeniusData, term: Term, t_value):
     if isinstance(term, tm.Gen):
         name = term.name
-        if name in DEFINED:
-            return _compile(data, DEFINED[name], t_value)
+        if name in tm.DEFINED:
+            return _compile(data, tm.DEFINED[name], t_value)
         if name == "sigma":
             return _Perm(data.dim, [1, 0])
         if term == UNIT and not data.has_unit:
@@ -650,9 +601,9 @@ def frobenius_axiom_terms(field: Fq):
          tm.t_compose(tm.t_tensor(g("ev"), I1), tm.t_tensor(I1, g("coev"))), I1),
         ("snake right",
          tm.t_compose(tm.t_tensor(I1, g("ev")), tm.t_tensor(g("coev"), I1)), I1),
-        ("ev = eps* . m", g("ev"), DEFINED["ev"]),
-        ("coev = m* . eps", g("coev"), DEFINED["coev"]),
-        ("z* = ev . (Id @ z)", g("z*"), DEFINED["z*"]),
+        ("ev = eps* . m", g("ev"), tm.DEFINED["ev"]),
+        ("coev = m* . eps", g("coev"), tm.DEFINED["coev"]),
+        ("z* = ev . (Id @ z)", g("z*"), tm.DEFINED["z*"]),
         ("eps = (eps* @ Id) . coev", g("eps"),
          tm.t_compose(tm.t_tensor(g("eps*"), I1), g("coev"))),
     ]

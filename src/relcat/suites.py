@@ -9,12 +9,13 @@ through the structure checker ``check_axioms``, the lemma pairs here.  A
 pair that fails on the structure names its first differing cell
 (``frobenius.first_difference``).  The axiom, lemma and relinfty suites
 pass what they will evaluate through ``frobenius.check_steps`` before
-evaluating any of it, and the randomized suites refuse a trial count
-whose measured per-trial cost passes ``TRIAL_GUARD`` before their first
-draw.  The functor and stability suites compare the formal category
-against its specializations; a check of theirs that ran fewer trials
-than asked, because ``_arity_guard`` skipped the draws whose f_R pass
-``HOM_CELLS``, is refused as well (``_check_ran``) rather than reported.
+evaluating any of it, and the randomized suites charge their trials at a
+measured per-trial cost, in us, to the same work budget (``errors.charge``)
+before their first draw.  The functor and stability suites compare the
+formal category against its specializations; a check of theirs that ran
+fewer trials than asked, because ``_arity_guard`` skipped the draws whose
+f_R pass ``HOM_CELLS``, is refused as well (``_check_ran``) rather than
+reported.
 
 Only ``field``, ``matrix`` and ``relations`` load with this module; each
 suite imports the layers above them that it runs, so ``verify knop`` loads
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from .errors import TooLarge
+from .errors import WORK_BUDGET, TooLarge, charge
 from .field import Fq, capped_power
 from .matrix import MatFq
 from .relations import (
@@ -291,12 +292,10 @@ def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
     return run_term_pairs(field, pairs, data)
 
 
-# A randomized suite refuses, before its first draw, a run whose trials pass
-# TRIAL_GUARD microseconds at its per-trial cost below, the budget that
-# frobenius.EVAL_GUARD gives in steps of about 1 us.  Each cost bounds from
-# above the time of one trial measured over q <= 8, n <= 12 and max-arity
-# <= 160 (2-vCPU x86-64 VM, Python 3.11), in terms of what a trial builds.
-TRIAL_GUARD = 2**22
+# Each per-trial cost below, in us, that a randomized suite charges to the
+# work budget bounds from above the time of one trial measured over q <= 8,
+# n <= 12 and max-arity <= 160 (2-vCPU x86-64 VM, Python 3.11), in terms of
+# what a trial builds.
 # The cells of any f_R a functor trial builds: more are skipped by _arity_guard.
 HOM_CELLS = 2**12
 
@@ -325,7 +324,7 @@ def _relinfty_trial_us(field: Fq, max_arity: int) -> int:
     # 120 us, compiling the realizations of new draws, which grows as (m+1)^3
     # (1.3 ms a trial at q = 2, m = 3), and maps of q^(2m) cells multiplied
     # and compared, about 6 us a cell (24.6 ms a trial at q = 8, m = 2)
-    return 120 + 20 * (max_arity + 1) ** 3 + 6 * capped_power(field.q, 2 * max_arity, TRIAL_GUARD)
+    return 120 + 20 * (max_arity + 1) ** 3 + 6 * capped_power(field.q, 2 * max_arity, WORK_BUDGET)
 
 
 def _check_ran(check: str, runs: int, wanted: int, field: Fq, n: int) -> None:
@@ -334,14 +333,6 @@ def _check_ran(check: str, runs: int, wanted: int, field: Fq, n: int) -> None:
         raise TooLarge(
             f"{check}: only {runs} of {wanted} trials drew arities whose f_R have at most "
             f"{HOM_CELLS} cells at q = {field.q}, n = {n}"
-        )
-
-
-def _check_trials(suite: str, trials: int, trial_us: int) -> None:
-    """TooLarge if trials at trial_us microseconds each pass TRIAL_GUARD."""
-    if trials * trial_us > TRIAL_GUARD:
-        raise TooLarge(
-            f"{suite}: {trials} trials of about {trial_us} us each, more than {TRIAL_GUARD} us"
         )
 
 
@@ -389,7 +380,8 @@ def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3)
     """
     from .concrete import f_r_matrix
 
-    _check_trials("functor", trials, _functor_trial_us(field, n, max_arity))
+    us = _functor_trial_us(field, n, max_arity)
+    charge(trials * us, "functor", f"{trials} trials of about {us} us each")
     rng = random.Random(seed)
     comp, ten = _Tally(seed), _Tally(seed)
     built: dict = {}  # relation -> its f_R matrix at rank n
@@ -432,7 +424,8 @@ def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3)
 
 def suite_knop(field: Fq, trials: int, seed: int, max_arity: int = 3):
     """Orthogonal-indexing compatibility: diamond vs star, e vs d."""
-    _check_trials("knop", trials, _knop_trial_us(max_arity))
+    us = _knop_trial_us(max_arity)
+    charge(trials * us, "knop", f"{trials} trials of about {us} us each")
     rng = random.Random(seed)
     tally = _Tally(seed)
     for _ in range(trials):
@@ -461,7 +454,7 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
     closed_trials = []  # (r1, r2, r2 . r1, t2, r1 @ t2) of each closed trial
     realized = set()  # the distinct relations of the closed trials
     # the trials' own work, then their realizations' hat_f evaluation steps
-    steps = check_steps(field.q, (), "relinfty realizations",
+    steps = check_steps(data.dim, (), "relinfty realizations",
                         trials * _relinfty_trial_us(field, max_arity))
     for _ in range(trials):
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
@@ -476,7 +469,7 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
             closed_trials.append(trial)
             new = [hat_f_term(rel) for rel in dict.fromkeys(trial) if rel not in realized]
             realized.update(trial)
-            steps = check_steps(field.q, new, "relinfty realizations", steps)
+            steps = check_steps(data.dim, new, "relinfty realizations", steps)
     for r1, r2, sr, t2, r1t2 in closed_trials:
         comp_ok = hat_f(data, r2) @ hat_f(data, r1) == hat_f(data, sr)
         ten_ok = hat_f(data, r1).kron(hat_f(data, t2)) == hat_f(data, r1t2)

@@ -1,12 +1,14 @@
 """Typed AST for morphism expressions over the generator alphabet.
 
 Nodes carry their inferred (dom, cod) arities; building an ill-typed
-composite raises ArityMismatch immediately.  Besides the node classes this
-module holds the decomposition of a basis arrow into the generator
-alphabet (``decompose_generators``) and the structural term builders it
-composes: iterated comultiplication and addition, strand permutations
-assembled from adjacent swaps, the matrix-action expansion, and the
-strandwise pairing caps/cups.
+composite raises ArityMismatch immediately, and they carry their
+evaluation cost the same way (``Term``).  Besides the node classes this
+module holds the definitions of ev, coev and z* (``DEFINED``), the
+decomposition of a basis arrow into the generator alphabet
+(``decompose_generators``) and the structural term builders it composes:
+iterated comultiplication and addition, strand permutations assembled
+from adjacent swaps, the matrix-action expansion, and the strandwise
+pairing caps/cups.
 
 Terms are immutable.  The builders whose result depends only on small
 integers (``atom``, ``adjacent_swap_term``, ``perm_term``, the iterated
@@ -29,12 +31,20 @@ from .relations import GENERATOR_ALIASES, GENERATOR_ARITIES, Relation
 class Term:
     """Base class; every node has .dom and .cod strand counts.
 
+    Its evaluation cost (``frobenius.term_steps``) is .units, the uses of
+    the unit eps, each of which fans a column out D-fold, and .width, the
+    strands of its widest layer.  A defined map (``DEFINED``) costs what its
+    definition costs, and a matrix literal is as wide as its expansion.  A
+    tensor adds the uses and the widths of its sides, a composite adds the
+    uses and takes the wider side, and a linear combination takes the most
+    of each over all its parts, zero coefficients included.
+
     Equality is structural, on the tuple ``_key()``.  Every constructor ends
     with ``_seal()``, which stores the hash from the stored hashes of the
     children, so hashing a term never recurses, however deep it is.
     """
 
-    __slots__ = ("dom", "cod", "_hash")
+    __slots__ = ("dom", "cod", "units", "width", "_hash")
 
     def _key(self) -> tuple:
         raise NotImplementedError
@@ -66,6 +76,9 @@ class Gen(Term):
         self.name = name
         self.a = a
         self.dom, self.cod = GENERATOR_ARITIES[name]
+        defined = DEFINED.get(name)
+        self.units = defined.units if defined else int(name == "eps")
+        self.width = defined.width if defined else max(self.dom, self.cod)
         self._seal()
 
     def _key(self) -> tuple:
@@ -78,6 +91,7 @@ class RelLit(Term):
     def __init__(self, rel: Relation):
         self.rel = rel
         self.dom, self.cod = rel.s, rel.k
+        self.units, self.width = 0, max(rel.s, rel.k)
         self._seal()
 
     def _key(self) -> tuple:
@@ -90,6 +104,7 @@ class MuLit(Term):
     def __init__(self, mat: MatFq):
         self.mat = mat
         self.dom, self.cod = mat.cols, mat.rows
+        self.units, self.width = 0, max(mat.rows * mat.cols, mat.rows, mat.cols)
         self._seal()
 
     def _key(self) -> tuple:
@@ -103,7 +118,8 @@ class IdK(Term):
         if k < 0:
             raise ArityMismatch("id needs k >= 0")
         self.k = k
-        self.dom = self.cod = k
+        self.dom = self.cod = self.width = k
+        self.units = 0
         self._seal()
 
     def _key(self) -> tuple:
@@ -124,6 +140,8 @@ class Compose(Term):
         self.left = left
         self.right = right
         self.dom, self.cod = right.dom, left.cod
+        self.units = left.units + right.units
+        self.width = max(left.width, right.width)
         self._seal()
 
     def _key(self) -> tuple:
@@ -140,6 +158,8 @@ class Tensor(Term):
         self.right = right
         self.dom = left.dom + right.dom
         self.cod = left.cod + right.cod
+        self.units = left.units + right.units
+        self.width = left.width + right.width
         self._seal()
 
     def _key(self) -> tuple:
@@ -158,6 +178,8 @@ class LinComb(Term):
             raise ArityMismatch(f"linear combination mixes arities {sorted(arities)}")
         self.parts = parts
         self.dom, self.cod = parts[0][1].dom, parts[0][1].cod
+        self.units = max(t.units for _, t in parts)
+        self.width = max(t.width for _, t in parts)
         self._seal()
 
     def _key(self) -> tuple:
@@ -259,6 +281,15 @@ def t_tensor(*factors: Term) -> Term:
 
 def t_power(term: Term, n: int) -> Term:
     return t_tensor(*([term] * n)) if n else IdK(0)
+
+
+# The maps the axiom list defines by the stored ones; a term that uses one is
+# compiled through its definition.  Each is entered before any atom of it is
+# built, so its shared atom takes the definition's cost (z*'s uses ev).
+DEFINED: dict[str, Term] = {}
+DEFINED["ev"] = t_compose(atom("eps*"), atom("m"))
+DEFINED["coev"] = t_compose(atom("m*"), atom("eps"))
+DEFINED["z*"] = t_compose(atom("ev"), t_tensor(t_id(1), atom("z")))
 
 
 @lru_cache(maxsize=BUILDER_CACHE)

@@ -6,6 +6,7 @@ these from its public pieces instead.
 
 import re
 
+from relcat import terms as tm
 from relcat.concrete import ConcreteMap
 from relcat.errors import ArityMismatch, ParseError, ShapeMismatch, TooLarge
 from relcat.field import COUNT_DIGITS, Fq
@@ -112,3 +113,43 @@ def reference_tokenize(src: str):
         pos = match.end()
     tokens.append(("<end>", len(src)))
     return tokens
+
+
+def reference_fan_and_width(term) -> tuple:
+    """(dom + unit uses, strands of the widest layer) of a term, by one walk
+    over its tree: the reference for the costs the term constructors set
+    (``Term.units`` and ``Term.width``).
+
+    Each eps, itself or in coev's definition, is a unit use.  A map used
+    through its definition (``terms.DEFINED``) is as wide as the
+    definition, a matrix literal's expansion rows * cols strands; a tensor
+    adds the widths and the uses of its sides, a composite takes the widest
+    part and adds the uses, and a linear combination takes the most of each.
+    """
+    done = []  # (unit uses, width) of the finished subterms, in walk order
+    stack = [(term, 0)]  # (subterm, 0 until its parts are walked, then their number)
+    while stack:
+        sub, parts = stack.pop()
+        kind = type(sub)
+        if not parts:
+            if kind is tm.Compose or kind is tm.Tensor:
+                stack += ((sub, 2), (sub.left, 0), (sub.right, 0))
+            elif kind is tm.LinComb:
+                stack.append((sub, len(sub.parts)))
+                stack += ((part, 0) for _, part in sub.parts)
+            elif kind is tm.Gen and sub.name in tm.DEFINED:
+                stack.append((tm.DEFINED[sub.name], 0))  # walked in the map's place
+            else:
+                wide = sub.dom * sub.cod if kind is tm.MuLit else 0
+                unit = int(kind is tm.Gen and sub.name == "eps")
+                done.append((unit, max(wide, sub.dom, sub.cod)))
+            continue
+        got = done[-parts:]
+        del done[-parts:]
+        if kind is tm.LinComb:
+            done.append((max(u for u, _ in got), max(w for _, w in got)))
+        else:
+            (u1, w1), (u2, w2) = got
+            done.append((u1 + u2, w1 + w2 if kind is tm.Tensor else max(w1, w2)))
+    uses, width = done[0]
+    return term.dom + uses, width

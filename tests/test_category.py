@@ -410,6 +410,33 @@ def test_morphism_canonical_text():
     assert f.to_text() == "t * rel(2;0,1;[]) + 3/2 * rel(2;0,1;[[1]])"
 
 
+def test_scale_and_evaluate_match_the_checking_constructor():
+    # scale and evaluate wrap their results unchecked; the checking
+    # constructor coerces and prunes the same coefficients from scratch
+    t = PolyQ.t_power(1)
+    coeffs = [0, PolyQ.one(), PolyQ.t_power(2), Fraction(3, 2), -1, t - PolyQ.const(2),
+              t * t - PolyQ.const(Fraction(1, 4)), t + PolyQ.one()]
+    # 0, roots of t - 2, t^2 - 1/4 and t + 1, and a rational that is none
+    values = [0, 2, Fraction(1, 2), -1, Fraction(3, 7)]
+    rng = random.Random(41)
+    for F in (F2, F3, F4):
+        for _ in range(12):
+            s, k = rng.randrange(3), rng.randrange(3)
+            rels = {random_relation(rng, F, s, k) for _ in range(4)}
+            f = Morphism(F, s, k, {rel: rng.choice(coeffs) for rel in rels})
+            assert f.scale(PolyQ.one()) is f and f.scale(1) is f
+            for c in coeffs:
+                poly = c if isinstance(c, PolyQ) else PolyQ.const(c)
+                got = f.scale(c)
+                assert got == Morphism(F, s, k, {r: v * poly for r, v in f.terms.items()})
+                assert all(isinstance(v, PolyQ) and v.coeffs for v in got.terms.values())
+                assert c != 0 or got.is_zero()
+            for value in values:
+                got = f.evaluate(value)
+                assert got == Morphism(F, s, k, {r: v.evaluate(value) for r, v in f.terms.items()})
+                assert all(v.degree() == 0 for v in got.terms.values())
+
+
 def test_morphism_arity_checks():
     with pytest.raises(ArityMismatch):
         cat.compose(cat.generator(F2, "m"), cat.generator(F2, "z"))

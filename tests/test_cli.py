@@ -9,9 +9,12 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from relcat import concrete, frobenius, suites
 from relcat.cli import build_parser, main
 from relcat.concrete import ConcreteMap, f_r_matrix, rel_infty_stability
+from relcat.errors import TooLarge
 from relcat.field import Fq
 from relcat.frobenius import FrobeniusData, hat_f, standard_target, term_eval
 from relcat.relations import Relation, knop_diamond
@@ -222,6 +225,10 @@ def test_zero_trials_never_pass(capsys):
             assert_usage_error(capsys, "verify", suite, "--trials", trials)
 
 
+# how a refusal by the one work budget ends
+BUDGET = "more than the work budget of 4194304 steps of about 1 us"
+
+
 def assert_guard_error(capsys, *argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -353,17 +360,17 @@ def test_standard_target_guard_counts_cells_and_pairs(capsys):
 def test_lemma_guard_counts_evaluation_steps(capsys):
     # each pair side evaluates D^dom root columns through its widest layer:
     # these ran 4 s (D = 8), 10 s (D = 9) and past 30 s (D = 16)
-    for argv in (["--q", "2^3"], ["--q", "2", "--n", "3"], ["--q", "3", "--n", "2"],
-                 ["--q", "2^2", "--n", "2"]):
+    for argv, dim in ((["--q", "2^3"], 8), (["--q", "2", "--n", "3"], 8),
+                      (["--q", "3", "--n", "2"], 9), (["--q", "2^2", "--n", "2"], 16)):
         err = assert_guard_error(capsys, "verify", "lemmas", *argv)
-        assert "evaluation steps" in err, err
+        assert err == f"error: lemmas: evaluation steps at D = {dim}, {BUDGET}\n", err
 
 
 def test_axiom_guard_counts_evaluation_steps(capsys):
     # 5.2-5.4 million steps at D = 64: each ran about 5 s before the suite counted them
     for argv in (["--q", "2^2", "--n", "3"], ["--q", "2^3", "--n", "2"], ["--q", "2", "--n", "6"]):
         err = assert_guard_error(capsys, "verify", "axioms", *argv)
-        assert "evaluation steps" in err, err
+        assert err == f"error: axioms: evaluation steps at D = 64, {BUDGET}\n", err
 
 
 def test_verify_axioms_builds_the_pair_list_once(capsys, monkeypatch):
@@ -424,22 +431,55 @@ def test_relinfty_guard_refuses_as_it_draws(capsys):
     # the sum is kept as the trials are drawn: a refused field stops at the
     # trial that passes the bound, not after drawing 10000 (3.8 s)
     err = assert_guard_error(capsys, "verify", "relinfty", "--q", "2^3", "--trials", "10000")
-    assert "relinfty realizations: more than 4194304 evaluation steps at D = 8" in err, err
+    assert err == f"error: relinfty realizations: evaluation steps at D = 8, {BUDGET}\n", err
 
 
 def test_trial_counts_are_refused_by_their_per_trial_cost(capsys):
-    # each of these used to run 10-15 s and exit 0: relinfty's per-trial work
-    # at D = 2 or 3, which its step count does not see, and suites with no
-    # step count
-    for argv in (["relinfty", "--q", "2", "--trials", "14000"],
-                 ["relinfty", "--q", "3", "--trials", "3000"]):
-        err = assert_guard_error(capsys, "verify", *argv)
-        assert "relinfty realizations: more than 4194304 evaluation steps" in err, err
-    for suite, argv in (("functor", ["--q", "2", "--n", "2", "--trials", "30000"]),
-                        ("knop", ["--q", "2", "--trials", "200000"]),
-                        ("knop", ["--q", "2", "--max-arity", "160", "--trials", "20"])):
+    # each of the larger counts used to run 10-15 s and exit 0: relinfty's
+    # per-trial work at D = 2 or 3, which its step count does not see, and
+    # suites with no step count; the smaller ones are the first refused
+    for argv, dim in ((["--q", "2", "--trials", "14000"], 2),
+                      (["--q", "3", "--trials", "3000"], 3),
+                      (["--q", "2", "--trials", "2352"], 2)):
+        err = assert_guard_error(capsys, "verify", "relinfty", *argv)
+        source = "relinfty realizations"
+        assert err == f"error: {source}: evaluation steps at D = {dim}, {BUDGET}\n", err
+    for suite, argv, trial_us in (
+        ("functor", ["--q", "2", "--n", "2", "--trials", "30000"], 2607),
+        ("functor", ["--q", "2", "--n", "2", "--trials", "1609"], 2607),
+        ("knop", ["--q", "2", "--trials", "200000"], 123),
+        ("knop", ["--q", "2", "--trials", "34101"], 123),
+        ("knop", ["--q", "2", "--max-arity", "160", "--trials", "20"], 599080),
+    ):
         err = assert_guard_error(capsys, "verify", suite, *argv)
-        assert err.startswith(f"error: {suite}: ") and "us each, more than 4194304 us" in err, err
+        work = f"{argv[-1]} trials of about {trial_us} us each"
+        assert err == f"error: {suite}: {work}, {BUDGET}\n", err
+
+
+class Drawn(Exception):
+    """Raised in place of a suite's first draw: the budget admitted the run."""
+
+
+@pytest.mark.parametrize(
+    "suite, admitted", [("knop", 34_100), ("functor", 1_608), ("relinfty", 2_351)]
+)
+def test_trial_budget_frontier(monkeypatch, suite, admitted):
+    # the largest --trials the budget admits at q = 2 (n = 2 for functor,
+    # max-arity 3) reaches the first draw, and one more is refused before it
+    def draw(*args):
+        raise Drawn
+
+    monkeypatch.setattr(suites, "random_relation", draw)
+    monkeypatch.setattr(suites, "random_rel_infty", draw)
+    run = {
+        "knop": lambda trials: suites.suite_knop(Fq(2), trials, 0),
+        "functor": lambda trials: suites.suite_functor(Fq(2), 2, trials, 0),
+        "relinfty": lambda trials: suites.suite_relinfty(Fq(2), 1, trials, 0),
+    }[suite]
+    with pytest.raises(Drawn):
+        run(admitted)
+    with pytest.raises(TooLarge):
+        run(admitted + 1)
 
 
 WITNESS = re.compile(

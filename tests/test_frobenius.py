@@ -8,14 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import full_space, nonzero_cells, to_dense, zero_space
+from helpers import full_space, nonzero_cells, reference_fan_and_width, to_dense, zero_space
 
 from relcat import frobenius, matrix, relations
 from relcat import terms as tm
 from relcat.concrete import f_r_matrix
 from relcat.dsl import parse
-from relcat.errors import MissingUnit, NotRelInfty, ShapeMismatch, TooLarge
-from relcat.field import Fq
+from relcat.errors import WORK_BUDGET, MissingUnit, NotRelInfty, ShapeMismatch, TooLarge
+from relcat.field import Fq, parse_q
 from relcat.frobenius import (
     FrobeniusData,
     _Chain,
@@ -23,11 +23,11 @@ from relcat.frobenius import (
     _Kron,
     _Perm,
     check_axioms,
+    check_steps,
     frobenius_axiom_terms,
     hat_f,
     rel_matrix,
     standard_target,
-    fan_and_width,
     term_eval,
     term_steps,
 )
@@ -263,7 +263,7 @@ def test_hat_f_guard_counts_expansion_work():
     data = standard_target(F4, 1)
     big = full_space(F4, 9, 0)
     assert rel_infty_normal_form(big)[1].rows == 9
-    assert term_steps(4, frobenius.hat_f_term(big)) == 4**9 * 81 > frobenius.EVAL_GUARD
+    assert term_steps(4, frobenius.hat_f_term(big)) == 4**9 * 81 > WORK_BUDGET
     with pytest.raises(TooLarge):
         hat_f(data, big)
     with pytest.raises(TooLarge):
@@ -327,7 +327,7 @@ def test_unit_path_guard_counts_fan_out():
     # which ran about 5 s unguarded
     rel = Relation.from_rows(F2, 3, 3, [[1, 0, 0, 0, 0, 1], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 0]])
     assert not is_rel_infty(rel)
-    assert term_steps(8, tm.decompose_generators(rel)) == 8**6 * 21 > frobenius.EVAL_GUARD
+    assert term_steps(8, tm.decompose_generators(rel)) == 8**6 * 21 > WORK_BUDGET
     data = standard_target(F2, 3)
     start = time.perf_counter()
     with pytest.raises(TooLarge):
@@ -739,31 +739,99 @@ def test_builder_cache_is_bounded():
     assert tm._perm_term.cache_info().currsize <= tm.BUILDER_CACHE
 
 
-def widest_layer(term):
-    return fan_and_width(term)[1]
+def cost(term):
+    """(dom + unit uses, widest layer), as the term constructors set them."""
+    return term.dom + term.units, term.width
 
 
 def test_widest_layer_counts_expanded_strands():
     rng = random.Random(96)
     for rows, cols in ((0, 2), (2, 0), (1, 3), (3, 1), (3, 2), (3, 3)):
         mat = MatFq(F3, rows, cols, [rng.randrange(3) for _ in range(rows * cols)])
-        assert widest_layer(tm.MuLit(mat)) == widest_layer(tm.mu_matrix_term(mat)), (rows, cols)
+        assert tm.MuLit(mat).width == tm.mu_matrix_term(mat).width, (rows, cols)
     # the widest lemma side, transp_mu_A GL_3: two 9-strand expansions side by side
     lit = tm.MuLit(MatFq.identity(F2, 3))
     side = tm.t_compose(tm.ev_bar_term(3), tm.t_tensor(lit, lit))
-    assert widest_layer(side) == 18 and term_steps(2, side) == 2**6 * 18
+    assert side.width == 18 and term_steps(2, side) == 2**6 * 18
     # a map used through its definition is as wide as the definition
-    assert widest_layer(G("z*")) == 2 == widest_layer(frobenius.DEFINED["z*"])
+    assert G("z*").width == 2 == tm.DEFINED["z*"].width
     combo = tm.LinComb([(1, tm.t_compose(G("m"), G("m*"))), (2, tm.t_id(1))])
-    assert widest_layer(combo) == 2
+    assert combo.width == 2
     # each unit use, eps itself or inside coev, fans the root columns out D-fold
     unit = Relation.from_rows(F3, 2, 2, [[1, 0, 0, 1]])
     term = tm.decompose_generators(unit)
-    assert fan_and_width(term) == (2 + 2, widest_layer(term))
-    assert term_steps(3, term) == 3 ** (2 + 2) * widest_layer(term)
-    assert fan_and_width(G("coev")) == (1, 2) and fan_and_width(combo) == (1, 2)
+    assert cost(term) == (2 + 2, term.width)
+    assert term_steps(3, term) == 3 ** (2 + 2) * term.width
+    assert cost(G("coev")) == (1, 2) and cost(combo) == (1, 2)
     # past the bound's bit length the count saturates instead of forming D^100
-    assert term_steps(3, tm.t_power(G("eps"), 100)) == frobenius.EVAL_GUARD + 1
+    assert term_steps(3, tm.t_power(G("eps"), 100)) == WORK_BUDGET + 1
+
+
+FIELDS = [Fq(2), Fq(3), Fq(2, 2), Fq(5), Fq(7), Fq(2, 3)]
+
+
+def test_term_costs_match_the_reference_walker():
+    # the costs each constructor sets against one walk over the finished tree;
+    # the terms are built, none is evaluated
+    terms = []
+    for field in FIELDS:
+        terms += [side for _, lhs, rhs in frobenius_axiom_terms(field) for side in (lhs, rhs)]
+        for seed in range(3):
+            terms += [side for _, lhs, rhs in mu_lemma_terms(field, seed) for side in (lhs, rhs)]
+    rng = random.Random(97)
+    for _ in range(120):
+        field = rng.choice(FIELDS)
+        s, k = rng.randrange(4), rng.randrange(4)
+        terms.append(tm.decompose_generators(random_relation(rng, field, s, k)))
+        terms.append(frobenius.hat_f_term(random_rel_infty(rng, field, s, k)))
+    # a zero coefficient still counts, and a literal with no rows or no columns
+    m, eps, coev = G("m"), G("eps"), G("coev")
+    terms += [
+        tm.LinComb([(0, tm.t_compose(m, tm.t_tensor(eps, tm.t_id(1)))), (1, tm.t_id(1))]),
+        tm.LinComb([(1, tm.t_id(2)), (0, tm.t_compose(coev, G("ev")))]),
+        tm.LinComb([(0, tm.MuLit(MatFq.identity(F3, 3)))]),
+    ]
+    terms += [tm.MuLit(MatFq.zeros(F3, r, c)) for r, c in ((0, 0), (0, 3), (3, 0))]
+    # the defined maps as the shared atom, as a fresh Gen and as the definition
+    for name, definition in tm.DEFINED.items():
+        terms += [tm.atom(name), tm.Gen(name), definition]
+    for term in terms:
+        assert cost(term) == reference_fan_and_width(term), tm.to_text(term)
+    assert cost(G("z*")) == (1, 2) and cost(G("ev")) == (2, 2) and cost(coev) == (1, 2)
+
+
+@pytest.mark.parametrize("q, n, steps", [
+    ("43", 1, 2_627_265),
+    ("7", 2, 2_477_007),
+    ("2^3", 2, 5_424_584),
+    ("53", 1, 4_889_735),
+])
+def test_axiom_suite_step_totals(monkeypatch, q, n, steps):
+    # the pair sides plus eps* . eps, as verify axioms charges them; F_53
+    # has more pairs than the axiom list builds, so its bound is lifted here
+    monkeypatch.setattr(frobenius, "AXIOM_PAIR_GUARD", 2**13)
+    field = parse_q(q)
+    dim = field.q**n
+    sides = [side for _, lhs, rhs in frobenius_axiom_terms(field) for side in (lhs, rhs)]
+    sides.append(tm.t_compose(G("eps*"), G("eps")))
+    assert sum(term_steps(dim, side) for side in sides) == steps
+    if steps > WORK_BUDGET:
+        with pytest.raises(TooLarge):
+            check_steps(dim, sides, "axioms")
+    else:
+        assert check_steps(dim, sides, "axioms") == steps
+
+
+def test_check_steps_admits_exactly_the_budget():
+    assert check_steps(2, (), "source", WORK_BUDGET) == WORK_BUDGET
+    with pytest.raises(TooLarge, match=r"^source: evaluation steps at D = 2, more than "
+                                       rf"the work budget of {WORK_BUDGET} steps"):
+        check_steps(2, (), "source", WORK_BUDGET + 1)
+    # a term's steps count toward the total as well: eps* . eps is 2 steps at D = 2
+    dim_term = tm.t_compose(G("eps*"), G("eps"))
+    assert check_steps(2, [dim_term], "source", WORK_BUDGET - 2) == WORK_BUDGET
+    with pytest.raises(TooLarge):
+        check_steps(2, [dim_term], "source", WORK_BUDGET - 1)
 
 
 # -- the hat_f memo -------------------------------------------------------------
