@@ -13,7 +13,8 @@ leave a zero to drop.
 
 Morphisms are immutable.  ``identity``, ``symmetry``, ``ev_bar``,
 ``coev_bar`` and ``generator`` return one shared instance per (field,
-arguments) from a bounded cache, and every basis arrow built by
+arguments) from a bounded cache, the arity-indexed four only for arrows
+of at most ``GENERATOR_CELLS`` basis cells, and every basis arrow built by
 ``Morphism.from_relation`` carries the shared unit ``PolyQ.one()``; a
 product with that unit is the other factor itself, with no arithmetic.
 
@@ -26,7 +27,7 @@ Gram pairing, the pairing-form calculus (phi, the T isomorphism and the
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import ArityMismatch, FieldMismatch
 from .field import Fq
@@ -200,14 +201,35 @@ def _nonzero(terms: dict) -> dict:
 # Entries each generator-morphism cache keeps; the least recently used one is
 # dropped past it.
 GENERATOR_CACHE = 256
+# The arity-indexed builders cache only arrows of at most this many basis
+# cells; id(512) alone holds 3.75 MB, so a larger arrow is built per call.
+GENERATOR_CELLS = 2**10
 
 
-@lru_cache(maxsize=GENERATOR_CACHE)
+def _cached_when_small(build):
+    """build(field, *arities), cached when its relation is small.
+
+    The relation of each arity-indexed builder has a rows and 2a columns, a
+    the sum of the arities; within GENERATOR_CELLS cells the arrow is one
+    shared instance per arguments, and past it one is built per call.
+    """
+    cached = lru_cache(maxsize=GENERATOR_CACHE)(build)
+
+    @wraps(build)
+    def get(field: Fq, *arities: int) -> Morphism:
+        if 2 * sum(arities) ** 2 <= GENERATOR_CELLS:
+            return cached(field, *arities)
+        return build(field, *arities)
+
+    return get
+
+
+@_cached_when_small
 def identity(field: Fq, k: int) -> Morphism:
     return Morphism.from_relation(identity_relation(field, k))
 
 
-@lru_cache(maxsize=GENERATOR_CACHE)
+@_cached_when_small
 def symmetry(field: Fq, l: int, k: int) -> Morphism:
     return Morphism.from_relation(sigma_relation(field, l, k))
 
@@ -220,12 +242,12 @@ def mu_morphism(a: MatFq) -> Morphism:
     return Morphism.from_relation(mu_relation(a))
 
 
-@lru_cache(maxsize=GENERATOR_CACHE)
+@_cached_when_small
 def ev_bar(field: Fq, k: int) -> Morphism:
     return Morphism.from_relation(ev_bar_relation(field, k))
 
 
-@lru_cache(maxsize=GENERATOR_CACHE)
+@_cached_when_small
 def coev_bar(field: Fq, k: int) -> Morphism:
     return Morphism.from_relation(coev_bar_relation(field, k))
 

@@ -22,6 +22,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 
 from .errors import (
     ParseError,
@@ -126,7 +127,7 @@ def cmd_eval(args) -> int:
 
 def cmd_specialize(args) -> int:
     from .concrete import specialize
-    from .poly import printable
+    from .poly import check_digits
 
     field = parse_q(args.q)
     morphism = _eval_expr(args, field)
@@ -135,13 +136,16 @@ def cmd_specialize(args) -> int:
             "expression has symbolic t coefficients but --t sym was requested; "
             "drop --t to substitute t = q^n"
         )
-    conc = specialize(morphism, args.n)
-    entries = []
-    for (r, c), v in conc.mat.entries_sorted():
+    mat = specialize(morphism, args.n).mat
+    values = mat.vec().values()
+    # one digit check for the matrix, on its largest numerator and denominator
+    check_digits(max(map(abs, map(attrgetter("numerator"), values)), default=0),
+                 max(map(attrgetter("denominator"), values), default=1))
+    entries = mat.entries_sorted()
+    if set(map(type, values)) != {int}:
         # an exact rational for JSON: an int when it is one, else its text
-        v = printable(v)
-        entries.append([r, c, v.numerator if v.denominator == 1 else str(v)])
-    payload = {"q": str(field), "n": args.n, "s": conc.s, "k": conc.k, "entries": entries}
+        entries = [(r, c, v.numerator if v.denominator == 1 else str(v)) for r, c, v in entries]
+    payload = {"q": str(field), "n": args.n, "s": morphism.s, "k": morphism.k, "entries": entries}
     _emit(args, json.dumps(payload, sort_keys=True))
     return 0
 

@@ -65,6 +65,13 @@ class ConcreteMap:
         self.k = k
         self.mat = mat
 
+    @classmethod
+    def _trusted(cls, field: Fq, n: int, s: int, k: int, mat: QMat) -> "ConcreteMap":
+        """Wrap a matrix that is q^(nk) x q^(ns) by construction, unchecked."""
+        out = object.__new__(cls)
+        out.field, out.n, out.s, out.k, out.mat = field, n, s, k, mat
+        return out
+
     def __eq__(self, other):
         return (
             isinstance(other, ConcreteMap)
@@ -141,24 +148,30 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
     # q^(n i), codomain coordinate i weighs width * q^(n i)
     weights = [q ** (n * i) for i in range(s)] + [width * q ** (n * i) for i in range(k)]
     entries = rel.basis.entries
-    rows = [entries[i * m : (i + 1) * m] for i in range(rel.basis.rows)]
-    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
-    free = [c for c in range(m) if c not in pivots]
+    # each RREF row's pivot, its first nonzero entry, lies right of the one
+    # above, and the columns passed over on the way to it are free
+    bases = [i * m for i in range(rel.basis.rows)]
+    pivots, free, c = [], [], 0
+    for base in bases:
+        while not entries[base + c]:
+            free.append(c)
+            c += 1
+        pivots.append(c)
+        c += 1
+    free += range(c, m)
     offsets = [0]
     for c in free:
         w = weights[c]
-        grown = offsets[:]
-        for step in range(w, w * q, w):
-            grown += [o + step for o in offsets]
-        offsets = grown
-    for row, pc in zip(rows, pivots):
+        offsets = [o + step for step in range(0, w * q, w) for o in offsets]
+    for base, pc in zip(bases, pivots):
         # the pivot value at a point is the sum of -row[c] times free value c
-        coeffs = [F.neg(row[c]) for c in free]
-        if not any(coeffs):
+        row = [entries[base + c] for c in free]
+        if not any(row):
             continue
         values = [0]
-        for x in coeffs:
+        for x in row:
             if x:
+                x = F.neg(x)
                 grown = values[:]
                 for v in range(1, q):
                     grown += F.translate(values, F.mul(v, x))
@@ -171,7 +184,8 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
     for j in range(1, n):
         shifted = [o * q**j for o in offsets]
         cells = [cell + o for cell in cells for o in shifted]
-    return ConcreteMap(F, n, s, k, QMat._trusted(q ** (n * k), width, dict.fromkeys(cells, 1)))
+    mat = QMat._trusted(q ** (n * k), width, dict.fromkeys(cells, 1))
+    return ConcreteMap._trusted(F, n, s, k, mat)
 
 
 def specialize(f: Morphism, n: int) -> ConcreteMap:

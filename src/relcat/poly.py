@@ -25,11 +25,17 @@ from .field import COUNT_DIGITS
 _PRINT_LIMIT = 10**COUNT_DIGITS
 
 
+def check_digits(numerator: int, denominator: int) -> None:
+    """TooLarge if |numerator| or the denominator has more digits than
+    Python prints; a caller may pass the largest of many."""
+    if abs(numerator) >= _PRINT_LIMIT or denominator >= _PRINT_LIMIT:
+        raise TooLarge(f"a coefficient has more than {COUNT_DIGITS} digits")
+
+
 def printable(value: Fraction | int) -> Fraction | int:
     """The value itself, a Fraction or an int; TooLarge if a part has more
     digits than Python prints."""
-    if abs(value.numerator) >= _PRINT_LIMIT or value.denominator >= _PRINT_LIMIT:
-        raise TooLarge(f"a coefficient has more than {COUNT_DIGITS} digits")
+    check_digits(value.numerator, value.denominator)
     return value
 
 

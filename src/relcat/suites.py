@@ -13,8 +13,8 @@ evaluating any of it, and the randomized suites charge their trials at a
 measured per-trial cost, in us, to the same work budget (``errors.charge``)
 before their first draw.  The functor and stability suites compare the
 formal category against its specializations; a check of theirs that ran
-fewer trials than asked, because ``_arity_guard`` skipped the draws whose
-f_R pass ``HOM_CELLS``, is refused as well (``_check_ran``) rather than
+fewer trials than asked, because the draws whose f_R pass ``HOM_CELLS``
+were skipped (``_arity_limit``), is refused as well (``_check_ran``) rather than
 reported.
 
 Only ``field``, ``matrix`` and ``relations`` load with this module; each
@@ -296,14 +296,21 @@ def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
 # work budget bounds from above the time of one trial measured over q <= 8,
 # n <= 12 and max-arity <= 160 (2-vCPU x86-64 VM, Python 3.11), in terms of
 # what a trial builds.
-# The cells of any f_R a functor trial builds: more are skipped by _arity_guard.
+# The cells of any f_R a functor trial builds: more are skipped (_arity_limit).
 HOM_CELLS = 2**12
 
 
-def _arity_guard(field: Fq, n: int, *pairs) -> bool:
-    # bound the hom-space cell count so worst-case dense products stay fast;
-    # a huge n is refused without forming q^(n(a+b))
-    return all(capped_power(field.q, n * (a + b), HOM_CELLS) <= HOM_CELLS for a, b in pairs)
+def _arity_limit(field: Fq, n: int, top: int) -> int:
+    """The largest arity sum a + b, up to top, whose hom space of q^(n(a+b))
+    cells stays within HOM_CELLS, so that worst-case dense products stay
+    fast; a draw past it is skipped.  Every sum is within it at n = 0, and a
+    huge n admits only 0 without forming q^n."""
+    if not n:
+        return top
+    limit = 0
+    while limit < top and capped_power(field.q, n * (limit + 1), HOM_CELLS) <= HOM_CELLS:
+        limit += 1
+    return limit
 
 
 def _knop_trial_us(max_arity: int) -> int:
@@ -328,7 +335,7 @@ def _relinfty_trial_us(field: Fq, max_arity: int) -> int:
 
 
 def _check_ran(check: str, runs: int, wanted: int, field: Fq, n: int) -> None:
-    """TooLarge if _arity_guard skipped so many draws that fewer than wanted trials ran."""
+    """TooLarge if _arity_limit skipped so many draws that fewer than wanted trials ran."""
     if runs < wanted:
         raise TooLarge(
             f"{check}: only {runs} of {wanted} trials drew arities whose f_R have at most "
@@ -392,11 +399,12 @@ def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3)
             mat = built[rel] = f_r_matrix(rel, n).mat
         return mat
 
+    limit = _arity_limit(field, n, 4 * max_arity)
     attempts = 0
     while comp.runs < trials and attempts < trials * 20:
         attempts += 1
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
-        if not _arity_guard(field, n, (s_, k_), (k_, l_), (s_, l_)):
+        if max(s_ + k_, k_ + l_, s_ + l_) > limit:
             continue
         r = random_relation(rng, field, s_, k_)
         s = random_relation(rng, field, k_, l_)
@@ -408,7 +416,7 @@ def suite_functor(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3)
     while ten.runs < trials and attempts < trials * 40:
         attempts += 1
         s1, k1, s2, k2 = (rng.randrange(max_arity + 1) for _ in range(4))
-        if not _arity_guard(field, n, (s1, k1), (s2, k2), (s1 + s2, k1 + k2)):
+        if s1 + s2 + k1 + k2 > limit:
             continue
         r1 = random_relation(rng, field, s1, k1)
         r2 = random_relation(rng, field, s2, k2)
@@ -441,9 +449,9 @@ def suite_knop(field: Fq, trials: int, seed: int, max_arity: int = 3):
 def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3):
     """Closure, zero defect, concrete realization, and rank stability; every
     trial is drawn before any is realized.  The trials' own work, in steps of
-    about 1 us, is summed before the first draw, and the realizations' steps
-    are added to it as the trials are drawn, so a refusal comes as soon as it
-    is due."""
+    about 1 us, is charged before the first draw, as knop and functor charge
+    theirs, and the realizations' steps are added to it as the trials are
+    drawn, so a refusal comes as soon as it is due."""
     from .concrete import rel_infty_stability
     from .frobenius import check_steps, hat_f, hat_f_term, standard_target
 
@@ -454,8 +462,8 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
     closed_trials = []  # (r1, r2, r2 . r1, t2, r1 @ t2) of each closed trial
     realized = set()  # the distinct relations of the closed trials
     # the trials' own work, then their realizations' hat_f evaluation steps
-    steps = check_steps(data.dim, (), "relinfty realizations",
-                        trials * _relinfty_trial_us(field, max_arity))
+    us = _relinfty_trial_us(field, max_arity)
+    steps = charge(trials * us, "relinfty", f"{trials} trials of about {us} us each")
     for _ in range(trials):
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
         r1 = random_rel_infty(rng, field, s_, k_)
@@ -478,11 +486,12 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
         )
     # draw until the stability checks have run, within the functor's budget
     wanted = min(trials, 50)
+    limit = _arity_limit(field, n + 1, 4)
     attempts = 0
     while stability.runs < wanted and attempts < wanted * 20:
         attempts += 1
         s_, k_ = rng.randrange(3), rng.randrange(3)
-        if not _arity_guard(field, n + 1, (s_, k_)):
+        if s_ + k_ > limit:
             continue
         r = random_rel_infty(rng, field, s_, k_)
         stability.record(rel_infty_stability(r, n), lambda: f"r = {r.to_text()}")

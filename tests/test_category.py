@@ -483,3 +483,19 @@ def test_shared_generators_and_monomials_stay_as_built():
     for d in range(3):
         assert PolyQ.t_power(d) is PolyQ.t_power(d)
         assert PolyQ.t_power(d) == PolyQ({d: 1})
+
+
+def test_generator_caches_keep_only_small_arrows():
+    # an arrow of a rows and 2a columns is shared while 2a^2 <= GENERATOR_CELLS
+    # (a = 22), and a larger one is built per call, so no cache keeps it alive
+    assert 2 * 22**2 <= cat.GENERATOR_CELLS < 2 * 23**2
+    for build, small, large in (
+        (cat.identity, (22,), (23,)),
+        (cat.symmetry, (11, 11), (12, 11)),
+        (cat.ev_bar, (22,), (23,)),
+        (cat.coev_bar, (22,), (23,)),
+    ):
+        assert build(F2, *small) is build(F2, *small)
+        fresh = build(F2, *large)
+        assert fresh is not build(F2, *large) and fresh == build(F2, *large)
+    assert cat.identity(F2, 23) == cat.tensor(cat.identity(F2, 22), cat.identity(F2, 1))

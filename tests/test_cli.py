@@ -428,23 +428,22 @@ def test_relinfty_guard_sums_the_drawn_work(capsys):
 
 
 def test_relinfty_guard_refuses_as_it_draws(capsys):
-    # the sum is kept as the trials are drawn: a refused field stops at the
-    # trial that passes the bound, not after drawing 10000 (3.8 s)
-    err = assert_guard_error(capsys, "verify", "relinfty", "--q", "2^3", "--trials", "10000")
-    assert err == f"error: relinfty realizations: evaluation steps at D = 8, {BUDGET}\n", err
+    # the sum is kept as the trials are drawn: 161 trials at q = 4 pass on
+    # their price alone, and the run stops at the draw whose realizations
+    # pass the bound, not after drawing all 161
+    err = assert_guard_error(capsys, "verify", "relinfty", "--q", "2^2", "--trials", "161")
+    assert err == f"error: relinfty realizations: evaluation steps at D = 4, {BUDGET}\n", err
 
 
 def test_trial_counts_are_refused_by_their_per_trial_cost(capsys):
     # each of the larger counts used to run 10-15 s and exit 0: relinfty's
     # per-trial work at D = 2 or 3, which its step count does not see, and
-    # suites with no step count; the smaller ones are the first refused
-    for argv, dim in ((["--q", "2", "--trials", "14000"], 2),
-                      (["--q", "3", "--trials", "3000"], 3),
-                      (["--q", "2", "--trials", "2352"], 2)):
-        err = assert_guard_error(capsys, "verify", "relinfty", *argv)
-        source = "relinfty realizations"
-        assert err == f"error: {source}: evaluation steps at D = {dim}, {BUDGET}\n", err
+    # suites with no step count; the smaller ones are the first refused.
+    # relinfty names its trials, as knop and functor do, not evaluation steps
     for suite, argv, trial_us in (
+        ("relinfty", ["--q", "2", "--trials", "14000"], 1784),
+        ("relinfty", ["--q", "3", "--trials", "3000"], 5774),
+        ("relinfty", ["--q", "2", "--trials", "2352"], 1784),
         ("functor", ["--q", "2", "--n", "2", "--trials", "30000"], 2607),
         ("functor", ["--q", "2", "--n", "2", "--trials", "1609"], 2607),
         ("knop", ["--q", "2", "--trials", "200000"], 123),

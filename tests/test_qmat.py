@@ -1,6 +1,7 @@
 """Sparse exact rational matrices."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from helpers import nonzero_cells, to_dense, transpose
 
 import relcat.concrete as concrete
+import relcat.qmat as qmat
 import relcat.suites as suites
 from relcat.errors import ShapeMismatch
 from relcat.field import Fq
@@ -156,7 +158,7 @@ def _shape(rng):
 
 def _check(mat: QMat, dense, cols: int):
     assert (mat.rows, mat.cols) == (len(dense), cols)
-    assert mat.entries_sorted() == _dense_entries(dense)
+    assert mat.entries_sorted() == [(i, j, v) for (i, j), v in _dense_entries(dense)]
     assert nonzero_cells(mat) == dict(_dense_entries(dense))
     assert to_dense(mat) == dense
     assert all(mat.get(i, j) == v for i, row in enumerate(dense) for j, v in enumerate(row))
@@ -193,6 +195,58 @@ def test_every_operation_matches_dense_reference():
     # each of the three dimensions was 0 while the other two were not
     for pos in range(3):
         assert any(shape[pos] == 0 and shape.count(0) == 1 for shape in shapes), pos
+    # 0/1 operands, most of them dense enough for the bitmask product; the
+    # same operands with Fraction(1) entries, or one entry of 2, stay on the
+    # sparse loop and keep its Fraction results
+    bitmask = 0
+    for _ in range(150):
+        r, m, c = rng.randrange(1, 14), rng.randrange(1, 14), rng.randrange(1, 14)
+        density = rng.choice((0.3, 0.8, 1.0))
+        a = [[int(rng.random() < density) for _ in range(m)] for _ in range(r)]
+        b = [[int(rng.random() < density) for _ in range(c)] for _ in range(m)]
+        product = _dense_matmul(a, b, m, c)
+        bitmask += _nnz(a) * _nnz(b) > qmat.DENSE_PRODUCT * m
+        _check(_from_dense(a, m) @ _from_dense(b, c), product, c)
+        ones = [[Fraction(x) for x in row] for row in a]
+        got = _from_dense(ones, m) @ _from_dense(b, c)
+        _check(got, product, c)
+        assert all(type(v) is Fraction for v in got.vec().values())
+        a[rng.randrange(r)][rng.randrange(m)] = 2
+        _check(_from_dense(a, m) @ _from_dense(b, c), _dense_matmul(a, b, m, c), c)
+    assert 30 < bitmask < 150, bitmask
+
+
+def _nnz(dense) -> int:
+    return sum(map(bool, sum(dense, [])))
+
+
+def _c_calls(run) -> set:
+    """The names of the builtins that run() calls."""
+    names = set()
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            names.add(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_dense_0_1_products_take_the_bitmask_path():
+    ones = QMat(8, 8, {(i, j): 1 for i in range(8) for j in range(8)})
+    assert ones.nnz() ** 2 > qmat.DENSE_PRODUCT * 8
+    assert "bit_count" in _c_calls(lambda: ones @ ones)
+    assert ones @ ones == ones.scale(8)
+    # a Fraction(1) factor, an entry of 2 and a sparse 0/1 product stay sparse
+    fractions = QMat(8, 8, {(i, j): Fraction(1) for i in range(8) for j in range(8)})
+    two = ones.add(QMat(8, 8, {(0, 0): 1}))
+    diagonal = QMat.identity(8)
+    for left, right in ((ones, fractions), (fractions, ones), (two, ones), (diagonal, ones)):
+        assert "bit_count" not in _c_calls(lambda: left @ right)
 
 
 def test_scale_by_one_is_the_matrix_itself():
