@@ -26,17 +26,19 @@ literal of that shape shares, with no expansion term built.  Strand
 permutations are compiled bottom-up by the same walk: sigma is a
 ``_Perm``, which maps the base-D digits of an index and holds no matrix,
 and a tensor chain of permutations and identities is one ``_Perm``.  A
-composition chain is one node over its factors, in which each
-permutation folds into the one just before it, so a run of them is one
-``_Perm``, or nothing when it composes to the identity (``_fold``).  Any
-other tensor chain is one node too: a whisker over its one factor that
-is not an identity, else one flat ``_Kron`` over all its factors; both
-read a stored map's columns straight from its list.  Each call then asks
-the root for basis columns; every node memoizes the columns it computes
-in the call's memo, so wide intermediate tensor powers never
-materialize as full matrices.  The memo is the call's own unless the
-caller passes one: ``first_difference`` evaluates both sides of a pair
-with one memo, which lives only as long as that pair's check.
+composition chain is one node over its factors, in which each run of
+adjacent permutations is one ``_Perm``, or nothing when it composes to
+the identity (``_fold``).  Any other tensor chain is one node too: a
+whisker over its one factor that is not an identity, else one flat
+``_Kron`` over all its factors; both read a stored map's columns straight
+from its list.  Each call then asks the root for basis columns, so wide
+intermediate tensor powers never materialize as full matrices.  Chain and
+combination nodes keep each column they compute for the structure's
+life, so a subterm that terms share (the sides of a pair, the pairs of a
+suite, ``hat_f`` realizations) computes each column once per structure
+and t value; ``_Kron`` keeps none, as its columns are products of its
+factors' stored or kept ones, and the root's columns stream into the
+result without being kept.
 ``hat_f`` evaluates the one term of a relation's normal form
 (``hat_f_term``) and caches the result on the structure by relation.
 ``check_steps`` charges terms' evaluation steps to the one work budget
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from functools import lru_cache
+from itertools import groupby
 
 from . import terms as tm
 from .errors import (
@@ -174,7 +177,7 @@ class _Cols:
     def __init__(self, mat: QMat):
         self.cols = mat.columns()
 
-    def col(self, i: int, memo: dict) -> dict:
+    def col(self, i: int) -> dict:
         return self.cols[i]
 
 
@@ -188,42 +191,49 @@ class _Id:
 
     __slots__ = ()
 
-    def col(self, i: int, memo: dict) -> dict:
+    def col(self, i: int) -> dict:
         return {i: 1}
 
 
 _ID = _Id()
 
 
-class _Chain:
+class _Kept:
+    """A node that keeps each column it computes for the structure's life."""
+
+    __slots__ = ("seen",)
+
+    def col(self, i: int) -> dict:
+        out = self.seen.get(i)
+        if out is None:
+            out = self.seen[i] = self.compute(i)
+        return out
+
+
+class _Chain(_Kept):
     """A composite f_n . ... . f_1, flattened; the factors apply in order."""
 
     __slots__ = ("first", "rest")
 
     def __init__(self, factors):
+        self.seen = {}
         self.first = factors[0]
         self.rest = factors[1:]
 
-    def col(self, i: int, memo: dict) -> dict:
-        seen = memo.get(self)
-        if seen is None:
-            seen = memo[self] = {}
-        elif i in seen:
-            return seen[i]
-        vec = self.first.col(i, memo)
+    def compute(self, i: int) -> dict:
+        vec = self.first.col(i)
         for node in self.rest:
             if len(vec) == 1:
                 # the common case: one node column, shared rather than copied when c is 1
                 ((j, c),) = vec.items()
-                col = node.col(j, memo)
+                col = node.col(j)
                 vec = col if c == 1 else {r: c * v for r, v in col.items()}
                 continue
             acc: dict[int, object] = {}
             for j, c in vec.items():
-                for r, v in node.col(j, memo).items():
+                for r, v in node.col(j).items():
                     acc[r] = acc.get(r, 0) + c * v
             vec = {r: v for r, v in acc.items() if v}
-        seen[i] = vec
         return vec
 
 
@@ -231,8 +241,8 @@ class _Kron:
     """A tensor chain f_1 @ ... @ f_n of two or more factors, as one node.
 
     The first factor is the least significant digit block of an index; an
-    identity factor is held as ``_ID``.  A stored map's columns are read
-    straight from its list.
+    identity factor is held as ``_ID``.  It reads a stored map's columns
+    straight from its list and keeps no columns of its own.
     """
 
     __slots__ = ("factors",)
@@ -241,18 +251,13 @@ class _Kron:
         # (stored columns or None, node, D^dom, D^cod) per factor
         self.factors = [(_stored(node), node, dom, cod) for node, dom, cod in factors]
 
-    def col(self, i: int, memo: dict) -> dict:
-        seen = memo.get(self)
-        if seen is None:
-            seen = memo[self] = {}
-        elif i in seen:
-            return seen[i]
+    def col(self, i: int) -> dict:
         rest = i
         row, val, scale = 0, 1, 1
         wide = None  # the column so far, once a factor's column has other than one entry
         for cols, node, dom, cod in self.factors:
             rest, j = divmod(rest, dom)
-            part = node.col(j, memo) if cols is None else cols[j]
+            part = node.col(j) if cols is None else cols[j]
             if wide is None and len(part) == 1:
                 ((r, v),) = part.items()
                 row += scale * r
@@ -262,8 +267,7 @@ class _Kron:
                     wide = {row: val}
                 wide = {r0 + scale * r: v0 * v for r, v in part.items() for r0, v0 in wide.items()}
             scale *= cod
-        out = seen[i] = {row: val} if wide is None else wide
-        return out
+        return {row: val} if wide is None else wide
 
 
 class _Perm:
@@ -280,7 +284,7 @@ class _Perm:
         self.p = p
         self.weights = [dim**j for j in p]
 
-    def col(self, i: int, memo: dict) -> dict:
+    def col(self, i: int) -> dict:
         d = self.dim
         out = 0
         for w in self.weights:
@@ -301,33 +305,28 @@ class _Whisker:
         self.mid = mid  # D^dom and D^cod of the node
         self.out = out
 
-    def col(self, i: int, memo: dict) -> dict:
+    def col(self, i: int) -> dict:
         lo = self.lo
         rest, base = divmod(i, lo)
         rest, j = divmod(rest, self.mid)
         hi = lo * self.out * rest
-        part = self.node.col(j, memo) if self.cols is None else self.cols[j]
+        part = self.node.col(j) if self.cols is None else self.cols[j]
         return {base + lo * r + hi: v for r, v in part.items()}
 
 
-class _LinComb:
+class _LinComb(_Kept):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
+        self.seen = {}
         self.parts = parts  # (nonzero scalar, node) pairs
 
-    def col(self, i: int, memo: dict) -> dict:
-        seen = memo.get(self)
-        if seen is None:
-            seen = memo[self] = {}
-        elif i in seen:
-            return seen[i]
+    def compute(self, i: int) -> dict:
         acc: dict[int, object] = {}
         for scalar, node in self.parts:
-            for r, v in node.col(i, memo).items():
+            for r, v in node.col(i).items():
                 acc[r] = acc.get(r, 0) + scalar * v
-        out = seen[i] = {r: v for r, v in acc.items() if v}
-        return out
+        return {r: v for r, v in acc.items() if v}
 
 
 def _compile(data: FrobeniusData, term: Term, t_value):
@@ -414,19 +413,23 @@ def _build_mu(data: FrobeniusData, mat, t_value):
 def _fold(dim: int, nodes):
     """One node for compiled factors that apply in the order given.
 
-    Identity factors drop out, and each ``_Perm`` folds into a ``_Perm``
-    just before it; a fold that gives the identity leaves no node.
+    Identity factors drop out, and each run of adjacent ``_Perm`` factors
+    becomes one ``_Perm``, built from the run's composite held as a list:
+    a run of one keeps its node, and a run that composes to the identity
+    leaves no node.
     """
     out = []
-    for node in nodes:
-        if node is _ID:
+    real = (node for node in nodes if node is not _ID)
+    for perms, run in groupby(real, lambda node: type(node) is _Perm):
+        run = list(run)
+        if not perms or len(run) == 1:
+            out += run
             continue
-        if isinstance(node, _Perm) and out and isinstance(out[-1], _Perm):
-            p = [node.p[j] for j in out.pop().p]
-            if p == list(range(len(p))):
-                continue
-            node = _Perm(dim, p)
-        out.append(node)
+        p = run[0].p
+        for node in run[1:]:
+            p = [node.p[j] for j in p]
+        if p != list(range(len(p))):
+            out.append(_Perm(dim, p))
     if not out:
         return _ID
     return out[0] if len(out) == 1 else _Chain(out)
@@ -466,18 +469,15 @@ def _build_tensor(data: FrobeniusData, term: Term, t_value):
     return _Whisker(node, lo, mid, out)
 
 
-def term_eval(data: FrobeniusData, term: Term, t_value=None, memo=None) -> QMat:
+def term_eval(data: FrobeniusData, term: Term, t_value=None) -> QMat:
     """Evaluate a term to its D^cod x D^dom matrix, column by column.
 
-    Column results of every node are memoized in ``memo``: a fresh dict for
-    this call unless the caller passes one to share between calls on the
-    same structure and t_value, as ``first_difference`` does for a pair.
+    The root's columns stream into the matrix; the chain and combination
+    nodes below it keep theirs for later calls on the structure.
     """
     node = _compile(data, term, t_value)
-    if memo is None:
-        memo = {}
-    cols = data.dim**term.dom
-    return QMat._trusted_columns(data.dim**term.cod, cols, (node.col(c, memo) for c in range(cols)))
+    column = node.compute if isinstance(node, _Kept) else node.col
+    return QMat._trusted_columns(data.dim**term.cod, data.dim**term.dom, column)
 
 
 @lru_cache(maxsize=tm.BUILDER_CACHE)
@@ -613,11 +613,10 @@ def frobenius_axiom_terms(field: Fq):
 def first_difference(data: FrobeniusData, lhs: Term, rhs: Term):
     """The first (row, column) cell where the two terms differ on the structure, or None.
 
-    Both sides share one column memo, so a node the sides share computes
-    each of its columns once; the memo lives as long as the pair's check.
+    A chain or combination node that the sides share, with each other or
+    with terms evaluated before, computes each column once (``term_eval``).
     """
-    memo: dict = {}
-    return term_eval(data, lhs, memo=memo).first_difference(term_eval(data, rhs, memo=memo))
+    return term_eval(data, lhs).first_difference(term_eval(data, rhs))
 
 
 def check_axioms(data: FrobeniusData, pairs) -> list:

@@ -8,8 +8,9 @@ read cells through ``get``, ``entries_sorted``, ``columns``, ``vec`` and
 keyed by (row, col) and checks every one: its position, and that it is an
 int or a Fraction.  ``QMat._trusted`` wraps flat entries computed here,
 which are exact, nonzero and in range already, and ``_trusted_rows`` and
-``_trusted_columns`` build from row or column dicts that are.  Rank is
-computed fraction-free, on integer rows.
+``_trusted_columns`` build from row or column dicts that are, the latter
+from a list or a column function.  Rank is computed fraction-free, on
+integer rows.
 
 A product has two paths.  The sparse loop groups the right factor's cells
 by row and adds each left cell's products into the result.  When both
@@ -77,12 +78,12 @@ class QMat:
         return cls._trusted(rows, cols, data)
 
     @classmethod
-    def _trusted_columns(cls, rows: int, cols: int, columns) -> "QMat":
-        """The matrix whose column c is the c-th {row: nonzero value} dict of ``columns``."""
-        data = {}
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                data[r * cols + c] = v
+    def _trusted_columns(cls, rows: int, cols: int, column) -> "QMat":
+        """The matrix whose column c is the {row: nonzero value} dict ``column(c)``,
+        or ``column[c]`` when ``column`` is a list."""
+        if isinstance(column, list):
+            column = column.__getitem__
+        data = {r * cols + c: v for c in range(cols) for r, v in column(c).items()}
         return cls._trusted(rows, cols, data)
 
     @classmethod

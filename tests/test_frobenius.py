@@ -538,6 +538,93 @@ def test_shared_memo_first_difference_equals_independent_evaluations(field):
         assert any(cells) == (data is not target)
 
 
+def test_kept_columns_stay_with_their_structure_and_t_value():
+    # one term object evaluated alternately on three structures at two t
+    # values; each result equals the same evaluation on a fresh structure,
+    # so no node's kept columns leak between structures or t values
+    rng = random.Random(71)
+    target = standard_target(F3, 1)
+    makers = [
+        lambda: standard_target(F3, 1),
+        lambda: replaced(standard_target(F3, 1), G("mu", 1), target.maps[G("mu", 2)]),
+        lambda: scrambled(random.Random(72), F3, 2),
+    ]
+    # v -> v + 2v on the target, and v -> 2v + 2v once mu(1) scales by 2
+    shared = tm.t_compose(G("plus"), tm.MuLit(MatFq(F3, 2, 2, [1, 0, 0, 2])), G("m*"))
+    term = tm.LinComb([(PolyQ({1: 1}), tm.t_compose(shared, shared)), (2, shared)])
+    terms = [term] + [random_term(rng, F3, 1, 1, 4) for _ in range(4)]
+    structures = [make() for make in makers]
+    results = {}
+    for _ in range(2):
+        for t_value in (Fraction(2), Fraction(-1, 2)):
+            for k, (make, data) in enumerate(zip(makers, structures)):
+                for j, sub in enumerate(terms):
+                    got = term_eval(data, sub, t_value)
+                    assert got == term_eval(make(), sub, t_value), (k, j, t_value)
+                    results[k, j, t_value] = got
+    # the structures and the t values do tell the results apart
+    firsts = [results[k, 0, t] for k in range(3) for t in (Fraction(2), Fraction(-1, 2))]
+    assert all(a != b for a, b in itertools.combinations(firsts, 2))
+
+
+def test_pair_order_does_not_change_the_cells():
+    # the corrupted scaling makes many cells differ; the reversed runs read
+    # columns the forward run kept, and a fresh structure keeps none yet
+    target = standard_target(F2, 1)
+    pairs = frobenius_axiom_terms(F2) + mu_lemma_terms(F2, seed=3)
+
+    def corrupted():
+        return replaced(target, G("mu", 1), target.maps[G("mu", 0)])
+
+    def cells(data, pairs):
+        return [(name, frobenius.first_difference(data, lhs, rhs)) for name, lhs, rhs in pairs]
+
+    data = corrupted()
+    forward = check_axioms(data, pairs)
+    assert forward == cells(data, pairs) and any(cell for _, cell in forward)
+    assert check_axioms(data, pairs[::-1])[::-1] == forward
+    assert cells(data, pairs[::-1])[::-1] == forward
+    assert check_axioms(corrupted(), pairs[::-1])[::-1] == forward
+
+
+def compiled_nodes(node):
+    """Every node reachable from a compiled node, itself included."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, _Chain):
+            stack += [node.first, *node.rest]
+        elif isinstance(node, _Kron):
+            stack += [sub for _, sub, _, _ in node.factors]
+        elif isinstance(node, frobenius._Whisker):
+            stack.append(node.node)
+        elif isinstance(node, frobenius._LinComb):
+            stack += [sub for _, sub in node.parts]
+    return out
+
+
+def test_roots_and_tensor_nodes_keep_no_columns():
+    terms = [side for _, lhs, rhs in mu_lemma_terms(F3, seed=5) for side in (lhs, rhs)]
+    terms.append(frobenius.hat_f_term(random_rel_infty(random.Random(8), F3, 2, 2)))
+    kept = krons = 0
+    for term in terms:
+        # a fresh structure, so that no earlier term has made the root a subterm
+        data = standard_target(F3, 1)
+        term_eval(data, term)
+        root = _compile(data, term, None)
+        if isinstance(root, frobenius._Kept):
+            assert root.seen == {}, term
+        for node in compiled_nodes(root):
+            if isinstance(node, _Kron):
+                krons += 1
+                assert not hasattr(node, "seen") and not hasattr(node, "__dict__")
+            elif node is not root and isinstance(node, frobenius._Kept):
+                kept += bool(node.seen)
+    # the walk met tensor nodes, and chain nodes below a root that kept columns
+    assert krons and kept
+
+
 def test_deep_composite_evaluates():
     # a chain deeper than the interpreter's recursion limit: hashing, compiling
     # and evaluating it all walk it without recursion
