@@ -3,10 +3,10 @@
 A candidate structure is one dict of exact rational matrices keyed by
 generator atom: merge m, split m*, counit eps*, vector addition plus, zero
 vector z, one scaling map mu(a) per field element, and optionally the unit
-eps.  The axioms are one list of generator term pairs
-(``frobenius_axiom_terms``), checked formally by the suites and on a
-structure by ``check_axioms``, which takes that list, evaluates both sides
-of each pair and names the first cell where they differ
+eps.  The axioms are one sequence of generator term pairs
+(``frobenius_axiom_terms``, handed out one at a time), checked formally by
+the suites and on a structure by ``check_axioms``, which takes those pairs,
+evaluates both sides of each and names the first cell where they differ
 (``first_difference``).  When the unit is absent the candidate is checked
 as a semi-Frobenius space: a pair is skipped when compiling it raises
 MissingUnit, which happens before any map is formed.
@@ -44,8 +44,10 @@ result without being kept.
 ``check_steps`` charges terms' evaluation steps to the one work budget
 (``errors.charge``): ``term_steps`` is D^(dom + unit uses) columns through
 the widest layer, both read off the term, which carries its cost as it
-carries its arity.  hat_f, the unit path of ``rel_matrix`` and the axiom,
-lemma and relinfty suites call it before they evaluate.
+carries its arity.  It is the layer's one guard: ``standard_target`` calls
+it before it builds a map, with D capped (``target_dim``) so that no q^n is
+formed and no loop over F_q runs first, and hat_f, the unit path of
+``rel_matrix`` and the axiom, lemma and relinfty suites before they evaluate.
 """
 
 from __future__ import annotations
@@ -61,19 +63,12 @@ from .errors import (
     NotRelInfty,
     RequiresEvaluation,
     ShapeMismatch,
-    TooLarge,
     charge,
 )
-from .field import Fq
+from .field import Fq, capped_power
 from .qmat import QMat
 from .relations import Relation, rel_infty_normal_form
 from .terms import Term
-
-# The standard target's largest map, plus, has q^(2n) cells; more are refused.
-STANDARD_GUARD = 2**12
-# frobenius_axiom_terms has 2q^2 + 4q + 26 pairs; it refuses to build more.
-AXIOM_PAIR_GUARD = 2**12
-
 
 # The unit, the one map a structure may lack: a semi-Frobenius space has none.
 UNIT = tm.atom("eps")
@@ -130,16 +125,34 @@ class FrobeniusData:
         return UNIT in self.maps
 
 
+class _Power(int):
+    """A D past the work budget that a refusal names as q^n."""
+
+    def __new__(cls, dim: int, name: str):
+        self = super().__new__(cls, dim)
+        self.name = name
+        return self
+
+    def __str__(self) -> str:
+        return self.name
+
+
+def target_dim(field: Fq, n: int) -> int:
+    """D = q^n of the standard target, capped (``field.capped_power``) rather
+    than formed past the budget's bit length; a D past the budget at n > 1
+    prints as q^n."""
+    dim = capped_power(field.q, n, WORK_BUDGET)
+    return dim if n == 1 or dim <= WORK_BUDGET else _Power(dim, f"{field.q}^{n}")
+
+
 def standard_target(field: Fq, n: int) -> FrobeniusData:
-    """The structure on the free vector space over F_q^n basis tuples."""
-    q = field.q
-    # q >= 2, so 2n past the guard's bit length already gives too many cells
-    if 2 * n > STANDARD_GUARD.bit_length() or q ** (2 * n) > STANDARD_GUARD:
-        raise TooLarge(
-            f"the standard target at q = {field}, n = {n} has q^(2n) plus cells, "
-            f"more than {STANDARD_GUARD}"
-        )
-    dim = q**n
+    """The structure on the free vector space over F_q^n basis tuples; the steps
+    of its stored maps, 5D^2 + 4D + 1 at n = 1, are charged before any is built."""
+    q, g = field.q, tm.atom
+    dim = target_dim(field, n)
+    stored = [g("m"), g("m*"), g("eps*"), UNIT, g("plus"), g("z")]
+    # and the q maps mu(a) of D steps each, with no loop over F_q
+    check_steps(dim, stored, "standard target", q * term_steps(dim, g("mu", 1)))
 
     def vec_add(a: int, b: int) -> int:
         da = [(a // q**i) % q for i in range(n)]
@@ -150,7 +163,6 @@ def standard_target(field: Fq, n: int) -> FrobeniusData:
         da = [(a // q**i) % q for i in range(n)]
         return sum(field.mul(c, x) * q**i for i, x in enumerate(da))
 
-    g = tm.atom
     maps = {
         g("m"): QMat(dim, dim * dim, {(v, v + dim * v): 1 for v in range(dim)}),
         g("m*"): QMat(dim * dim, dim, {(v + dim * v, v): 1 for v in range(dim)}),
@@ -522,14 +534,11 @@ def rel_matrix(data: FrobeniusData, rel: Relation) -> QMat:
 
 
 def frobenius_axiom_terms(field: Fq):
-    """The defining axioms of a field-linear Frobenius space, as term pairs."""
-    q = field.q
-    count = 2 * q * q + 4 * q + 26
-    if count > AXIOM_PAIR_GUARD:
-        raise TooLarge(f"F_{field} has {count} axiom pairs, more than {AXIOM_PAIR_GUARD}")
+    """The defining axioms of a field-linear Frobenius space, as term pairs
+    handed out one at a time: 2q^2 + 4q + 26 of them."""
     g = tm.atom
     I1 = tm.t_id(1)
-    pairs = [
+    yield from [
         ("Fr1 m associative", tm.t_compose(g("m"), tm.t_tensor(g("m"), I1)),
          tm.t_compose(g("m"), tm.t_tensor(I1, g("m")))),
         ("Fr1 m commutative", tm.t_compose(g("m"), g("sigma")), g("m")),
@@ -555,35 +564,35 @@ def frobenius_axiom_terms(field: Fq):
     ]
     for a in field.elements():
         for b in field.elements():
-            pairs.append((
+            yield (
                 f"Lin3 mu({a}).mu({b}) = mu(ab)",
                 tm.t_compose(g("mu", a), g("mu", b)),
                 g("mu", field.mul(a, b)),
-            ))
-            pairs.append((
+            )
+            yield (
                 f"Lin4 mu({a}+{b}) = plus.(mu@mu).m*",
                 g("mu", field.add(a, b)),
                 tm.t_compose(g("plus"), tm.t_tensor(g("mu", a), g("mu", b)), g("m*")),
-            ))
+            )
     for a in field.elements():
-        pairs.append((
+        yield (
             f"Lin4 mu({a}) distributes",
             tm.t_compose(g("mu", a), g("plus")),
             tm.t_compose(g("plus"), tm.t_tensor(g("mu", a), g("mu", a))),
-        ))
+        )
         if a != 0:
-            pairs.append((
+            yield (
                 f"Rel1 m*.mu({a})",
                 tm.t_compose(g("m*"), g("mu", a)),
                 tm.t_compose(tm.t_tensor(g("mu", a), g("mu", a)), g("m*")),
-            ))
-            pairs.append((f"Rel1 eps*.mu({a})", tm.t_compose(g("eps*"), g("mu", a)), g("eps*")))
-            pairs.append((
+            )
+            yield f"Rel1 eps*.mu({a})", tm.t_compose(g("eps*"), g("mu", a)), g("eps*")
+            yield (
                 f"Rel1 mu({a}).m",
                 tm.t_compose(g("mu", a), g("m")),
                 tm.t_compose(g("m"), tm.t_tensor(g("mu", a), g("mu", a))),
-            ))
-    pairs += [
+            )
+    yield from [
         ("Rel2 m*.z = z @ z", tm.t_compose(g("m*"), g("z")), tm.t_tensor(g("z"), g("z"))),
         ("Rel2 eps*.z = Id", tm.t_compose(g("eps*"), g("z")), tm.t_id(0)),
         ("Rel2 m.(z@z) = z", tm.t_compose(g("m"), tm.t_tensor(g("z"), g("z"))), g("z")),
@@ -607,7 +616,6 @@ def frobenius_axiom_terms(field: Fq):
         ("eps = (eps* @ Id) . coev", g("eps"),
          tm.t_compose(tm.t_tensor(g("eps*"), I1), g("coev"))),
     ]
-    return pairs
 
 
 def first_difference(data: FrobeniusData, lhs: Term, rhs: Term):
@@ -622,7 +630,7 @@ def first_difference(data: FrobeniusData, lhs: Term, rhs: Term):
 def check_axioms(data: FrobeniusData, pairs) -> list:
     """(name, first differing cell or None) for each axiom pair on the structure.
 
-    ``pairs`` is the list ``frobenius_axiom_terms(data.field)`` builds.
+    ``pairs`` are those ``frobenius_axiom_terms(data.field)`` hands out.
     Without a unit, a pair is skipped when compiling it raises MissingUnit
     (eps, or coev through its definition); such a pair uses the unit on its
     left side, which is compiled first, so it forms no map.

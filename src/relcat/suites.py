@@ -8,8 +8,10 @@ the standard target: the axiom pairs (``frobenius.frobenius_axiom_terms``)
 through the structure checker ``check_axioms``, the lemma pairs here.  A
 pair that fails on the structure names its first differing cell
 (``frobenius.first_difference``).  The axiom, lemma and relinfty suites
-pass what they will evaluate through ``frobenius.check_steps`` before
-evaluating any of it, and the randomized suites charge their trials at a
+charge what they will evaluate (``frobenius.check_steps``) before they
+build their standard target, which charges its own maps: the axiom and
+lemma suites each pair's sides as the pair is handed out, relinfty each
+draw's realizations.  The randomized suites charge their trials at a
 measured per-trial cost, in us, to the same work budget (``errors.charge``)
 before their first draw.  The functor and stability suites compare the
 formal category against its specializations; a check of theirs that ran
@@ -58,15 +60,6 @@ class SuiteResult:
         return f"{status} {self.name}" + (f"  [{self.detail}]" if self.detail else "")
 
 
-def _block_diag(a: MatFq, b: MatFq) -> MatFq:
-    rows = []
-    for i in range(a.rows):
-        rows.append(list(a.row(i)) + [0] * b.cols)
-    for i in range(b.rows):
-        rows.append([0] * a.cols + list(b.row(i)))
-    return MatFq.from_rows(a.field, rows, a.cols + b.cols)
-
-
 # -- lemma suite -------------------------------------------------------------
 
 
@@ -77,26 +70,19 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
     rng = random.Random(seed)
     g = tm.atom
     I1 = tm.t_id(1)
-    pairs = []
 
     for trial in range(6):
         l_, k_, r_ = (rng.randrange(1, 4) for _ in range(3))
         a = random_matrix(rng, field, k_, l_)
         b = random_matrix(rng, field, r_, k_)
-        pairs.append((
-            f"compos_mu_A #{trial}",
-            tm.t_compose(tm.MuLit(b), tm.MuLit(a)),
-            tm.MuLit(b @ a),
-        ))
+        yield f"compos_mu_A #{trial}", tm.t_compose(tm.MuLit(b), tm.MuLit(a)), tm.MuLit(b @ a)
         a2 = random_matrix(rng, field, rng.randrange(1, 3), rng.randrange(1, 3))
-        pairs.append((
-            f"tensor_prod_mu_B #{trial}",
-            tm.t_tensor(tm.MuLit(a), tm.MuLit(a2)),
-            tm.MuLit(_block_diag(a, a2)),
-        ))
+        block = a.hstack(MatFq.zeros(field, k_, a2.cols)).vstack(
+            MatFq.zeros(field, a2.rows, l_).hstack(a2))
+        yield f"tensor_prod_mu_B #{trial}", tm.t_tensor(tm.MuLit(a), tm.MuLit(a2)), tm.MuLit(block)
 
     for l_ in (1, 2, 3):
-        pairs.append((f"mu_identity I_{l_}", tm.MuLit(MatFq.identity(field, l_)), tm.t_id(l_)))
+        yield f"mu_identity I_{l_}", tm.MuLit(MatFq.identity(field, l_)), tm.t_id(l_)
     for k_, l_ in ((2, 2), (3, 2), (2, 3)):
         stack = MatFq.identity(field, l_)
         for _ in range(k_ - 1):
@@ -105,8 +91,8 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
             tm.perm_term(tm.grid_transpose_perm(l_, k_)),
             tm.t_power(tm.mstar_it_term(k_), l_),
         )
-        pairs.append((f"mu_identity stack k={k_},l={l_}", tm.MuLit(stack), rhs))
-        pairs.append((
+        yield f"mu_identity stack k={k_},l={l_}", tm.MuLit(stack), rhs
+        yield (
             f"interchanging_plus_and_comult k={k_},l={l_}",
             tm.t_compose(tm.mstar_it_term(k_), tm.plus_it_term(l_)),
             tm.t_compose(
@@ -114,9 +100,9 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
                 tm.perm_term(tm.grid_transpose_perm(l_, k_)),
                 tm.t_power(tm.mstar_it_term(k_), l_),
             ),
-        ))
+        )
         row = random_matrix(rng, field, 1, l_)
-        pairs.append((
+        yield (
             f"interchanging_mu_A_and_comult k={k_},l={l_}",
             tm.t_compose(tm.mstar_it_term(k_), tm.MuLit(row)),
             tm.t_compose(
@@ -124,7 +110,7 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
                 tm.perm_term(tm.grid_transpose_perm(l_, k_)),
                 tm.t_power(tm.mstar_it_term(k_), l_),
             ),
-        ))
+        )
 
     for trial in range(4):
         k_, l_, r_ = rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(2, 4)
@@ -134,85 +120,81 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
         for _ in range(r_ - 1):
             stack_k = stack_k.vstack(MatFq.identity(field, k_))
             stack_a = stack_a.vstack(a)
-        pairs.append((
+        yield (
             f"mu_compos_aux #{trial}",
             tm.t_compose(tm.MuLit(stack_k), tm.MuLit(a)),
             tm.MuLit(stack_a),
-        ))
+        )
         a1 = random_matrix(rng, field, rng.randrange(1, 3), l_)
         a2 = random_matrix(rng, field, rng.randrange(1, 3), l_)
         two = MatFq.identity(field, l_).vstack(MatFq.identity(field, l_))
-        pairs.append((
+        yield (
             f"vert_stacking #{trial}",
             tm.MuLit(a1.vstack(a2)),
             tm.t_compose(tm.t_tensor(tm.MuLit(a1), tm.MuLit(a2)), tm.MuLit(two)),
-        ))
+        )
         d_, r1_, r2_ = rng.randrange(1, 3), rng.randrange(1, 3), rng.randrange(1, 3)
         a = random_matrix(rng, field, d_, r1_)
         zero = MatFq.zeros(field, d_, r2_)
-        pairs.append((
+        yield (
             f"horizontal_stacking_with_zero right #{trial}",
             tm.MuLit(a.hstack(zero)),
             tm.t_tensor(tm.MuLit(a), tm.t_power(g("eps*"), r2_)),
-        ))
-        pairs.append((
+        )
+        yield (
             f"horizontal_stacking_with_zero left #{trial}",
             tm.MuLit(zero.hstack(a)),
             tm.t_tensor(tm.t_power(g("eps*"), r2_), tm.MuLit(a)),
-        ))
+        )
         b = random_matrix(rng, field, d_, r2_)
         glue = MatFq.identity(field, d_).hstack(MatFq.identity(field, d_))
-        pairs.append((
+        yield (
             f"horizontal_stacking #{trial}",
             tm.MuLit(a.hstack(b)),
             tm.t_compose(tm.MuLit(glue), tm.t_tensor(tm.MuLit(a), tm.MuLit(b))),
-        ))
+        )
 
-    pairs.append((
+    yield (
         "eq_axiom_corollary",
         tm.t_compose(g("ev"), tm.t_tensor(g("plus"), g("plus")), tm.t_tensor(I1, g("m*"), I1)),
         tm.t_compose(g("ev"), tm.t_tensor(I1, g("eps*"), I1)),
-    ))
-    pairs.append((
+    )
+    yield (
         "transferring_plus",
         tm.t_compose(g("ev"), tm.t_tensor(g("plus"), I1)),
         tm.t_compose(g("ev"), tm.t_tensor(I1, g("plus")),
                      tm.t_tensor(I1, g("mu", field.neg(1)), I1)),
-    ))
+    )
     for a in field.elements():
         if a:
-            pairs.append((
+            yield (
                 f"dual_scalar_mult a={a}",
                 tm.t_compose(g("ev"), tm.t_tensor(g("mu", a), g("mu", a))),
                 g("ev"),
-            ))
-            pairs.append((
-                f"eps_and_mu a={a}",
-                tm.t_compose(g("mu", a), g("eps")),
-                g("eps"),
-            ))
+            )
+            yield f"eps_and_mu a={a}", tm.t_compose(g("mu", a), g("eps")), g("eps")
     for k_ in (1, 2, 3):
         a = random_invertible(rng, field, k_)
-        pairs.append((
+        yield (
             f"transp_mu_A GL_{k_}",
             tm.t_compose(tm.ev_bar_term(k_), tm.t_tensor(tm.MuLit(a), tm.MuLit(a))),
             tm.ev_bar_term(k_),
-        ))
-        pairs.append((
+        )
+        yield (
             f"regular_system_of_eq GL_{k_}",
             tm.t_compose(tm.t_power(g("z*"), k_), tm.MuLit(a)),
             tm.t_power(g("z*"), k_),
-        ))
-    pairs.append((
+        )
+    yield (
         "comparing_with_zero 1",
         tm.t_compose(tm.t_tensor(I1, g("z*")), g("m*")),
         tm.t_compose(g("m"), tm.t_tensor(I1, g("z"))),
-    ))
-    pairs.append((
+    )
+    yield (
         "comparing_with_zero 2",
         tm.t_compose(g("m"), tm.t_tensor(I1, g("z"))),
         tm.t_compose(g("z"), g("z*")),
-    ))
+    )
     for k_ in (2, 3):
         row = [rng.randrange(field.q) for _ in range(k_)]
         i = rng.randrange(k_)
@@ -223,8 +205,7 @@ def mu_lemma_terms(field: Fq, seed: int = 0):
             tm.MuLit(mat),
             tm.t_tensor(tm.t_id(i), g("eps"), tm.t_id(k_ - i - 1)),
         )
-        pairs.append((f"eps_star_mu_A k={k_}", lhs, tm.t_power(g("eps*"), k_ - 1)))
-    return pairs
+        yield f"eps_star_mu_A k={k_}", lhs, tm.t_power(g("eps*"), k_ - 1)
 
 
 # -- suite runners ------------------------------------------------------------
@@ -252,6 +233,18 @@ def run_term_pairs(field: Fq, pairs, data: FrobeniusData | None):
     return out
 
 
+def _charged(pairs, dim: int, source: str, spent: int = 0) -> list:
+    """The pairs as a list, each pair's sides charged at D = dim as it
+    arrives (``frobenius.check_steps``), so a refusal builds no later pair."""
+    from .frobenius import check_steps
+
+    out = []
+    for pair in pairs:
+        spent = check_steps(dim, pair[1:], source, spent)
+        out.append(pair)
+    return out
+
+
 def suite_axioms(field: Fq, n: int = 1):
     """Each axiom pair formally, then on the standard target by the structure checker."""
     from . import terms as tm
@@ -260,15 +253,15 @@ def suite_axioms(field: Fq, n: int = 1):
         check_steps,
         frobenius_axiom_terms,
         standard_target,
+        target_dim,
         term_eval,
     )
 
-    # the pair list refuses a large q before the target is built
-    pairs = frobenius_axiom_terms(field)
-    data = standard_target(field, n)
+    dim = target_dim(field, n)
     dim_term = tm.t_compose(tm.atom("eps*"), tm.atom("eps"))
-    sides = [side for _, lhs, rhs in pairs for side in (lhs, rhs)]
-    check_steps(data.dim, sides + [dim_term], "axioms")
+    spent = check_steps(dim, [dim_term], "axioms")
+    pairs = _charged(frobenius_axiom_terms(field), dim, "axioms", spent)
+    data = standard_target(field, n)
     out = run_term_pairs(field, pairs, None)
     for name, cell in check_axioms(data, pairs):
         out.append(SuiteResult(f"standard target {name}", cell is None,
@@ -283,13 +276,10 @@ def suite_axioms(field: Fq, n: int = 1):
 
 
 def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
-    from .frobenius import check_steps, standard_target
+    from .frobenius import standard_target, target_dim
 
-    # the target's cell guard runs before the pair list loops over F_q
-    data = standard_target(field, n)
-    pairs = mu_lemma_terms(field, seed)
-    check_steps(data.dim, [side for _, lhs, rhs in pairs for side in (lhs, rhs)], "lemmas")
-    return run_term_pairs(field, pairs, data)
+    pairs = _charged(mu_lemma_terms(field, seed), target_dim(field, n), "lemmas")
+    return run_term_pairs(field, pairs, standard_target(field, n))
 
 
 # Each per-trial cost below, in us, that a randomized suite charges to the
@@ -450,13 +440,12 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
     """Closure, zero defect, concrete realization, and rank stability; every
     trial is drawn before any is realized.  The trials' own work, in steps of
     about 1 us, is charged before the first draw, as knop and functor charge
-    theirs, and the realizations' steps are added to it as the trials are
-    drawn, so a refusal comes as soon as it is due."""
+    theirs, and the realizations' steps at D = q are added to it as the
+    trials are drawn, so a refusal comes as soon as it is due and before the
+    standard target is built."""
     from .concrete import rel_infty_stability
     from .frobenius import check_steps, hat_f, hat_f_term, standard_target
 
-    # the target's cell guard refuses a large field before any draw
-    data = standard_target(field, 1)
     rng = random.Random(seed)
     closure, realization, stability = _Tally(seed), _Tally(seed), _Tally(seed)
     closed_trials = []  # (r1, r2, r2 . r1, t2, r1 @ t2) of each closed trial
@@ -477,7 +466,8 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
             closed_trials.append(trial)
             new = [hat_f_term(rel) for rel in dict.fromkeys(trial) if rel not in realized]
             realized.update(trial)
-            steps = check_steps(data.dim, new, "relinfty realizations", steps)
+            steps = check_steps(field.q, new, "relinfty realizations", steps)
+    data = standard_target(field, 1)
     for r1, r2, sr, t2, r1t2 in closed_trials:
         comp_ok = hat_f(data, r2) @ hat_f(data, r1) == hat_f(data, sr)
         ten_ok = hat_f(data, r1).kron(hat_f(data, t2)) == hat_f(data, r1t2)

@@ -340,20 +340,52 @@ def test_nesting_past_the_recursion_limit_exits_3_in_a_fresh_process():
 
 
 def test_pair_suites_guard_before_building_pairs(capsys):
-    # the axiom and lemma pairs loop over F_q x F_q and F_q; q^n is refused first
+    # the axiom and lemma pairs loop over F_q x F_q and F_q; the first pair's
+    # steps at D = q^n are refused first
     assert_guard_error(capsys, "verify", "axioms", "--q", "101^8")
     assert_guard_error(capsys, "verify", "lemmas", "--q", "101^8")
 
 
+def test_pair_suites_charge_before_they_build(capsys, monkeypatch):
+    # a refused run builds no standard target, and a refusal at the first
+    # axiom pair builds no other pair; an admitted run builds its target
+    # once, after every pair has been charged
+    events = []
+    real_target, real_axioms = frobenius.standard_target, frobenius.frobenius_axiom_terms
+
+    def target(field, n):
+        events.append("target")
+        return real_target(field, n)
+
+    def axioms(field):
+        for pair in real_axioms(field):
+            events.append("pair")
+            yield pair
+
+    monkeypatch.setattr(frobenius, "standard_target", target)
+    monkeypatch.setattr(frobenius, "frobenius_axiom_terms", axioms)
+    assert_guard_error(capsys, "verify", "lemmas", "--q", "2^3")
+    assert_guard_error(capsys, "verify", "relinfty", "--q", "2", "--trials", "14000")
+    assert events == []
+    # eps* . eps alone, D steps, refuses D = 101^8 before the first pair
+    for q, built in (("4093", ["pair"]), ("101^8", [])):
+        err = assert_guard_error(capsys, "verify", "axioms", "--q", q)
+        assert err.startswith("error: axioms: evaluation steps at D = ") and events == built
+        events.clear()
+    code, _, _ = run_cli(capsys, "verify", "axioms", "--q", "2")
+    assert code == 0 and events == ["pair"] * 42 + ["target"]
+
+
 def test_standard_target_guard_counts_cells_and_pairs(capsys):
-    # plus has q^(2n) cells and the axiom list 2q^2 + 4q + 26 pairs; q^n alone
-    # let these through to run past 10 s
+    # the axiom pairs' and the stored maps' evaluation steps at D = q^n; q^n
+    # alone let these through to run past 10 s
     assert_guard_error(capsys, "verify", "axioms", "--q", "4093")
     assert_guard_error(capsys, "verify", "axioms", "--q", "2^8")
     assert_guard_error(capsys, "verify", "axioms", "--q", "2^6", "--n", "2")
     assert_guard_error(capsys, "verify", "lemmas", "--q", "2^6", "--n", "2")
-    assert_guard_error(capsys, "verify", "axioms", "--q", "2", "--n", "100000000")
-    # q = 61 has 3721 plus cells but 7713 axiom pairs
+    # a D past the budget's bit length is named as q^n, not formed
+    err = assert_guard_error(capsys, "verify", "axioms", "--q", "2", "--n", "100000000")
+    assert err == f"error: axioms: evaluation steps at D = 2^100000000, {BUDGET}\n", err
     assert_guard_error(capsys, "verify", "axioms", "--q", "61")
 
 

@@ -243,7 +243,7 @@ def test_program_requires_expression():
 @pytest.mark.parametrize("field", [F2, F3, F4])
 def test_shared_formal_memo_equals_fresh_memos(field):
     # the suites pass one memo to every pair of a run
-    pairs = mu_lemma_terms(field, 0) + mu_lemma_terms(field, 1) + frobenius_axiom_terms(field)
+    pairs = [*mu_lemma_terms(field, 0), *mu_lemma_terms(field, 1), *frobenius_axiom_terms(field)]
     memo = {}
     for name, lhs, rhs in pairs:
         for term in (lhs, rhs):

@@ -77,20 +77,41 @@ def test_standard_target_maps():
     assert to_dense(data.maps[G("plus")]) == [[1, 0, 0, 1], [0, 1, 1, 0]]
 
 
-def test_guards_count_pairs_and_cells():
-    for field in (F2, F3, F4, Fq(5), Fq(7), Fq(2, 3), Fq(43)):
+def test_guards_count_pairs_and_cells(monkeypatch):
+    for field in (F2, F3, F4, Fq(5), Fq(7), Fq(2, 3), Fq(43), Fq(47), Fq(53)):
         q = field.q
-        assert len(frobenius_axiom_terms(field)) == 2 * q * q + 4 * q + 26
-    with pytest.raises(TooLarge):
-        frobenius_axiom_terms(Fq(47))
+        assert len(list(frobenius_axiom_terms(field))) == 2 * q * q + 4 * q + 26
     # the golden corpus and the benchmark check axioms and lemmas at these q
     for field in (F2, F3, Fq(5), Fq(7), F4):
         assert standard_target(field, 1).dim == field.q
     assert standard_target(F2, 6).dim == 2**6
-    with pytest.raises(TooLarge):
-        standard_target(F2, 7)
-    with pytest.raises(TooLarge):
-        standard_target(Fq(2, 8), 1)
+    # the target charges the steps of the maps it stores, before it builds any
+    charged, real = [], frobenius.check_steps
+
+    def recording(*args):
+        charged.append(real(*args))
+        return charged[-1]
+
+    monkeypatch.setattr(frobenius, "check_steps", recording)
+    for field, n in ((F2, 1), (F3, 1), (F4, 1), (F2, 3), (Fq(5), 2)):
+        data = standard_target(field, n)
+        assert charged == [sum(term_steps(data.dim, atom) for atom in data.maps)]
+        charged.clear()
+
+    class Built(Exception):
+        """Raised in place of the target's first map."""
+
+    def first_map(*args):
+        raise Built
+
+    monkeypatch.setattr(frobenius, "QMat", first_map)
+    # 5D^2 + 4D + 1 steps at D = 911 pass, and at D = 919 they do not
+    with pytest.raises(Built):
+        standard_target(Fq(911), 1)
+    assert charged == [4_153_250]
+    for field, n in ((Fq(919), 1), (F2, 11)):
+        with pytest.raises(TooLarge, match=r"^standard target: evaluation steps at D = "):
+            standard_target(field, n)
 
 
 @pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F4, 1), (F2, 2)])
@@ -141,7 +162,7 @@ def test_semi_mode_on_unitless_data(monkeypatch):
 
     monkeypatch.setattr(frobenius, "term_eval", counting)
     for field, count in ((F2, 36), (F3, 50), (F4, 68)):
-        pairs = frobenius_axiom_terms(field)
+        pairs = list(frobenius_axiom_terms(field))
         # a pair that uses the unit uses it on its left side, which is compiled first
         assert all(_uses_unit(lhs) for _, lhs, rhs in pairs if _uses_unit(rhs))
         wanted = [name for name, lhs, rhs in pairs if not (_uses_unit(lhs) or _uses_unit(rhs))]
@@ -521,7 +542,7 @@ def test_term_eval_matches_dense_reference_on_scrambled_maps(field, dim):
 @pytest.mark.parametrize("field", [F2, F3])
 def test_shared_memo_first_difference_equals_independent_evaluations(field):
     rng = random.Random(30 + field.q)
-    axioms, lemmas = frobenius_axiom_terms(field), mu_lemma_terms(field, seed=3)
+    axioms, lemmas = list(frobenius_axiom_terms(field)), list(mu_lemma_terms(field, seed=3))
     target = standard_target(field, 1)
     # a corrupted scaling keeps the target's one-entry columns, so the wide
     # lemma sides stay cheap while many pairs differ; a scrambled structure
@@ -571,7 +592,7 @@ def test_pair_order_does_not_change_the_cells():
     # the corrupted scaling makes many cells differ; the reversed runs read
     # columns the forward run kept, and a fresh structure keeps none yet
     target = standard_target(F2, 1)
-    pairs = frobenius_axiom_terms(F2) + mu_lemma_terms(F2, seed=3)
+    pairs = [*frobenius_axiom_terms(F2), *mu_lemma_terms(F2, seed=3)]
 
     def corrupted():
         return replaced(target, G("mu", 1), target.maps[G("mu", 0)])
@@ -889,14 +910,14 @@ def test_term_costs_match_the_reference_walker():
 
 @pytest.mark.parametrize("q, n, steps", [
     ("43", 1, 2_627_265),
+    ("47", 1, 3_421_373),
+    ("7^2", 1, 3_872_331),
     ("7", 2, 2_477_007),
     ("2^3", 2, 5_424_584),
     ("53", 1, 4_889_735),
 ])
-def test_axiom_suite_step_totals(monkeypatch, q, n, steps):
-    # the pair sides plus eps* . eps, as verify axioms charges them; F_53
-    # has more pairs than the axiom list builds, so its bound is lifted here
-    monkeypatch.setattr(frobenius, "AXIOM_PAIR_GUARD", 2**13)
+def test_axiom_suite_step_totals(q, n, steps):
+    # the pair sides plus eps* . eps, as verify axioms charges them
     field = parse_q(q)
     dim = field.q**n
     sides = [side for _, lhs, rhs in frobenius_axiom_terms(field) for side in (lhs, rhs)]
