@@ -392,6 +392,9 @@ def eval_formal(term: Term, field: Fq, memo: dict | None = None) -> Morphism:
     over this field).  A call without one builds its own; callers that
     evaluate many terms over one field may pass one memo to every call.
     The lookup is inline, so the recursion takes one frame per term level.
+    The swap chain of ``terms.perm_term`` carries its permutation and is the
+    one permutation arrow of ``category``, with no composite of its swaps;
+    any other sigma chain is composed factor by factor.
     """
     if memo is None:
         memo = {}
@@ -412,7 +415,11 @@ def eval_formal(term: Term, field: Fq, memo: dict | None = None) -> Morphism:
             raise FieldMismatch("matrix literal over a different field")
         out = cat.mu_morphism(term.mat)
     elif isinstance(term, Compose):
-        out = cat.compose(eval_formal(term.left, field, memo), eval_formal(term.right, field, memo))
+        if term.perm is None:
+            out = cat.compose(eval_formal(term.left, field, memo),
+                              eval_formal(term.right, field, memo))
+        else:
+            out = cat.permutation(field, term.perm)
     elif isinstance(term, Tensor):
         out = cat.tensor(eval_formal(term.left, field, memo), eval_formal(term.right, field, memo))
     elif isinstance(term, LinComb):

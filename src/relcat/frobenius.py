@@ -19,20 +19,24 @@ by term: stored maps hold their columns, ev, coev and z* compile their
 definitions (``terms.DEFINED``), and other composites hold their compiled
 children, so subterms shared between terms are compiled once; the term
 builders hand out shared instances, so the cache mostly hits on identity.
-A nonempty matrix literal compiles straight from its matrix: one
-``_Kron`` of its mu(a_ij) scalings between the compiled split, transpose
-and add nodes of its shape's frame (``terms._mu_frame``), which every
-literal of that shape shares, with no expansion term built.  Strand
-permutations are compiled bottom-up by the same walk: sigma is a
-``_Perm``, which maps the base-D digits of an index and holds no matrix,
-and a tensor chain of permutations and identities is one ``_Perm``.  A
-composition chain is one node over its factors, in which each run of
-adjacent permutations is one ``_Perm``, or nothing when it composes to
-the identity (``_fold``).  Any other tensor chain is one node too: a
-whisker over its one factor that is not an identity, else one flat
-``_Kron`` over all its factors; both read a stored map's columns straight
-from its list.  Each call then asks the root for basis columns, so wide
-intermediate tensor powers never materialize as full matrices.  Chain and
+A strand permutation is a ``_Perm``, which maps the base-D digits of an
+index and holds no matrix.  The swap chain ``terms.perm_term`` builds
+carries its permutation and compiles to one ``_Perm`` without compiling
+its swaps; any other permutation is compiled bottom-up by the same walk:
+sigma is a ``_Perm``, and a tensor chain of permutations and identities is
+one ``_Perm``.  A composition chain is one node over its factors, in which
+each run of adjacent permutations is one ``_Perm``, or nothing when it
+composes to the identity; a run followed by a ``_Kron`` whose factors
+each take at most one strand folds into that node's per-factor input
+weights (``_fold``).  A nonempty matrix literal compiles straight from its
+matrix, with no expansion term built: one ``_Kron`` of its mu(a_ij)
+scalings between the compiled split and add nodes of its shape's frame
+(``terms._mu_frame``), which every literal of that shape shares; the
+frame's transpose folds into that ``_Kron``.  Any other tensor chain is
+one node too: a whisker over its one factor that is not an identity, else
+one flat ``_Kron`` over all its factors; both read a stored map's columns
+straight from its list.  Each call then asks the root for basis columns,
+so wide intermediate tensor powers never materialize as full matrices.  Chain and
 combination nodes keep each column they compute for the structure's
 life, so a subterm that terms share (the sides of a pair, the pairs of a
 suite, ``hat_f`` realizations) computes each column once per structure
@@ -45,16 +49,17 @@ result without being kept.
 (``errors.charge``): ``term_steps`` is D^(dom + unit uses) columns through
 the widest layer, both read off the term, which carries its cost as it
 carries its arity.  It is the layer's one guard: ``standard_target`` calls
-it before it builds a map, with D capped (``target_dim``) so that no q^n is
-formed and no loop over F_q runs first, and hat_f, the unit path of
-``rel_matrix`` and the axiom, lemma and relinfty suites before they evaluate.
+it before it builds a map, on the running sum a suite passes in, with D
+capped (``target_dim``) so that no q^n is formed and no loop over F_q runs
+first, and hat_f, the unit path of ``rel_matrix`` and the axiom, lemma and
+relinfty suites before they evaluate; those suites count the target's
+steps (``target_steps``) in their sum before their first pair or draw.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from functools import lru_cache
-from itertools import groupby
 
 from . import terms as tm
 from .errors import (
@@ -145,14 +150,27 @@ def target_dim(field: Fq, n: int) -> int:
     return dim if n == 1 or dim <= WORK_BUDGET else _Power(dim, f"{field.q}^{n}")
 
 
-def standard_target(field: Fq, n: int) -> FrobeniusData:
-    """The structure on the free vector space over F_q^n basis tuples; the steps
-    of its stored maps, 5D^2 + 4D + 1 at n = 1, are charged before any is built."""
-    q, g = field.q, tm.atom
+def target_steps(field: Fq, n: int) -> int:
+    """The steps of the standard target's stored maps, 5D^2 + 4D + 1 at n = 1,
+    counted without building it: the q maps mu(a) of D steps each, with no
+    loop over F_q."""
+    g = tm.atom
     dim = target_dim(field, n)
     stored = [g("m"), g("m*"), g("eps*"), UNIT, g("plus"), g("z")]
-    # and the q maps mu(a) of D steps each, with no loop over F_q
-    check_steps(dim, stored, "standard target", q * term_steps(dim, g("mu", 1)))
+    return sum(term_steps(dim, atom) for atom in stored) + field.q * term_steps(dim, g("mu", 1))
+
+
+def standard_target(field: Fq, n: int, spent: int = 0) -> FrobeniusData:
+    """The structure on the free vector space over F_q^n basis tuples.
+
+    spent plus the steps of its stored maps (``target_steps``) are charged
+    before any is built, as ``check_steps`` charges spent plus its terms'; a
+    suite that has counted the target in its running sum passes that sum
+    less the target's steps, so one command charges the target once.
+    """
+    q, g = field.q, tm.atom
+    dim = target_dim(field, n)
+    check_steps(dim, (), "standard target", spent + target_steps(field, n))
 
     def vec_add(a: int, b: int) -> int:
         da = [(a // q**i) % q for i in range(n)]
@@ -253,22 +271,42 @@ class _Kron:
     """A tensor chain f_1 @ ... @ f_n of two or more factors, as one node.
 
     The first factor is the least significant digit block of an index; an
-    identity factor is held as ``_ID``.  It reads a stored map's columns
-    straight from its list and keeps no columns of its own.
+    identity factor is held as ``_ID``.  Each factor reads its input digits
+    at its own weight, by default the D^dom of the factors before it, so a
+    strand permutation applied first folds into the weights (``after``).
+    It reads a stored map's columns straight from its list and keeps no
+    columns of its own.
     """
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors):
-        # (stored columns or None, node, D^dom, D^cod) per factor
-        self.factors = [(_stored(node), node, dom, cod) for node, dom, cod in factors]
+    def __init__(self, factors, weights=None):
+        if weights is None:
+            weights, weight = [], 1
+            for _, dom, _ in factors:
+                weights.append(weight)
+                weight *= dom
+        # (stored columns or None, node, input weight, D^dom, D^cod) per factor
+        self.factors = [
+            (_stored(node), node, weight, dom, cod)
+            for (node, dom, cod), weight in zip(factors, weights)
+        ]
+
+    def after(self, perm: _Perm) -> _Kron:
+        """This node applied after perm, as one node, when each factor takes
+        at most one strand: a factor reads the digit of the strand that perm
+        sends to its own."""
+        source = {weight: perm.dim**j for j, weight in enumerate(perm.weights)}
+        return _Kron(
+            [(node, dom, cod) for _, node, _, dom, cod in self.factors],
+            [source[weight] if dom > 1 else weight for _, _, weight, dom, _ in self.factors],
+        )
 
     def col(self, i: int) -> dict:
-        rest = i
         row, val, scale = 0, 1, 1
         wide = None  # the column so far, once a factor's column has other than one entry
-        for cols, node, dom, cod in self.factors:
-            rest, j = divmod(rest, dom)
+        for cols, node, weight, dom, cod in self.factors:
+            j = i // weight % dom
             part = node.col(j) if cols is None else cols[j]
             if wide is None and len(part) == 1:
                 ((r, v),) = part.items()
@@ -375,6 +413,8 @@ def _build(data: FrobeniusData, term: Term, t_value):
     if isinstance(term, tm.RelLit):
         return _Cols(rel_matrix(data, term.rel))
     if isinstance(term, tm.Compose):
+        if term.perm is not None:
+            return _Perm(data.dim, list(term.perm))
         return _build_chain(data, term, t_value)
     if isinstance(term, tm.Tensor):
         return _build_tensor(data, term, t_value)
@@ -391,12 +431,13 @@ def _build(data: FrobeniusData, term: Term, t_value):
 
 
 def _build_chain(data: FrobeniusData, term: Term, t_value):
-    """A composition chain as one node over its compiled factors (``_fold``)."""
+    """A composition chain as one node over its compiled factors (``_fold``);
+    a ``perm_term`` chain inside it is one factor, compiled as one ``_Perm``."""
     factors = []  # in the order they apply
     stack = [term]
     while stack:
         sub = stack.pop()
-        if isinstance(sub, tm.Compose):
+        if isinstance(sub, tm.Compose) and sub.perm is None:
             stack += (sub.left, sub.right)
         else:
             factors.append(sub)
@@ -409,8 +450,9 @@ def _build_mu(data: FrobeniusData, mat, t_value):
     The split, transpose and add nodes are the compiled frame of the shape
     (``tm._mu_frame``), shared by every literal of that shape; between them
     one ``_Kron`` scales by the mu(a_ij) atoms in row-major order, as
-    ``tm.mu_matrix_term`` lays them out.  A shape with no rows or no columns
-    has no frame and compiles its expansion.
+    ``tm.mu_matrix_term`` lays them out, and the transpose folds into it
+    (``_fold``), so the chain is split, scale and add.  A shape with no rows
+    or no columns has no frame and compiles its expansion.
     """
     if not (mat.rows and mat.cols):
         return _build(data, tm.mu_matrix_term(mat), t_value)
@@ -425,23 +467,28 @@ def _build_mu(data: FrobeniusData, mat, t_value):
 def _fold(dim: int, nodes):
     """One node for compiled factors that apply in the order given.
 
-    Identity factors drop out, and each run of adjacent ``_Perm`` factors
-    becomes one ``_Perm``, built from the run's composite held as a list:
-    a run of one keeps its node, and a run that composes to the identity
-    leaves no node.
+    Identity factors drop out.  Adjacent ``_Perm`` factors compose into one
+    ``_Perm``, or into no node when they compose to the identity, and a lone
+    one keeps its node.  A ``_Perm`` followed by a ``_Kron`` whose factors
+    each take at most one strand folds into that node's weights
+    (``_Kron.after``), so a matrix literal's transpose leaves no node.
     """
     out = []
-    real = (node for node in nodes if node is not _ID)
-    for perms, run in groupby(real, lambda node: type(node) is _Perm):
-        run = list(run)
-        if not perms or len(run) == 1:
-            out += run
+    for node in nodes:
+        if node is _ID:
             continue
-        p = run[0].p
-        for node in run[1:]:
-            p = [node.p[j] for j in p]
-        if p != list(range(len(p))):
-            out.append(_Perm(dim, p))
+        last = out[-1] if out else None
+        if type(last) is _Perm and type(node) is _Perm:
+            out.pop()
+            p = [node.p[j] for j in last.p]
+            if p != list(range(len(p))):
+                out.append(_Perm(dim, p))
+        elif type(last) is _Perm and type(node) is _Kron and all(
+            dom <= dim for _, _, _, dom, _ in node.factors
+        ):
+            out[-1] = node.after(last)
+        else:
+            out.append(node)
     if not out:
         return _ID
     return out[0] if len(out) == 1 else _Chain(out)

@@ -9,12 +9,14 @@ through the structure checker ``check_axioms``, the lemma pairs here.  A
 pair that fails on the structure names its first differing cell
 (``frobenius.first_difference``).  The axiom, lemma and relinfty suites
 charge what they will evaluate (``frobenius.check_steps``) before they
-build their standard target, which charges its own maps: the axiom and
-lemma suites each pair's sides as the pair is handed out, relinfty each
-draw's realizations.  The randomized suites charge their trials at a
-measured per-trial cost, in us, to the same work budget (``errors.charge``)
-before their first draw.  The functor and stability suites compare the
-formal category against its specializations; a check of theirs that ran
+build their standard target, in one running sum that counts the target's
+own steps (``frobenius.target_steps``) before the first pair or draw and
+that the target is built on: the axiom and lemma suites add each pair's
+sides as the pair is handed out, relinfty each draw's realizations.  The
+randomized suites charge their trials at a measured per-trial cost, in
+us, to the same work budget (``errors.charge``) before their first draw.
+The functor and stability suites compare the formal category against its
+specializations; a check of theirs that ran
 fewer trials than asked, because the draws whose f_R pass ``HOM_CELLS``
 were skipped (``_arity_limit``), is refused as well (``_check_ran``) rather than
 reported.
@@ -233,16 +235,17 @@ def run_term_pairs(field: Fq, pairs, data: FrobeniusData | None):
     return out
 
 
-def _charged(pairs, dim: int, source: str, spent: int = 0) -> list:
-    """The pairs as a list, each pair's sides charged at D = dim as it
-    arrives (``frobenius.check_steps``), so a refusal builds no later pair."""
+def _charged(pairs, dim: int, source: str, spent: int):
+    """The pairs as a list and the running sum, each pair's sides charged at
+    D = dim as it arrives (``frobenius.check_steps``), so a refusal builds no
+    later pair."""
     from .frobenius import check_steps
 
     out = []
     for pair in pairs:
         spent = check_steps(dim, pair[1:], source, spent)
         out.append(pair)
-    return out
+    return out, spent
 
 
 def suite_axioms(field: Fq, n: int = 1):
@@ -254,14 +257,16 @@ def suite_axioms(field: Fq, n: int = 1):
         frobenius_axiom_terms,
         standard_target,
         target_dim,
+        target_steps,
         term_eval,
     )
 
     dim = target_dim(field, n)
+    target = target_steps(field, n)
     dim_term = tm.t_compose(tm.atom("eps*"), tm.atom("eps"))
-    spent = check_steps(dim, [dim_term], "axioms")
-    pairs = _charged(frobenius_axiom_terms(field), dim, "axioms", spent)
-    data = standard_target(field, n)
+    spent = check_steps(dim, [dim_term], "axioms", target)
+    pairs, spent = _charged(frobenius_axiom_terms(field), dim, "axioms", spent)
+    data = standard_target(field, n, spent - target)
     out = run_term_pairs(field, pairs, None)
     for name, cell in check_axioms(data, pairs):
         out.append(SuiteResult(f"standard target {name}", cell is None,
@@ -276,10 +281,13 @@ def suite_axioms(field: Fq, n: int = 1):
 
 
 def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
-    from .frobenius import standard_target, target_dim
+    from .frobenius import check_steps, standard_target, target_dim, target_steps
 
-    pairs = _charged(mu_lemma_terms(field, seed), target_dim(field, n), "lemmas")
-    return run_term_pairs(field, pairs, standard_target(field, n))
+    dim = target_dim(field, n)
+    target = target_steps(field, n)
+    spent = check_steps(dim, (), "lemmas", target)
+    pairs, spent = _charged(mu_lemma_terms(field, seed), dim, "lemmas", spent)
+    return run_term_pairs(field, pairs, standard_target(field, n, spent - target))
 
 
 # Each per-trial cost below, in us, that a randomized suite charges to the
@@ -439,12 +447,12 @@ def suite_knop(field: Fq, trials: int, seed: int, max_arity: int = 3):
 def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3):
     """Closure, zero defect, concrete realization, and rank stability; every
     trial is drawn before any is realized.  The trials' own work, in steps of
-    about 1 us, is charged before the first draw, as knop and functor charge
-    theirs, and the realizations' steps at D = q are added to it as the
-    trials are drawn, so a refusal comes as soon as it is due and before the
-    standard target is built."""
+    about 1 us, and then the standard target's steps are charged before the
+    first draw, as knop and functor charge theirs, and the realizations'
+    steps at D = q are added to that sum as the trials are drawn, so a
+    refusal comes as soon as it is due and before the target is built."""
     from .concrete import rel_infty_stability
-    from .frobenius import check_steps, hat_f, hat_f_term, standard_target
+    from .frobenius import check_steps, hat_f, hat_f_term, standard_target, target_steps
 
     rng = random.Random(seed)
     closure, realization, stability = _Tally(seed), _Tally(seed), _Tally(seed)
@@ -453,6 +461,8 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
     # the trials' own work, then their realizations' hat_f evaluation steps
     us = _relinfty_trial_us(field, max_arity)
     steps = charge(trials * us, "relinfty", f"{trials} trials of about {us} us each")
+    target = target_steps(field, 1)
+    steps = check_steps(field.q, (), "relinfty", steps + target)
     for _ in range(trials):
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
         r1 = random_rel_infty(rng, field, s_, k_)
@@ -467,7 +477,7 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
             new = [hat_f_term(rel) for rel in dict.fromkeys(trial) if rel not in realized]
             realized.update(trial)
             steps = check_steps(field.q, new, "relinfty realizations", steps)
-    data = standard_target(field, 1)
+    data = standard_target(field, 1, steps - target)
     for r1, r2, sr, t2, r1t2 in closed_trials:
         comp_ok = hat_f(data, r2) @ hat_f(data, r1) == hat_f(data, sr)
         ten_ok = hat_f(data, r1).kron(hat_f(data, t2)) == hat_f(data, r1t2)

@@ -8,7 +8,9 @@ decomposition of a basis arrow into the generator alphabet
 (``decompose_generators``) and the structural term builders it composes:
 iterated comultiplication and addition, strand permutations assembled
 from adjacent swaps, the matrix-action expansion, and the strandwise
-pairing caps/cups.
+pairing caps/cups.  A permutation's swap chain carries the permutation
+(``Compose.perm``), so the evaluators can take it whole rather than swap
+by swap; it still equals, hashes and prints like the chain.
 
 Terms are immutable.  The builders whose result depends only on small
 integers (``atom``, ``adjacent_swap_term``, ``perm_term``, the iterated
@@ -127,9 +129,14 @@ class IdK(Term):
 
 
 class Compose(Term):
-    """left ∘ right: the right factor is applied first."""
+    """left ∘ right: the right factor is applied first.
 
-    __slots__ = ("left", "right")
+    .perm is None, except on the chain ``perm_term`` builds, where it is the
+    permutation the chain composes to; it is not part of the key, so that
+    chain equals, hashes and prints like any other copy of it.
+    """
+
+    __slots__ = ("left", "right", "perm")
 
     def __init__(self, left: Term, right: Term):
         if right.cod != left.dom:
@@ -139,6 +146,7 @@ class Compose(Term):
             )
         self.left = left
         self.right = right
+        self.perm = None
         self.dom, self.cod = right.dom, left.cod
         self.units = left.units + right.units
         self.width = max(left.width, right.width)
@@ -299,7 +307,8 @@ def adjacent_swap_term(i: int, k: int) -> Term:
 
 
 def perm_term(p) -> Term:
-    """A sigma-composite sending input strand j to output strand p[j]."""
+    """A sigma-composite sending input strand j to output strand p[j]; a
+    chain of two or more swaps carries p (``Compose.perm``)."""
     return _perm_term(tuple(p))
 
 
@@ -319,6 +328,8 @@ def _perm_term(p: tuple) -> Term:
     term = t_id(k)
     for i in swaps:
         term = t_compose(adjacent_swap_term(i, k), term)
+    if isinstance(term, Compose):
+        term.perm = p
     return term
 
 

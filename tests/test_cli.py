@@ -353,9 +353,9 @@ def test_pair_suites_charge_before_they_build(capsys, monkeypatch):
     events = []
     real_target, real_axioms = frobenius.standard_target, frobenius.frobenius_axiom_terms
 
-    def target(field, n):
+    def target(field, n, spent=0):
         events.append("target")
-        return real_target(field, n)
+        return real_target(field, n, spent)
 
     def axioms(field):
         for pair in real_axioms(field):
@@ -367,13 +367,28 @@ def test_pair_suites_charge_before_they_build(capsys, monkeypatch):
     assert_guard_error(capsys, "verify", "lemmas", "--q", "2^3")
     assert_guard_error(capsys, "verify", "relinfty", "--q", "2", "--trials", "14000")
     assert events == []
-    # eps* . eps alone, D steps, refuses D = 101^8 before the first pair
-    for q, built in (("4093", ["pair"]), ("101^8", [])):
+    # the first pair's 6D^3 steps refuse D = 101; the target's 5D^2 + 4D + 1
+    # refuse D = 4093 and D = 101^8 before it
+    for q, built in (("101", ["pair"]), ("4093", []), ("101^8", [])):
         err = assert_guard_error(capsys, "verify", "axioms", "--q", q)
         assert err.startswith("error: axioms: evaluation steps at D = ") and events == built
         events.clear()
     code, _, _ = run_cli(capsys, "verify", "axioms", "--q", "2")
     assert code == 0 and events == ["pair"] * 42 + ["target"]
+
+
+def test_one_sum_counts_the_trials_and_the_target(capsys, monkeypatch):
+    # 28000 trials of 146 us and the D = 911 target's 4,153,250 steps each
+    # fit the budget alone; their sum is refused before the first draw
+    drawn = []
+    monkeypatch.setattr(suites, "random_rel_infty", lambda *args: drawn.append(args))
+    argv = ["--q", "911", "--max-arity", "0"]
+    for trials in ("28000", "1000"):
+        err = assert_guard_error(capsys, "verify", "relinfty", *argv, "--trials", trials)
+        assert err == f"error: relinfty: evaluation steps at D = 911, {BUDGET}\n", err
+    err = assert_guard_error(capsys, "verify", "relinfty", "--q", "919", *argv[2:], "--trials", "1")
+    assert err == f"error: relinfty: evaluation steps at D = 919, {BUDGET}\n", err
+    assert drawn == []
 
 
 def test_standard_target_guard_counts_cells_and_pairs(capsys):
@@ -595,9 +610,9 @@ def test_lemma_failures_name_a_cell(capsys, monkeypatch):
     argv = ["verify", "lemmas", "--q", "2", "--seed", "7"]
     _, clean, _ = run_cli(capsys, *argv)
 
-    def corrupted(field, n):
+    def corrupted(field, n, spent=0):
         # the zero scaling acts as the identity
-        data = standard_target(field, n)
+        data = standard_target(field, n, spent)
         return FrobeniusData(field, data.dim, {**data.maps, Gen("mu", 0): data.maps[Gen("mu", 1)]})
 
     monkeypatch.setattr(frobenius, "standard_target", corrupted)

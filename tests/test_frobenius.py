@@ -2,6 +2,7 @@
 generator-level realization of codomain-surjective relations."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -28,6 +29,7 @@ from relcat.frobenius import (
     hat_f,
     rel_matrix,
     standard_target,
+    target_steps,
     term_eval,
     term_steps,
 )
@@ -112,6 +114,18 @@ def test_guards_count_pairs_and_cells(monkeypatch):
     for field, n in ((Fq(919), 1), (F2, 11)):
         with pytest.raises(TooLarge, match=r"^standard target: evaluation steps at D = "):
             standard_target(field, n)
+
+
+def test_target_charge_adds_to_the_running_sum():
+    for field, n in ((F2, 1), (F3, 1), (F4, 1), (F2, 3), (Fq(5), 2), (Fq(911), 1)):
+        dim = field.q**n
+        # 4D^2 + 4D + 1 for the stored maps but mu(a), and D for each of the q maps mu(a)
+        assert target_steps(field, n) == 4 * dim**2 + (4 + field.q) * dim + 1
+    assert target_steps(Fq(911), 1) == 4_153_250
+    # a running sum passed in is charged with the target's 29 steps at D = 2
+    assert standard_target(F2, 1, WORK_BUDGET - 29).dim == 2
+    with pytest.raises(TooLarge, match=r"^standard target: evaluation steps at D = 2, "):
+        standard_target(F2, 1, WORK_BUDGET - 28)
 
 
 @pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F4, 1), (F2, 2)])
@@ -617,7 +631,7 @@ def compiled_nodes(node):
         if isinstance(node, _Chain):
             stack += [node.first, *node.rest]
         elif isinstance(node, _Kron):
-            stack += [sub for _, sub, _, _ in node.factors]
+            stack += [factor[1] for factor in node.factors]
         elif isinstance(node, frobenius._Whisker):
             stack.append(node.node)
         elif isinstance(node, frobenius._LinComb):
@@ -820,6 +834,115 @@ def test_deep_permutation_run_evaluates():
         outer, tm.perm_term(run_perm(after)), middle, tm.perm_term(run_perm(before)), outer
     )
     assert term_eval(data, chain) == dense(data, shallow, None)
+
+
+# -- perm_term's permutation, and transposes folded into scalings --------------
+
+
+def rebuilt(term):
+    """The same term built again by the parser: equal, but carrying no permutation."""
+    out = parse(tm.to_text(term), F2)
+    assert out == term and hash(out) == hash(term) and tm.to_text(out) == tm.to_text(term)
+    assert not isinstance(out, tm.Compose) or out.perm is None
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_perm_terms_evaluate_as_their_permutation(field):
+    # the swap chain that perm_term builds is the permutation arrow, formally
+    # and on the standard target; the same chain rebuilt without its
+    # permutation goes through star and _fold, on a structure of its own
+    from relcat import category as cat
+    from relcat.dsl import eval_formal
+
+    with_p, without_p = standard_target(field, 1), standard_target(field, 1)
+    carried = 0
+    for k in range(2, 6):
+        for p in itertools.permutations(range(k)):
+            term = tm.perm_term(p)
+            carried += isinstance(term, tm.Compose) and term.perm == p
+            chain = rebuilt(term)
+            formal = eval_formal(term, field)
+            assert formal == cat.permutation(field, p) == eval_formal(chain, field), p
+            if k < 5 or field.q < 4 or sum(p[:2]) < 2:
+                # D^5 = 1024 columns at q = 4: a sample of those keeps the test fast
+                assert term_eval(with_p, term) == term_eval(without_p, chain), p
+    # every permutation of two or more swaps carries p: all but the identity
+    # and the k - 1 adjacent swaps
+    assert carried == sum(math.factorial(k) - k for k in range(2, 6))
+
+
+def test_perm_term_compiles_to_one_perm_and_no_swap():
+    p = tm.grid_transpose_perm(5, 5)
+    term = tm.perm_term(p)
+    data = standard_target(F2, 1)
+    node = _compile(data, term, None)
+    cache = data._compiled[None]
+    assert isinstance(node, _Perm) and node.p == p and list(cache.values()) == [node]
+    assert not any(tm.adjacent_swap_term(i, 25) in cache for i in range(24))
+    # the rebuilt chain compiles every swap it uses, and folds them to the same _Perm
+    other = standard_target(F2, 1)
+    assert _compile(other, rebuilt(term), None).p == p
+    assert any(tm.adjacent_swap_term(i, 25) in other._compiled[None] for i in range(24))
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_mu_literal_compiles_to_split_scale_add(rows, cols):
+    rng = random.Random(10 * rows + cols)
+    data = standard_target(F3, 1)
+    mat = MatFq(F3, rows, cols, [rng.randrange(3) for _ in range(rows * cols)])
+    node = _compile(data, tm.MuLit(mat), None)
+    assert isinstance(node, _Chain) and len(node.rest) == 2
+    assert not any(isinstance(sub, _Perm) for sub in (node.first, *node.rest))
+    # the scaling reads its input digits in the transposed order
+    scale = node.rest[0]
+    assert isinstance(scale, _Kron) and len(scale.factors) == rows * cols
+    assert [weight for _, _, weight, _, _ in scale.factors] == [
+        3 ** (j * rows + i) for i in range(rows) for j in range(cols)
+    ]
+
+
+def folded_terms(rng, field, shapes):
+    """Matrix literals of the given shapes, and tensors of scalings after a permutation."""
+    g = tm.Gen
+
+    def mu():
+        return g("mu", rng.randrange(field.q))
+
+    out = []
+    for rows, cols in shapes:
+        entries = [rng.randrange(field.q) for _ in range(rows * cols)]
+        out.append(tm.MuLit(MatFq(field, rows, cols, entries)))
+    out.append(tm.t_compose(tm.t_tensor(mu(), mu()), g("sigma")))
+    out.append(tm.t_compose(g("plus"), tm.t_tensor(mu(), mu()), g("sigma"), g("m*")))
+    # a factor that takes no strand, and a permutation of three strands
+    out.append(tm.t_compose(tm.t_tensor(mu(), g("z"), mu(), mu()), tm.perm_term([2, 0, 1])))
+    # a factor of two strands: the permutation stays a node of its own
+    out.append(tm.t_compose(tm.t_tensor(g("m"), mu()), tm.perm_term([1, 2, 0])))
+    # a run of permutations before the scalings
+    out.append(tm.t_compose(tm.t_tensor(mu(), mu(), mu()), tm.adjacent_swap_term(0, 3),
+                            tm.perm_term([2, 0, 1])))
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_folded_scalings_match_dense_reference(field):
+    rng = random.Random(50 + field.q)
+    data = standard_target(field, 1)
+    # the dense reference of a literal forms D^(rows cols) square matrices
+    shapes = [(1, 2), (2, 1), (2, 2)] + [(2, 3), (3, 2)] * (field.q < 4)
+    for term in folded_terms(rng, field, shapes):
+        assert term_eval(data, term) == dense(data, term, None), term
+
+
+@pytest.mark.parametrize("field,dim", [(F2, 3), (F3, 2)])
+def test_folded_scalings_match_dense_reference_on_scrambled_maps(field, dim):
+    rng = random.Random(20 + field.q)
+    data = scrambled(rng, field, dim)
+    # several entries in a scaling's column: the folded _Kron takes its wide path
+    assert any(len(col) > 1 for a in field.elements() for col in data.maps[G("mu", a)].columns())
+    for term in folded_terms(rng, field, [(1, 2), (2, 1), (2, 2)]):
+        assert term_eval(data, term) == dense(data, term, None), term
 
 
 # -- shared builder instances -------------------------------------------------
