@@ -49,11 +49,12 @@ result without being kept.
 (``errors.charge``): ``term_steps`` is D^(dom + unit uses) columns through
 the widest layer, both read off the term, which carries its cost as it
 carries its arity.  It is the layer's one guard: ``standard_target`` calls
-it before it builds a map, on the running sum a suite passes in, with D
-capped (``target_dim``) so that no q^n is formed and no loop over F_q runs
-first, and hat_f, the unit path of ``rel_matrix`` and the axiom, lemma and
-relinfty suites before they evaluate; those suites count the target's
-steps (``target_steps``) in their sum before their first pair or draw.
+it before it builds a map, with D capped (``target_dim``) so that no q^n
+is formed and no loop over F_q runs first, and hat_f, the unit path of
+``rel_matrix`` and the axiom, lemma and relinfty suites before they
+evaluate; those suites count the target's steps (``target_steps``) in
+their running sum before their first pair or draw, so one command charges
+the target and its pairs or draws to one budget.
 """
 
 from __future__ import annotations
@@ -160,17 +161,12 @@ def target_steps(field: Fq, n: int) -> int:
     return sum(term_steps(dim, atom) for atom in stored) + field.q * term_steps(dim, g("mu", 1))
 
 
-def standard_target(field: Fq, n: int, spent: int = 0) -> FrobeniusData:
-    """The structure on the free vector space over F_q^n basis tuples.
-
-    spent plus the steps of its stored maps (``target_steps``) are charged
-    before any is built, as ``check_steps`` charges spent plus its terms'; a
-    suite that has counted the target in its running sum passes that sum
-    less the target's steps, so one command charges the target once.
-    """
+def standard_target(field: Fq, n: int) -> FrobeniusData:
+    """The structure on the free vector space over F_q^n basis tuples; the steps
+    of its stored maps (``target_steps``) are charged before any is built."""
     q, g = field.q, tm.atom
     dim = target_dim(field, n)
-    check_steps(dim, (), "standard target", spent + target_steps(field, n))
+    check_steps(dim, (), "standard target", target_steps(field, n))
 
     def vec_add(a: int, b: int) -> int:
         da = [(a // q**i) % q for i in range(n)]

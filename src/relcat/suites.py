@@ -10,11 +10,11 @@ pair that fails on the structure names its first differing cell
 (``frobenius.first_difference``).  The axiom, lemma and relinfty suites
 charge what they will evaluate (``frobenius.check_steps``) before they
 build their standard target, in one running sum that counts the target's
-own steps (``frobenius.target_steps``) before the first pair or draw and
-that the target is built on: the axiom and lemma suites add each pair's
-sides as the pair is handed out, relinfty each draw's realizations.  The
-randomized suites charge their trials at a measured per-trial cost, in
-us, to the same work budget (``errors.charge``) before their first draw.
+own steps (``frobenius.target_steps``) before the first pair or draw: the
+axiom and lemma suites add each pair's sides as the pair is handed out,
+relinfty each draw's realizations.  The randomized suites charge their
+trials at a measured per-trial cost, in us, to the same work budget
+(``errors.charge``) before their first draw.
 The functor and stability suites compare the formal category against its
 specializations; a check of theirs that ran
 fewer trials than asked, because the draws whose f_R pass ``HOM_CELLS``
@@ -235,17 +235,17 @@ def run_term_pairs(field: Fq, pairs, data: FrobeniusData | None):
     return out
 
 
-def _charged(pairs, dim: int, source: str, spent: int):
-    """The pairs as a list and the running sum, each pair's sides charged at
-    D = dim as it arrives (``frobenius.check_steps``), so a refusal builds no
-    later pair."""
+def _charged(pairs, dim: int, source: str, spent: int) -> list:
+    """The pairs as a list, each pair's sides added at D = dim to the running
+    sum spent as it arrives (``frobenius.check_steps``), so a refusal builds
+    no later pair."""
     from .frobenius import check_steps
 
     out = []
     for pair in pairs:
         spent = check_steps(dim, pair[1:], source, spent)
         out.append(pair)
-    return out, spent
+    return out
 
 
 def suite_axioms(field: Fq, n: int = 1):
@@ -262,11 +262,10 @@ def suite_axioms(field: Fq, n: int = 1):
     )
 
     dim = target_dim(field, n)
-    target = target_steps(field, n)
     dim_term = tm.t_compose(tm.atom("eps*"), tm.atom("eps"))
-    spent = check_steps(dim, [dim_term], "axioms", target)
-    pairs, spent = _charged(frobenius_axiom_terms(field), dim, "axioms", spent)
-    data = standard_target(field, n, spent - target)
+    spent = check_steps(dim, [dim_term], "axioms", target_steps(field, n))
+    pairs = _charged(frobenius_axiom_terms(field), dim, "axioms", spent)
+    data = standard_target(field, n)
     out = run_term_pairs(field, pairs, None)
     for name, cell in check_axioms(data, pairs):
         out.append(SuiteResult(f"standard target {name}", cell is None,
@@ -284,10 +283,9 @@ def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
     from .frobenius import check_steps, standard_target, target_dim, target_steps
 
     dim = target_dim(field, n)
-    target = target_steps(field, n)
-    spent = check_steps(dim, (), "lemmas", target)
-    pairs, spent = _charged(mu_lemma_terms(field, seed), dim, "lemmas", spent)
-    return run_term_pairs(field, pairs, standard_target(field, n, spent - target))
+    spent = check_steps(dim, (), "lemmas", target_steps(field, n))
+    pairs = _charged(mu_lemma_terms(field, seed), dim, "lemmas", spent)
+    return run_term_pairs(field, pairs, standard_target(field, n))
 
 
 # Each per-trial cost below, in us, that a randomized suite charges to the
@@ -461,8 +459,7 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
     # the trials' own work, then their realizations' hat_f evaluation steps
     us = _relinfty_trial_us(field, max_arity)
     steps = charge(trials * us, "relinfty", f"{trials} trials of about {us} us each")
-    target = target_steps(field, 1)
-    steps = check_steps(field.q, (), "relinfty", steps + target)
+    steps = check_steps(field.q, (), "relinfty", steps + target_steps(field, 1))
     for _ in range(trials):
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
         r1 = random_rel_infty(rng, field, s_, k_)
@@ -477,7 +474,7 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
             new = [hat_f_term(rel) for rel in dict.fromkeys(trial) if rel not in realized]
             realized.update(trial)
             steps = check_steps(field.q, new, "relinfty realizations", steps)
-    data = standard_target(field, 1, steps - target)
+    data = standard_target(field, 1)
     for r1, r2, sr, t2, r1t2 in closed_trials:
         comp_ok = hat_f(data, r2) @ hat_f(data, r1) == hat_f(data, sr)
         ten_ok = hat_f(data, r1).kron(hat_f(data, t2)) == hat_f(data, r1t2)

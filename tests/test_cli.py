@@ -353,9 +353,9 @@ def test_pair_suites_charge_before_they_build(capsys, monkeypatch):
     events = []
     real_target, real_axioms = frobenius.standard_target, frobenius.frobenius_axiom_terms
 
-    def target(field, n, spent=0):
+    def target(field, n):
         events.append("target")
-        return real_target(field, n, spent)
+        return real_target(field, n)
 
     def axioms(field):
         for pair in real_axioms(field):
@@ -610,9 +610,9 @@ def test_lemma_failures_name_a_cell(capsys, monkeypatch):
     argv = ["verify", "lemmas", "--q", "2", "--seed", "7"]
     _, clean, _ = run_cli(capsys, *argv)
 
-    def corrupted(field, n, spent=0):
+    def corrupted(field, n):
         # the zero scaling acts as the identity
-        data = standard_target(field, n, spent)
+        data = standard_target(field, n)
         return FrobeniusData(field, data.dim, {**data.maps, Gen("mu", 0): data.maps[Gen("mu", 1)]})
 
     monkeypatch.setattr(frobenius, "standard_target", corrupted)
