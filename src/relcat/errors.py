@@ -32,8 +32,7 @@ class TooLarge(RelcatError):
 
 # Steps of about 1 us a command may charge, so a few seconds: hat_f, the unit
 # path and the lemma suite ran at 0.5-2.7 us an evaluation step, most near
-# 1 us, the standard target at D = 911 (4,153,250 steps) built in 3.3 s, at
-# 0.79 us a step, and trials are priced in us (2-vCPU x86-64 VM, Python 3.11).
+# 1 us, and trials are priced in us (2-vCPU x86-64 VM, Python 3.11).
 WORK_BUDGET = 2**22
 
 

@@ -1,9 +1,10 @@
 """Structure checker for concrete field-linear (semi-)Frobenius spaces.
 
-A candidate structure is one dict of exact rational matrices keyed by
-generator atom: merge m, split m*, counit eps*, vector addition plus, zero
-vector z, one scaling map mu(a) per field element, and optionally the unit
-eps.  The axioms are one sequence of generator term pairs
+A candidate structure has one exact rational map per generator atom: merge
+m, split m*, counit eps*, vector addition plus, zero vector z, one scaling
+map mu(a) per field element, and optionally the unit eps, each read column
+by column, from a checked matrix or, on the standard target, from field
+arithmetic on the basis index.  The axioms are one sequence of generator term pairs
 (``frobenius_axiom_terms``, handed out one at a time), checked formally by
 the suites and on a structure by ``check_axioms``, which takes those pairs,
 evaluates both sides of each and names the first cell where they differ
@@ -15,7 +16,8 @@ Every map formed on a structure comes from one evaluator, ``term_eval``.
 Tensor powers are interpreted by the library's Kronecker indexing (first
 factor least significant).  A term is evaluated in two tiers.  It is
 compiled once per structure into a tree of nodes cached on the structure
-by term: stored maps hold their columns, ev, coev and z* compile their
+by term: a stored map is a ``_Stored`` node that computes each column the
+first time it is read and keeps it, ev, coev and z* compile their
 definitions (``terms.DEFINED``), and other composites hold their compiled
 children, so subterms shared between terms are compiled once; the term
 builders hand out shared instances, so the cache mostly hits on identity.
@@ -34,13 +36,13 @@ scalings between the compiled split and add nodes of its shape's frame
 (``terms._mu_frame``), which every literal of that shape shares; the
 frame's transpose folds into that ``_Kron``.  Any other tensor chain is
 one node too: a whisker over its one factor that is not an identity, else
-one flat ``_Kron`` over all its factors; both read a stored map's columns
-straight from its list.  Each call then asks the root for basis columns,
-so wide intermediate tensor powers never materialize as full matrices.  Chain and
-combination nodes keep each column they compute for the structure's
-life, so a subterm that terms share (the sides of a pair, the pairs of a
-suite, ``hat_f`` realizations) computes each column once per structure
-and t value; ``_Kron`` keeps none, as its columns are products of its
+one flat ``_Kron`` over all its factors; both subscript a stored map's
+node directly.  Each call then asks the root for basis columns, so wide
+intermediate tensor powers never materialize as full matrices.  Chain and
+combination nodes, like stored maps, keep each column they compute for
+the structure's life, so a subterm that terms share (the sides of a pair,
+the pairs of a suite, ``hat_f`` realizations) computes each column once
+per structure and t value; ``_Kron`` keeps none, as its columns are products of its
 factors' stored or kept ones, and the root's columns stream into the
 result without being kept.
 ``hat_f`` evaluates the one term of a relation's normal form
@@ -48,13 +50,12 @@ result without being kept.
 ``check_steps`` charges terms' evaluation steps to the one work budget
 (``errors.charge``): ``term_steps`` is D^(dom + unit uses) columns through
 the widest layer, both read off the term, which carries its cost as it
-carries its arity.  It is the layer's one guard: ``standard_target`` calls
-it before it builds a map, with D capped (``target_dim``) so that no q^n
-is formed and no loop over F_q runs first, and hat_f, the unit path of
-``rel_matrix`` and the axiom, lemma and relinfty suites before they
-evaluate; those suites count the target's steps (``target_steps``) in
-their running sum before their first pair or draw, so one command charges
-the target and its pairs or draws to one budget.
+carries its arity.  It is the layer's one guard: hat_f, the unit path of
+``rel_matrix`` and the axiom, lemma and relinfty suites call it before
+they evaluate, at a D capped by ``target_dim`` so that no q^n is formed.
+Building ``standard_target`` costs nothing in q or D, so it charges
+nothing: its maps are functions of the basis index that run only when a
+term reads them.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .errors import (
     NotRelInfty,
     RequiresEvaluation,
     ShapeMismatch,
+    TooLarge,
     charge,
 )
 from .field import Fq, capped_power
@@ -98,37 +100,44 @@ def check_steps(dim: int, terms, source: str, spent: int = 0) -> int:
 class FrobeniusData:
     """Concrete structure maps on a D-dimensional space.
 
-    ``maps`` holds one D^cod x D^dom matrix per generator atom (``Gen``):
-    m, m*, eps*, plus, z, every mu(a) and, when the structure has a unit, eps.
-    The maps are fixed once built: compiled terms and ``hat_f`` results are
-    cached on the structure, so a cached value never goes stale.
+    Each stored atom (``Gen``), m, m*, eps*, plus, z, every mu(a) and, when
+    the structure has a unit, eps, is a D^cod x D^dom map read column by
+    column: ``column(atom)`` sends a basis index to its column, a {row: value}
+    dict.  The constructor checks one QMat per atom and reads its column
+    list; ``_trusted`` takes the function unchecked.  The maps are fixed once
+    built: compiled terms and ``hat_f`` results are cached on the structure,
+    so a cached value never goes stale.
     """
 
-    __slots__ = ("field", "dim", "maps", "_compiled", "_realized")
+    __slots__ = ("field", "dim", "has_unit", "column", "_compiled", "_realized")
 
     def __init__(self, field: Fq, dim: int, maps):
-        self.field = field
-        self.dim = dim
-        self.maps = dict(maps)
-        # t_value -> term -> compiled node (see _compile)
-        self._compiled: dict = {}
-        # relation -> its hat_f matrix
-        self._realized: dict = {}
+        maps = dict(maps)
         required = [tm.atom(name) for name in ("m", "m*", "eps*", "plus", "z")]
         required += [tm.atom("mu", a) for a in field.elements()]
         for atom in required:
-            if atom not in self.maps:
+            if atom not in maps:
                 raise ShapeMismatch(f"the structure has no map for {atom}")
-        for atom, mat in self.maps.items():
+        for atom, mat in maps.items():
             if atom not in required and atom != UNIT:
                 raise ShapeMismatch(f"{atom} is not a stored map")
             rows, cols = dim**atom.cod, dim**atom.dom
             if (mat.rows, mat.cols) != (rows, cols):
                 raise ShapeMismatch(f"{atom} must be {rows}x{cols}, got {mat.rows}x{mat.cols}")
+        columns = {atom: mat.columns() for atom, mat in maps.items()}
+        self._start(field, dim, UNIT in maps, lambda atom: columns[atom].__getitem__)
 
-    @property
-    def has_unit(self) -> bool:
-        return UNIT in self.maps
+    @classmethod
+    def _trusted(cls, field: Fq, dim: int, column) -> FrobeniusData:
+        """A structure with a unit, its atoms' column functions made by ``column``."""
+        self = cls.__new__(cls)
+        self._start(field, dim, True, column)
+        return self
+
+    def _start(self, field: Fq, dim: int, has_unit: bool, column) -> None:
+        self.field, self.dim, self.has_unit, self.column = field, dim, has_unit, column
+        self._compiled: dict = {}  # t_value -> term -> compiled node (see _compile)
+        self._realized: dict = {}  # relation -> its hat_f matrix
 
 
 class _Power(int):
@@ -151,65 +160,61 @@ def target_dim(field: Fq, n: int) -> int:
     return dim if n == 1 or dim <= WORK_BUDGET else _Power(dim, f"{field.q}^{n}")
 
 
-def target_steps(field: Fq, n: int) -> int:
-    """The steps of the standard target's stored maps, 5D^2 + 4D + 1 at n = 1,
-    counted without building it: the q maps mu(a) of D steps each, with no
-    loop over F_q."""
-    g = tm.atom
-    dim = target_dim(field, n)
-    stored = [g("m"), g("m*"), g("eps*"), UNIT, g("plus"), g("z")]
-    return sum(term_steps(dim, atom) for atom in stored) + field.q * term_steps(dim, g("mu", 1))
-
-
 def standard_target(field: Fq, n: int) -> FrobeniusData:
-    """The structure on the free vector space over F_q^n basis tuples; the steps
-    of its stored maps (``target_steps``) are charged before any is built."""
-    q, g = field.q, tm.atom
+    """The structure on the free vector space over F_q^n, e_v for the tuple of
+    base-q digits of v.  It stores no map: an atom's column is a function of
+    the basis index, made on the atom's first lookup, so the build costs
+    nothing in q or D.  At n > 1 a D past the work budget is refused
+    (``target_dim``), as q^n is not formed past it."""
     dim = target_dim(field, n)
-    check_steps(dim, (), "standard target", target_steps(field, n))
+    if type(dim) is _Power:
+        raise TooLarge(f"standard target: D = {dim}, more than the work budget of {WORK_BUDGET}")
+    if n == 1:
+        add, scale = field.add, field.mul
+    else:  # digit by digit
+        q, weights = field.q, [field.q**i for i in range(n)]
 
-    def vec_add(a: int, b: int) -> int:
-        da = [(a // q**i) % q for i in range(n)]
-        db = [(b // q**i) % q for i in range(n)]
-        return sum(field.add(x, y) * q**i for i, (x, y) in enumerate(zip(da, db)))
+        def add(v: int, w: int) -> int:
+            return sum(field.add(v // u % q, w // u % q) * u for u in weights)
 
-    def vec_scale(c: int, a: int) -> int:
-        da = [(a // q**i) % q for i in range(n)]
-        return sum(field.mul(c, x) * q**i for i, x in enumerate(da))
+        def scale(a: int, v: int) -> int:
+            return sum(field.mul(a, v // u % q) * u for u in weights)
 
-    maps = {
-        g("m"): QMat(dim, dim * dim, {(v, v + dim * v): 1 for v in range(dim)}),
-        g("m*"): QMat(dim * dim, dim, {(v + dim * v, v): 1 for v in range(dim)}),
-        g("eps*"): QMat(1, dim, {(0, v): 1 for v in range(dim)}),
-        UNIT: QMat(dim, 1, {(v, 0): 1 for v in range(dim)}),
-        g("plus"): QMat(dim, dim * dim, {
-            (vec_add(v, w), v + dim * w): 1 for v in range(dim) for w in range(dim)
-        }),
-        g("z"): QMat(dim, 1, {(0, 0): 1}),
-    }
-    for a in field.elements():
-        maps[g("mu", a)] = QMat(dim, dim, {(vec_scale(a, v), v): 1 for v in range(dim)})
-    return FrobeniusData(field, dim, maps)
+    def column(atom: tm.Gen):
+        # m(e_v @ e_w) = [v = w] e_v, m*(e_v) = e_v @ e_v, eps*(e_v) = 1,
+        # eps = sum of the e_v, z = e_0, plus(e_v @ e_w) = e_(v+w), mu(a)(e_v) = e_(a v)
+        name, a = atom.name, atom.a
+        if name == "m":
+            return lambda i: {i % dim: 1} if i % dim == i // dim else {}
+        if name == "m*":
+            return lambda v: {v + dim * v: 1}
+        if name == "eps":
+            return lambda _: dict.fromkeys(range(dim), 1)
+        if name == "plus":
+            return lambda i: {add(i % dim, i // dim): 1}
+        return (lambda v: {scale(a, v): 1}) if name == "mu" else (lambda _: {0: 1})
+
+    return FrobeniusData._trusted(field, dim, column)
 
 
 # -- compiled term evaluation ---------------------------------------------
 
 
-class _Cols:
-    """A fixed matrix held as its columns: an atom or a relation literal."""
+class _Stored(dict):
+    """A stored map, an atom's or a relation literal's, as its columns by index:
+    column i is column(i), computed the first time it is read and kept.  A
+    QMat's column list is one such function, its every column known."""
 
-    __slots__ = ("cols",)
+    __slots__ = ("column",)
 
-    def __init__(self, mat: QMat):
-        self.cols = mat.columns()
+    def __init__(self, column):
+        self.column = column
 
-    def col(self, i: int) -> dict:
-        return self.cols[i]
+    def __missing__(self, i: int) -> dict:
+        out = self[i] = self.column(i)
+        return out
 
-
-def _stored(node):
-    """The column list of a stored map's node, else None."""
-    return node.cols if type(node) is _Cols else None
+    col = dict.__getitem__
 
 
 class _Id:
@@ -270,8 +275,8 @@ class _Kron:
     identity factor is held as ``_ID``.  Each factor reads its input digits
     at its own weight, by default the D^dom of the factors before it, so a
     strand permutation applied first folds into the weights (``after``).
-    It reads a stored map's columns straight from its list and keeps no
-    columns of its own.
+    It subscripts a stored map's node directly and keeps no columns of its
+    own.
     """
 
     __slots__ = ("factors",)
@@ -282,9 +287,9 @@ class _Kron:
             for _, dom, _ in factors:
                 weights.append(weight)
                 weight *= dom
-        # (stored columns or None, node, input weight, D^dom, D^cod) per factor
+        # (the node if it is a stored map, else None, node, input weight, D^dom, D^cod)
         self.factors = [
-            (_stored(node), node, weight, dom, cod)
+            (node if type(node) is _Stored else None, node, weight, dom, cod)
             for (node, dom, cod), weight in zip(factors, weights)
         ]
 
@@ -346,7 +351,7 @@ class _Whisker:
 
     def __init__(self, node, lo: int, mid: int, out: int):
         self.node = node
-        self.cols = _stored(node)
+        self.cols = node if type(node) is _Stored else None
         self.lo = lo  # D^a
         self.mid = mid  # D^dom and D^cod of the node
         self.out = out
@@ -401,13 +406,13 @@ def _build(data: FrobeniusData, term: Term, t_value):
             return _Perm(data.dim, [1, 0])
         if term == UNIT and not data.has_unit:
             raise MissingUnit("term uses eps but the structure has no unit")
-        return _Cols(data.maps[term])
+        return _Stored(data.column(term))
     if isinstance(term, tm.IdK):
         return _ID
     if isinstance(term, tm.MuLit):
         return _build_mu(data, term.mat, t_value)
     if isinstance(term, tm.RelLit):
-        return _Cols(rel_matrix(data, term.rel))
+        return _Stored(rel_matrix(data, term.rel).columns().__getitem__)
     if isinstance(term, tm.Compose):
         if term.perm is not None:
             return _Perm(data.dim, list(term.perm))

@@ -8,13 +8,12 @@ the standard target: the axiom pairs (``frobenius.frobenius_axiom_terms``)
 through the structure checker ``check_axioms``, the lemma pairs here.  A
 pair that fails on the structure names its first differing cell
 (``frobenius.first_difference``).  The axiom, lemma and relinfty suites
-charge what they will evaluate (``frobenius.check_steps``) before they
-build their standard target, in one running sum that counts the target's
-own steps (``frobenius.target_steps``) before the first pair or draw: the
-axiom and lemma suites add each pair's sides as the pair is handed out,
-relinfty each draw's realizations.  The randomized suites charge their
-trials at a measured per-trial cost, in us, to the same work budget
-(``errors.charge``) before their first draw.
+charge what they will evaluate (``frobenius.check_steps``) in one running
+sum, before they evaluate on their standard target, which costs nothing
+to build: the axiom and lemma suites add each pair's sides as the pair is
+handed out, relinfty each draw's realizations after its trial price.  The
+randomized suites charge their trials at a measured per-trial cost, in
+us, to the same work budget (``errors.charge``) before their first draw.
 The functor and stability suites compare the formal category against its
 specializations; a check of theirs that ran
 fewer trials than asked, because the draws whose f_R pass ``HOM_CELLS``
@@ -235,7 +234,7 @@ def run_term_pairs(field: Fq, pairs, data: FrobeniusData | None):
     return out
 
 
-def _charged(pairs, dim: int, source: str, spent: int) -> list:
+def _charged(pairs, dim: int, source: str, spent: int = 0) -> list:
     """The pairs as a list, each pair's sides added at D = dim to the running
     sum spent as it arrives (``frobenius.check_steps``), so a refusal builds
     no later pair."""
@@ -257,13 +256,12 @@ def suite_axioms(field: Fq, n: int = 1):
         frobenius_axiom_terms,
         standard_target,
         target_dim,
-        target_steps,
         term_eval,
     )
 
     dim = target_dim(field, n)
     dim_term = tm.t_compose(tm.atom("eps*"), tm.atom("eps"))
-    spent = check_steps(dim, [dim_term], "axioms", target_steps(field, n))
+    spent = check_steps(dim, [dim_term], "axioms")
     pairs = _charged(frobenius_axiom_terms(field), dim, "axioms", spent)
     data = standard_target(field, n)
     out = run_term_pairs(field, pairs, None)
@@ -280,11 +278,9 @@ def suite_axioms(field: Fq, n: int = 1):
 
 
 def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
-    from .frobenius import check_steps, standard_target, target_dim, target_steps
+    from .frobenius import standard_target, target_dim
 
-    dim = target_dim(field, n)
-    spent = check_steps(dim, (), "lemmas", target_steps(field, n))
-    pairs = _charged(mu_lemma_terms(field, seed), dim, "lemmas", spent)
+    pairs = _charged(mu_lemma_terms(field, seed), target_dim(field, n), "lemmas")
     return run_term_pairs(field, pairs, standard_target(field, n))
 
 
@@ -445,12 +441,12 @@ def suite_knop(field: Fq, trials: int, seed: int, max_arity: int = 3):
 def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3):
     """Closure, zero defect, concrete realization, and rank stability; every
     trial is drawn before any is realized.  The trials' own work, in steps of
-    about 1 us, and then the standard target's steps are charged before the
-    first draw, as knop and functor charge theirs, and the realizations'
-    steps at D = q are added to that sum as the trials are drawn, so a
-    refusal comes as soon as it is due and before the target is built."""
+    about 1 us, is charged before the first draw, as knop and functor charge
+    theirs, and the realizations' steps at D = q are added to that sum as
+    the trials are drawn, so a refusal comes as soon as it is due and before
+    any realization is evaluated."""
     from .concrete import rel_infty_stability
-    from .frobenius import check_steps, hat_f, hat_f_term, standard_target, target_steps
+    from .frobenius import check_steps, hat_f, hat_f_term, standard_target
 
     rng = random.Random(seed)
     closure, realization, stability = _Tally(seed), _Tally(seed), _Tally(seed)
@@ -459,7 +455,6 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
     # the trials' own work, then their realizations' hat_f evaluation steps
     us = _relinfty_trial_us(field, max_arity)
     steps = charge(trials * us, "relinfty", f"{trials} trials of about {us} us each")
-    steps = check_steps(field.q, (), "relinfty", steps + target_steps(field, 1))
     for _ in range(trials):
         s_, k_, l_ = (rng.randrange(max_arity + 1) for _ in range(3))
         r1 = random_rel_infty(rng, field, s_, k_)

@@ -10,6 +10,7 @@ from relcat import terms as tm
 from relcat.concrete import ConcreteMap
 from relcat.errors import ArityMismatch, ParseError, ShapeMismatch, TooLarge
 from relcat.field import COUNT_DIGITS, Fq
+from relcat.frobenius import term_eval
 from relcat.matrix import MatFq, null_rows, row_reduce, subspace_count
 from relcat.qmat import QMat
 from relcat.relations import GENERATOR_ARITIES, Relation
@@ -153,3 +154,46 @@ def reference_fan_and_width(term) -> tuple:
             done.append((u1 + u2, w1 + w2 if kind is tm.Tensor else max(w1, w2)))
     uses, width = done[0]
     return term.dom + uses, width
+
+
+def stored_atoms(field: Fq, unit: bool = True) -> list:
+    """The atoms a structure stores: m, m*, eps*, plus, z, every mu(a) and,
+    with a unit, eps."""
+    atoms = [tm.Gen(name) for name in ("m", "m*", "eps*", "plus", "z")]
+    atoms += [tm.Gen("mu", a) for a in field.elements()]
+    return atoms + [tm.Gen("eps")] * unit
+
+
+def stored_maps(data) -> dict:
+    """A structure's stored maps as QMats, each read through ``term_eval``."""
+    return {atom: term_eval(data, atom) for atom in stored_atoms(data.field, data.has_unit)}
+
+
+def reference_standard_target(field: Fq, n: int) -> dict:
+    """The standard target's maps as QMats, built cell by cell from vector
+    addition and scaling: the reference for ``frobenius.standard_target``."""
+    q, g = field.q, tm.Gen
+    dim = q**n
+
+    def vec_add(a: int, b: int) -> int:
+        da = [(a // q**i) % q for i in range(n)]
+        db = [(b // q**i) % q for i in range(n)]
+        return sum(field.add(x, y) * q**i for i, (x, y) in enumerate(zip(da, db)))
+
+    def vec_scale(c: int, a: int) -> int:
+        da = [(a // q**i) % q for i in range(n)]
+        return sum(field.mul(c, x) * q**i for i, x in enumerate(da))
+
+    maps = {
+        g("m"): QMat(dim, dim * dim, {(v, v + dim * v): 1 for v in range(dim)}),
+        g("m*"): QMat(dim * dim, dim, {(v + dim * v, v): 1 for v in range(dim)}),
+        g("eps*"): QMat(1, dim, {(0, v): 1 for v in range(dim)}),
+        g("eps"): QMat(dim, 1, {(v, 0): 1 for v in range(dim)}),
+        g("plus"): QMat(dim, dim * dim, {
+            (vec_add(v, w), v + dim * w): 1 for v in range(dim) for w in range(dim)
+        }),
+        g("z"): QMat(dim, 1, {(0, 0): 1}),
+    }
+    for a in field.elements():
+        maps[g("mu", a)] = QMat(dim, dim, {(vec_scale(a, v), v): 1 for v in range(dim)})
+    return maps

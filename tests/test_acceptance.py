@@ -207,7 +207,7 @@ def test_criterion_11_trace_dimension():
     for field in (F2, F3):
         for n in (1, 2):
             data = standard_target(field, n)
-            loop = data.maps[Gen("eps*")] @ data.maps[Gen("eps")]
+            loop = term_eval(data, Gen("eps*")) @ term_eval(data, Gen("eps"))
             assert to_dense(loop) == [[field.q**n]]
     _ok("criterion 11: trace of the identity is t; counit of unit is q^n concretely")
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import stored_maps
+
 from relcat import concrete, frobenius, suites
 from relcat.cli import build_parser, main
 from relcat.concrete import ConcreteMap, f_r_matrix, rel_infty_stability
@@ -367,9 +369,9 @@ def test_pair_suites_charge_before_they_build(capsys, monkeypatch):
     assert_guard_error(capsys, "verify", "lemmas", "--q", "2^3")
     assert_guard_error(capsys, "verify", "relinfty", "--q", "2", "--trials", "14000")
     assert events == []
-    # the first pair's 6D^3 steps refuse D = 101; the target's 5D^2 + 4D + 1
-    # refuse D = 4093 and D = 101^8 before it
-    for q, built in (("101", ["pair"]), ("4093", []), ("101^8", [])):
+    # the first pair's 6D^3 steps refuse D = 101 and D = 4093; eps* . eps,
+    # charged before the pairs, refuses D = 101^8 past the budget on its own
+    for q, built in (("101", ["pair"]), ("4093", ["pair"]), ("101^8", [])):
         err = assert_guard_error(capsys, "verify", "axioms", "--q", q)
         assert err.startswith("error: axioms: evaluation steps at D = ") and events == built
         events.clear()
@@ -377,23 +379,24 @@ def test_pair_suites_charge_before_they_build(capsys, monkeypatch):
     assert code == 0 and events == ["pair"] * 42 + ["target"]
 
 
-def test_one_sum_counts_the_trials_and_the_target(capsys, monkeypatch):
-    # 28000 trials of 146 us and the D = 911 target's 4,153,250 steps each
-    # fit the budget alone; their sum is refused before the first draw
-    drawn = []
-    monkeypatch.setattr(suites, "random_rel_infty", lambda *args: drawn.append(args))
-    argv = ["--q", "911", "--max-arity", "0"]
-    for trials in ("28000", "1000"):
-        err = assert_guard_error(capsys, "verify", "relinfty", *argv, "--trials", trials)
-        assert err == f"error: relinfty: evaluation steps at D = 911, {BUDGET}\n", err
-    err = assert_guard_error(capsys, "verify", "relinfty", "--q", "919", *argv[2:], "--trials", "1")
-    assert err == f"error: relinfty: evaluation steps at D = 919, {BUDGET}\n", err
+def test_one_sum_counts_the_trials_and_their_draws(capsys, monkeypatch):
+    # 28729 trials of 146 us pass the budget on their price alone, and are
+    # refused before the first draw; 161 trials at q = 4 fit it, and the
+    # realizations of their draws, added to the same sum, pass it
+    drawn, real = [], suites.random_rel_infty
+    monkeypatch.setattr(suites, "random_rel_infty", lambda *args: drawn.append(args) or real(*args))
+    argv = ["--q", "911", "--max-arity", "0", "--trials", "28729"]
+    err = assert_guard_error(capsys, "verify", "relinfty", *argv)
+    assert err == f"error: relinfty: 28729 trials of about 146 us each, {BUDGET}\n", err
     assert drawn == []
+    err = assert_guard_error(capsys, "verify", "relinfty", "--q", "2^2", "--trials", "161")
+    assert err == f"error: relinfty realizations: evaluation steps at D = 4, {BUDGET}\n", err
+    assert drawn
 
 
-def test_standard_target_guard_counts_cells_and_pairs(capsys):
-    # the axiom pairs' and the stored maps' evaluation steps at D = q^n; q^n
-    # alone let these through to run past 10 s
+def test_pair_suite_guard_counts_pair_steps_at_q_to_the_n(capsys):
+    # the axiom and lemma pairs' evaluation steps at D = q^n; q^n alone let
+    # these through to run past 10 s
     assert_guard_error(capsys, "verify", "axioms", "--q", "4093")
     assert_guard_error(capsys, "verify", "axioms", "--q", "2^8")
     assert_guard_error(capsys, "verify", "axioms", "--q", "2^6", "--n", "2")
@@ -613,7 +616,8 @@ def test_lemma_failures_name_a_cell(capsys, monkeypatch):
     def corrupted(field, n):
         # the zero scaling acts as the identity
         data = standard_target(field, n)
-        return FrobeniusData(field, data.dim, {**data.maps, Gen("mu", 0): data.maps[Gen("mu", 1)]})
+        maps = {**stored_maps(data), Gen("mu", 0): term_eval(data, Gen("mu", 1))}
+        return FrobeniusData(field, data.dim, maps)
 
     monkeypatch.setattr(frobenius, "standard_target", corrupted)
     code, out, _ = run_cli(capsys, *argv)

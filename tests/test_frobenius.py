@@ -5,11 +5,21 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from helpers import full_space, nonzero_cells, reference_fan_and_width, to_dense, zero_space
+from helpers import (
+    full_space,
+    nonzero_cells,
+    reference_fan_and_width,
+    reference_standard_target,
+    stored_atoms,
+    stored_maps,
+    to_dense,
+    zero_space,
+)
 
 from relcat import frobenius, matrix, relations
 from relcat import terms as tm
@@ -29,7 +39,6 @@ from relcat.frobenius import (
     hat_f,
     rel_matrix,
     standard_target,
-    target_steps,
     term_eval,
     term_steps,
 )
@@ -54,14 +63,14 @@ G = tm.Gen
 
 
 def drop_unit(data: FrobeniusData) -> FrobeniusData:
-    return FrobeniusData(
-        data.field, data.dim, {atom: mat for atom, mat in data.maps.items() if atom != G("eps")}
-    )
+    maps = stored_maps(data)
+    del maps[G("eps")]
+    return FrobeniusData(data.field, data.dim, maps)
 
 
 def replaced(data: FrobeniusData, atom, mat: QMat) -> FrobeniusData:
     """The structure with the map of one atom replaced."""
-    return FrobeniusData(data.field, data.dim, {**data.maps, atom: mat})
+    return FrobeniusData(data.field, data.dim, {**stored_maps(data), atom: mat})
 
 
 def swap_matrix(d: int) -> QMat:
@@ -72,14 +81,64 @@ def swap_matrix(d: int) -> QMat:
 def test_standard_target_maps():
     data = standard_target(F2, 1)
     # merge: v (x) w -> v when v = w, else 0
-    assert to_dense(data.maps[G("m")]) == [[1, 0, 0, 0], [0, 0, 0, 1]]
-    assert to_dense(data.maps[G("eps")]) == [[1], [1]]
-    assert to_dense(data.maps[G("z")]) == [[1], [0]]
+    assert to_dense(term_eval(data, G("m"))) == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    assert to_dense(term_eval(data, G("eps"))) == [[1], [1]]
+    assert to_dense(term_eval(data, G("z"))) == [[1], [0]]
     # addition table of F_2: 0+0=0, 0+1=1, 1+0=1, 1+1=0
-    assert to_dense(data.maps[G("plus")]) == [[1, 0, 0, 1], [0, 1, 1, 0]]
+    assert to_dense(term_eval(data, G("plus"))) == [[1, 0, 0, 1], [0, 1, 1, 0]]
 
 
-def test_guards_count_pairs_and_cells(monkeypatch):
+@pytest.mark.parametrize("field,n", [
+    (F2, 1), (F3, 1), (F4, 1), (Fq(5), 1), (Fq(7), 1), (Fq(2, 3), 1), (Fq(3, 2), 1),
+    (F2, 2), (F3, 2), (F4, 2), (F2, 3),
+])
+def test_standard_target_maps_match_the_stored_reference(field, n):
+    # prime fields, the characteristic-2 and odd tables, and the digitwise maps at n > 1
+    reference = reference_standard_target(field, n)
+    data = standard_target(field, n)
+    assert set(reference) == set(stored_atoms(field))
+    for atom, mat in reference.items():
+        got = term_eval(data, atom)
+        assert (got.rows, got.cols) == (mat.rows, mat.cols), atom
+        assert nonzero_cells(got) == nonzero_cells(mat), atom
+
+
+def test_standard_target_builds_nothing_until_a_map_is_read():
+    for q in (911, 1_000_000_007):
+        tracemalloc.start()
+        try:
+            data = standard_target(Fq(q), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.dim == q and peak < 64 * 1024, (q, peak)
+    start = time.perf_counter()
+    assert to_dense(term_eval(data, parse("eps* . z", data.field))) == [[1]]
+    assert time.perf_counter() - start < 0.5
+    # a D past the budget at n > 1 is refused, named as q^n and never formed
+    with pytest.raises(TooLarge, match=r"^standard target: D = 2\^100000000, "):
+        standard_target(F2, 100_000_000)
+
+
+@pytest.mark.parametrize("field,n", [(F3, 1), (F2, 2)])
+def test_stored_maps_compute_each_column_once(field, n):
+    # every axiom pair and every lemma reads the stored maps; each column is
+    # computed on its first read only, and every atom is read
+    data = standard_target(field, n)
+    reads, column = [], data.column
+
+    def counted(atom):
+        col = column(atom)
+        return lambda i: reads.append((atom, i)) or col(i)
+
+    data.column = counted
+    pairs = [*frobenius_axiom_terms(field), *mu_lemma_terms(field, seed=1)]
+    assert all(cell is None for _, cell in check_axioms(data, pairs))
+    assert len(reads) == len(set(reads))
+    assert {atom for atom, _ in reads} == set(stored_atoms(field))
+
+
+def test_guards_count_pairs_and_cells():
     for field in (F2, F3, F4, Fq(5), Fq(7), Fq(2, 3), Fq(43), Fq(47), Fq(53)):
         q = field.q
         assert len(list(frobenius_axiom_terms(field))) == 2 * q * q + 4 * q + 26
@@ -87,41 +146,6 @@ def test_guards_count_pairs_and_cells(monkeypatch):
     for field in (F2, F3, Fq(5), Fq(7), F4):
         assert standard_target(field, 1).dim == field.q
     assert standard_target(F2, 6).dim == 2**6
-    # the target charges the steps of the maps it stores, before it builds any
-    charged, real = [], frobenius.check_steps
-
-    def recording(*args):
-        charged.append(real(*args))
-        return charged[-1]
-
-    monkeypatch.setattr(frobenius, "check_steps", recording)
-    for field, n in ((F2, 1), (F3, 1), (F4, 1), (F2, 3), (Fq(5), 2)):
-        data = standard_target(field, n)
-        assert charged == [sum(term_steps(data.dim, atom) for atom in data.maps)]
-        charged.clear()
-
-    class Built(Exception):
-        """Raised in place of the target's first map."""
-
-    def first_map(*args):
-        raise Built
-
-    monkeypatch.setattr(frobenius, "QMat", first_map)
-    # 5D^2 + 4D + 1 steps at D = 911 pass, and at D = 919 they do not
-    with pytest.raises(Built):
-        standard_target(Fq(911), 1)
-    assert charged == [4_153_250]
-    for field, n in ((Fq(919), 1), (F2, 11)):
-        with pytest.raises(TooLarge, match=r"^standard target: evaluation steps at D = "):
-            standard_target(field, n)
-
-
-def test_target_steps_count_the_stored_maps():
-    for field, n in ((F2, 1), (F3, 1), (F4, 1), (F2, 3), (Fq(5), 2), (Fq(911), 1)):
-        dim = field.q**n
-        # 4D^2 + 4D + 1 for the stored maps but mu(a), and D for each of the q maps mu(a)
-        assert target_steps(field, n) == 4 * dim**2 + (4 + field.q) * dim + 1
-    assert target_steps(Fq(911), 1) == 4_153_250
 
 
 @pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F4, 1), (F2, 2)])
@@ -135,7 +159,7 @@ def test_standard_target_passes_all_axioms(field, n):
 
 def test_corrupted_scaling_fails_named_check():
     data = standard_target(F2, 1)
-    bad = replaced(data, G("mu", 0), data.maps[G("mu", 1)])
+    bad = replaced(data, G("mu", 0), term_eval(data, G("mu", 1)))
     assert dict(check_axioms(bad, frobenius_axiom_terms(F2)))["Lin3 mu(0) = z . eps*"] is not None
 
 
@@ -199,7 +223,7 @@ def test_each_corrupted_map_fails_a_named_check(name):
     data = standard_target(F3, 1)
     # m_star and eps_star are the aliases of m* and eps*
     atom = G("mu", 2) if name == "mu" else G(name)
-    bad = replaced(data, atom, _wrong(data.maps[atom]))
+    bad = replaced(data, atom, _wrong(term_eval(data, atom)))
     results = check_axioms(bad, frobenius_axiom_terms(F3))
     assert any(cell is not None for _, cell in results), name
 
@@ -218,7 +242,7 @@ def test_shape_validation():
     with pytest.raises(ShapeMismatch):
         replaced(data, G("mu", 1), QMat.identity(4))
     # every stored atom is required but the unit, and no other atom is stored
-    missing = dict(data.maps)
+    missing = stored_maps(data)
     del missing[G("mu", 1)]
     with pytest.raises(ShapeMismatch):
         FrobeniusData(F2, 2, missing)
@@ -401,15 +425,15 @@ def test_term_eval_with_scalars():
 
 
 def dense(data, term, t_value):
-    """The matrix of a term built from the structure's QMats by @ and kron."""
+    """The matrix of a term built from the structure's stored maps by @ and kron."""
     D = data.dim
     if isinstance(term, tm.Gen):
-        if term in data.maps:
-            return data.maps[term]
-        ev = data.maps[G("eps*")] @ data.maps[G("m")]
+        if term.name not in ("sigma", "ev", "coev", "z*"):
+            return term_eval(data, term)  # a stored map, read as it is stored
+        ev = term_eval(data, G("eps*")) @ term_eval(data, G("m"))
         defined = {"sigma": swap_matrix(D), "ev": ev,
-                   "coev": data.maps[G("m*")] @ data.maps[G("eps")],
-                   "z*": ev @ QMat.identity(D).kron(data.maps[G("z")])}
+                   "coev": term_eval(data, G("m*")) @ term_eval(data, G("eps")),
+                   "z*": ev @ QMat.identity(D).kron(term_eval(data, G("z")))}
         return defined[term.name]
     if isinstance(term, tm.IdK):
         return QMat.identity(D**term.k)
@@ -536,7 +560,7 @@ def scrambled(rng, field, dim):
 def test_term_eval_matches_dense_reference_on_scrambled_maps(field, dim):
     rng = random.Random(40 + field.q)
     data = scrambled(rng, field, dim)
-    assert any(len(col) > 1 for mat in data.maps.values() for col in mat.columns())
+    assert any(len(col) > 1 for mat in stored_maps(data).values() for col in mat.columns())
     empty = [tm.MuLit(MatFq(field, 0, 2, [])), tm.MuLit(MatFq(field, 2, 0, [])),
              tm.MuLit(MatFq(field, 0, 0, []))]
     terms = empty + [tm.Compose(empty[1], empty[0]), tm.Tensor(empty[0], G("m"))]
@@ -557,7 +581,7 @@ def test_shared_memo_first_difference_equals_independent_evaluations(field):
     # a corrupted scaling keeps the target's one-entry columns, so the wide
     # lemma sides stay cheap while many pairs differ; a scrambled structure
     # makes every column dense, so it checks the axioms only
-    corrupted = replaced(target, G("mu", 1), target.maps[G("mu", 0)])
+    corrupted = replaced(target, G("mu", 1), term_eval(target, G("mu", 0)))
     cases = [(target, axioms + lemmas), (corrupted, axioms + lemmas),
              (scrambled(rng, field, 2), axioms)]
     for data, pairs in cases:
@@ -577,7 +601,7 @@ def test_kept_columns_stay_with_their_structure_and_t_value():
     target = standard_target(F3, 1)
     makers = [
         lambda: standard_target(F3, 1),
-        lambda: replaced(standard_target(F3, 1), G("mu", 1), target.maps[G("mu", 2)]),
+        lambda: replaced(standard_target(F3, 1), G("mu", 1), term_eval(target, G("mu", 2))),
         lambda: scrambled(random.Random(72), F3, 2),
     ]
     # v -> v + 2v on the target, and v -> 2v + 2v once mu(1) scales by 2
@@ -605,7 +629,7 @@ def test_pair_order_does_not_change_the_cells():
     pairs = [*frobenius_axiom_terms(F2), *mu_lemma_terms(F2, seed=3)]
 
     def corrupted():
-        return replaced(target, G("mu", 1), target.maps[G("mu", 0)])
+        return replaced(target, G("mu", 1), term_eval(target, G("mu", 0)))
 
     def cells(data, pairs):
         return [(name, frobenius.first_difference(data, lhs, rhs)) for name, lhs, rhs in pairs]
@@ -936,7 +960,8 @@ def test_folded_scalings_match_dense_reference_on_scrambled_maps(field, dim):
     rng = random.Random(20 + field.q)
     data = scrambled(rng, field, dim)
     # several entries in a scaling's column: the folded _Kron takes its wide path
-    assert any(len(col) > 1 for a in field.elements() for col in data.maps[G("mu", a)].columns())
+    scalings = [term_eval(data, G("mu", a)) for a in field.elements()]
+    assert any(len(col) > 1 for mat in scalings for col in mat.columns())
     for term in folded_terms(rng, field, [(1, 2), (2, 1), (2, 2)]):
         assert term_eval(data, term) == dense(data, term, None), term
 
@@ -1085,11 +1110,12 @@ def test_hat_f_memo_is_per_structure():
     # mu(2) scales by 2 on the standard target and is the identity on the
     # corrupted one, so the same relation realizes differently on each
     data = standard_target(F3, 1)
-    bad = replaced(data, G("mu", 2), data.maps[G("mu", 1)])
+    bad = replaced(data, G("mu", 2), term_eval(data, G("mu", 1)))
     rel = mu_relation(MatFq(F3, 1, 1, [2]))
-    assert hat_f(data, rel) == data.maps[G("mu", 2)]
+    scaling = term_eval(data, G("mu", 2))
+    assert hat_f(data, rel) == scaling
     assert hat_f(bad, rel) == term_eval(bad, normal_form_term(rel)) == QMat.identity(3)
-    assert hat_f(data, rel) == data.maps[G("mu", 2)]
+    assert hat_f(data, rel) == scaling
 
 
 def test_hat_f_memo_still_rejects_non_members():
