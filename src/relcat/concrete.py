@@ -18,7 +18,11 @@ column the value its row forces.  ``f_r_matrix``, ``specialize`` and
 ``independence_check`` count those cells before they build any and refuse
 more than ``CELL_GUARD``; each guard decides its power of q from the
 exponent first (``field.capped_power``), so a huge n is refused without
-forming q^n.  Only ``matrix`` and ``field`` are used, never ``star``,
+forming q^n.  A [0] -> [0] map is 1 x 1 at every n, and its one cell is
+built without a round per slot; ``specialize`` forms t = q^n only for a
+coefficient of positive degree, and refuses it by its digit count first.
+``rel_infty_stability`` compares flat cells across ranks, re-weighting
+each tuple index.  Only ``matrix`` and ``field`` are used, never ``star``,
 ``product`` or ``category``.
 
 These matrices are the ground-truth oracle for every formal identity:
@@ -28,11 +32,10 @@ becomes the Kronecker product, and t evaluates to q^n.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ArityMismatch, NotRelInfty, TooLarge
-from .field import Fq, capped_power
+from .field import COUNT_DIGITS, Fq, capped_power
 from .matrix import enumerate_subspaces, subspace_count
 from .qmat import QMat
 from .relations import Relation, is_rel_infty
@@ -40,7 +43,7 @@ from .relations import Relation, is_rel_infty
 if TYPE_CHECKING:  # an annotation only: the functor never runs category code
     from .category import Morphism
 
-# A map of more than q^(n max(s, k, 1)) = SIZE_GUARD rows or columns is refused.
+# A map of more than q^(n max(s, k)) = SIZE_GUARD rows or columns is refused.
 SIZE_GUARD = 2**22
 # f_r_matrix, specialize and independence_check refuse to build more f_R
 # cells than this: specialize of rel(2;9,9;[]), 2^18 cells, took 0.73-0.89 s
@@ -84,7 +87,7 @@ class ConcreteMap:
 
 
 def _guard(field: Fq, n: int, s: int, k: int):
-    if capped_power(field.q, n * max(s, k, 1), SIZE_GUARD) > SIZE_GUARD:
+    if capped_power(field.q, n * max(s, k), SIZE_GUARD) > SIZE_GUARD:
         raise TooLarge(f"q^(n*max(s,k)) exceeds {SIZE_GUARD}")
 
 
@@ -94,29 +97,6 @@ def _check_cells(field: Fq, n: int, rels, source: str):
     cells = sum(capped_power(field.q, n * (r.s + r.k - r.basis.rows), CELL_GUARD) for r in rels)
     if cells > CELL_GUARD:
         raise TooLarge(f"{source}: more than {CELL_GUARD} f_R cells at n = {n}")
-
-
-def tuple_code(field: Fq, n: int, vectors) -> int:
-    """Index of a tuple of F_q^n vectors (coordinate lists of codes)."""
-    code = 0
-    shift = 1
-    for vec in vectors:
-        for coord in vec:
-            code += coord * shift
-            shift *= field.q
-    return code
-
-
-def code_tuple(field: Fq, n: int, code: int, count: int):
-    """Inverse of tuple_code: unpack into `count` coordinate tuples."""
-    out = []
-    for _ in range(count):
-        vec = []
-        for _ in range(n):
-            vec.append(code % field.q)
-            code //= field.q
-        out.append(tuple(vec))
-    return out
 
 
 def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
@@ -136,8 +116,9 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
     its weight in one pass.  At slot j the cell is that one with row and
     column scaled by q^j, so its flat index is scaled by q^j too.  The
     cells are the sums of one flat offset per slot, built in n rounds of
-    one list of ints each, so the cost is the q^{n dim ker} cells
-    themselves: no column is solved and no elimination runs.
+    one list of ints each (none when the kernel is 0), so the cost is the
+    q^{n dim ker} cells themselves: no column is solved and no elimination
+    runs.
     """
     F, s, k = rel.field, rel.s, rel.k
     _guard(F, n, s, k)
@@ -181,9 +162,10 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
         w = weights[pc]
         offsets = [o + w * v for o, v in zip(offsets, values)]
     cells = offsets if n else [0]  # at rank 0 the one cell is (0, 0)
-    for j in range(1, n):
-        shifted = [o * q**j for o in offsets]
-        cells = [cell + o for cell in cells for o in shifted]
+    if free:  # else the kernel is 0, and its one cell is (0, 0) at every n
+        for j in range(1, n):
+            shifted = [o * q**j for o in offsets]
+            cells = [cell + o for cell in cells for o in shifted]
     mat = QMat._trusted(q ** (n * k), width, dict.fromkeys(cells, 1))
     return ConcreteMap._trusted(F, n, s, k, mat)
 
@@ -197,10 +179,16 @@ def specialize(f: Morphism, n: int) -> ConcreteMap:
     """
     F = f.field
     _guard(F, n, f.s, f.k)
-    t_value = Fraction(F.q) ** n
+    t_value = None
+    if any(coeff.degree() > 0 for coeff in f.terms.values()):
+        # t = q^n is refused by its digit count before it is formed
+        limit = 10**COUNT_DIGITS
+        t_value = capped_power(F.q, n, limit)
+        if t_value >= limit:
+            raise TooLarge(f"specialize: t = q^n has more than {COUNT_DIGITS} digits at n = {n}")
     values = {}
     for rel, coeff in f.terms.items():
-        value = coeff.evaluate(t_value)
+        value = coeff.constant_value() if t_value is None else coeff.evaluate(t_value)
         if value:
             values[rel] = value.numerator if value.denominator == 1 else value
     _check_cells(F, n, values, "specialize")
@@ -235,35 +223,39 @@ def independence_check(field: Fq, s: int, k: int, n: int) -> tuple[int, bool]:
     return rank, rank == len(rels)
 
 
-def embed_code(field: Fq, n: int, code: int, count: int) -> int:
-    """Re-index a tuple over F_q^n as the same tuple over F_q^{n+1}."""
-    vectors = code_tuple(field, n, code, count)
-    padded = [tuple(v) + (0,) for v in vectors]
-    return tuple_code(field, n + 1, padded)
-
-
 def rel_infty_stability(rel: Relation, n: int) -> bool:
     """Restriction of the rank-(n+1) matrix to embedded tuples equals rank n.
 
-    Only meaningful for relations surjecting onto the codomain block; the
-    image of an embedded tuple must itself be supported on embedded tuples.
+    A tuple over F_q^n embeds in F_q^(n+1) with a last coordinate 0 in each
+    vector, so its digit of weight q^(n i + j) moves to weight
+    q^((n+1) i + j).  A flat f_R index is the index of the (domain |
+    codomain) tuple, so the rank-(n+1) cells in embedded columns must be the
+    rank-n cells re-weighted so.  Only meaningful for relations surjecting
+    onto the codomain block; the image of an embedded tuple must itself be
+    supported on embedded tuples.
     """
     if not is_rel_infty(rel):
         raise NotRelInfty(f"{rel!r} does not surject onto the codomain block")
-    F, s, k = rel.field, rel.s, rel.k
-    small = f_r_matrix(rel, n)
-    big = f_r_matrix(rel, n + 1)
-    big_cols = big.mat.columns()
-    small_cols = small.mat.columns()
-    row_embed = {embed_code(F, n, r, k): r for r in range(F.q ** (n * k))}
-    for col in range(F.q ** (n * s)):
-        bigcol = big_cols[embed_code(F, n, col, s)]
-        expected = small_cols[col]
-        got = {}
-        for r, v in bigcol.items():
-            if r not in row_embed:
-                return False
-            got[row_embed[r]] = v
-        if got != expected:
-            return False
-    return True
+    q, s, m = rel.field.q, rel.s, rel.s + rel.k
+    cells, big_cells = f_r_matrix(rel, n).mat.vec(), f_r_matrix(rel, n + 1).mat.vec()
+    # the codes of one vector at rank n and n + 1; with no vector the f_R are
+    # [[1]] at any n, which forms no q^n
+    small, big = (q**n, q ** (n + 1)) if m else (1, 1)
+    expected = {}
+    for key, v in cells.items():
+        out, weight = 0, 1
+        for _ in range(m):
+            key, code = divmod(key, small)
+            out += code * weight
+            weight *= big
+        expected[out] = v
+    got = {}
+    for key, v in big_cells.items():
+        col = key
+        for _ in range(s):
+            col, code = divmod(col, big)
+            if code >= small:
+                break
+        else:
+            got[key] = v
+    return got == expected

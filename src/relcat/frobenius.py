@@ -16,46 +16,51 @@ Every map formed on a structure comes from one evaluator, ``term_eval``.
 Tensor powers are interpreted by the library's Kronecker indexing (first
 factor least significant).  A term is evaluated in two tiers.  It is
 compiled once per structure into a tree of nodes cached on the structure
-by term: a stored map is a ``_Stored`` node that computes each column the
-first time it is read and keeps it, ev, coev and z* compile their
-definitions (``terms.DEFINED``), and other composites hold their compiled
-children, so subterms shared between terms are compiled once; the term
-builders hand out shared instances, so the cache mostly hits on identity.
-A strand permutation is a ``_Perm``, which maps the base-D digits of an
-index and holds no matrix.  The swap chain ``terms.perm_term`` builds
-carries its permutation and compiles to one ``_Perm`` without compiling
-its swaps; any other permutation is compiled bottom-up by the same walk:
-sigma is a ``_Perm``, and a tensor chain of permutations and identities is
-one ``_Perm``.  A composition chain is one node over its factors, in which
-each run of adjacent permutations is one ``_Perm``, or nothing when it
-composes to the identity; a run followed by a ``_Kron`` whose factors
-each take at most one strand folds into that node's per-factor input
-weights (``_fold``).  A nonempty matrix literal compiles straight from its
-matrix, with no expansion term built: one ``_Kron`` of its mu(a_ij)
-scalings between the compiled split and add nodes of its shape's frame
-(``terms._mu_frame``), which every literal of that shape shares; the
-frame's transpose folds into that ``_Kron``.  Any other tensor chain is
-one node too: a whisker over its one factor that is not an identity, else
-one flat ``_Kron`` over all its factors; both subscript a stored map's
-node directly.  Each call then asks the root for basis columns, so wide
-intermediate tensor powers never materialize as full matrices.  Chain and
-combination nodes, like stored maps, keep each column they compute for
-the structure's life, so a subterm that terms share (the sides of a pair,
-the pairs of a suite, ``hat_f`` realizations) computes each column once
-per structure and t value; ``_Kron`` keeps none, as its columns are products of its
-factors' stored or kept ones, and the root's columns stream into the
-result without being kept.
-``hat_f`` evaluates the one term of a relation's normal form
+by term; the term builders hand out shared instances, so the cache mostly
+hits on identity and subterms shared between terms are compiled once.
+Every node answers one protocol: ``node[j]`` is column j, a {row: value}
+dict.  A node that keeps its columns is a ``_Kept``, a dict that computes
+a missing column on its first read and stores it: a stored map (``_Stored``,
+whose computation is the structure's column function), a composition chain
+(``_Chain``) and a linear combination (``_LinComb``).  The other nodes
+compute each column when asked: ``_Id``; ``_Perm``, a strand permutation,
+which maps the base-D digits of an index and holds no matrix;
+``_Whisker``, one node on middle strands; and ``_Kron``, a flat tensor
+chain.
+
+ev, coev and z* compile their definitions (``terms.DEFINED``).  The swap
+chain ``terms.perm_term`` builds carries its permutation and compiles to
+one ``_Perm`` without compiling its swaps; any other permutation is
+compiled bottom-up: sigma is a ``_Perm``, and so is a tensor chain of
+permutations and identities.  In a composition chain each run of adjacent
+permutations is one ``_Perm``, or nothing when it composes to the
+identity, and a run followed by a ``_Kron`` whose factors each take at
+most one strand folds into that node's per-factor input weights
+(``_fold``).  A nonempty matrix literal compiles straight from its matrix,
+with no expansion term built: one ``_Kron`` of its mu(a_ij) scalings
+between the split and add nodes of its shape's shared frame
+(``terms._mu_frame``), whose transpose folds into that ``_Kron``.  Any
+other tensor chain is a ``_Whisker`` over its one factor that is not an
+identity, else one ``_Kron``.
+
+Each call then asks the root for basis columns, so wide intermediate
+tensor powers never materialize as full matrices.  The kept nodes below
+the root keep each column for the structure's life, so a subterm that
+terms share (the sides of a pair, the pairs of a suite, ``hat_f``
+realizations) computes each column once per structure and t value; the
+root's columns stream into the result without being kept, unless it is a
+stored map.  ``hat_f`` evaluates the one term of a relation's normal form
 (``hat_f_term``) and caches the result on the structure by relation.
+
 ``check_steps`` charges terms' evaluation steps to the one work budget
 (``errors.charge``): ``term_steps`` is D^(dom + unit uses) columns through
 the widest layer, both read off the term, which carries its cost as it
 carries its arity.  It is the layer's one guard: hat_f, the unit path of
 ``rel_matrix`` and the axiom, lemma and relinfty suites call it before
-they evaluate, at a D capped by ``target_dim`` so that no q^n is formed.
-Building ``standard_target`` costs nothing in q or D, so it charges
-nothing: its maps are functions of the basis index that run only when a
-term reads them.
+they evaluate, the suites at the D of the standard target they build
+first.  Building ``standard_target`` costs nothing in q or D: its maps are
+functions of the basis index that run only when a term reads them, and an
+n > 1 whose D passes the work budget is refused without forming q^n.
 """
 
 from __future__ import annotations
@@ -140,35 +145,18 @@ class FrobeniusData:
         self._realized: dict = {}  # relation -> its hat_f matrix
 
 
-class _Power(int):
-    """A D past the work budget that a refusal names as q^n."""
-
-    def __new__(cls, dim: int, name: str):
-        self = super().__new__(cls, dim)
-        self.name = name
-        return self
-
-    def __str__(self) -> str:
-        return self.name
-
-
-def target_dim(field: Fq, n: int) -> int:
-    """D = q^n of the standard target, capped (``field.capped_power``) rather
-    than formed past the budget's bit length; a D past the budget at n > 1
-    prints as q^n."""
-    dim = capped_power(field.q, n, WORK_BUDGET)
-    return dim if n == 1 or dim <= WORK_BUDGET else _Power(dim, f"{field.q}^{n}")
-
-
 def standard_target(field: Fq, n: int) -> FrobeniusData:
     """The structure on the free vector space over F_q^n, e_v for the tuple of
     base-q digits of v.  It stores no map: an atom's column is a function of
     the basis index, made on the atom's first lookup, so the build costs
-    nothing in q or D.  At n > 1 a D past the work budget is refused
-    (``target_dim``), as q^n is not formed past it."""
-    dim = target_dim(field, n)
-    if type(dim) is _Power:
-        raise TooLarge(f"standard target: D = {dim}, more than the work budget of {WORK_BUDGET}")
+    nothing in q or D.  At n > 1 a D past the work budget is refused, named
+    as q^n, which is not formed past the budget's bit length
+    (``field.capped_power``)."""
+    dim = capped_power(field.q, n, WORK_BUDGET)
+    if n > 1 and dim > WORK_BUDGET:
+        raise TooLarge(
+            f"standard target: D = {field.q}^{n}, more than the work budget of {WORK_BUDGET}"
+        )
     if n == 1:
         add, scale = field.add, field.mul
     else:  # digit by digit
@@ -200,21 +188,26 @@ def standard_target(field: Fq, n: int) -> FrobeniusData:
 # -- compiled term evaluation ---------------------------------------------
 
 
-class _Stored(dict):
-    """A stored map, an atom's or a relation literal's, as its columns by index:
-    column i is column(i), computed the first time it is read and kept.  A
-    QMat's column list is one such function, its every column known."""
+class _Kept(dict):
+    """A node that keeps each column it computes for the structure's life:
+    column i is compute(i), computed the first time it is read."""
 
-    __slots__ = ("column",)
-
-    def __init__(self, column):
-        self.column = column
+    __slots__ = ()
 
     def __missing__(self, i: int) -> dict:
-        out = self[i] = self.column(i)
+        out = self[i] = self.compute(i)
         return out
 
-    col = dict.__getitem__
+
+class _Stored(_Kept):
+    """A stored map, an atom's or a relation literal's: compute is the
+    structure's column function.  A QMat's column list, read by subscript,
+    is one such function, its every column known."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, column):
+        self.compute = column
 
 
 class _Id:
@@ -222,23 +215,11 @@ class _Id:
 
     __slots__ = ()
 
-    def col(self, i: int) -> dict:
+    def __getitem__(self, i: int) -> dict:
         return {i: 1}
 
 
 _ID = _Id()
-
-
-class _Kept:
-    """A node that keeps each column it computes for the structure's life."""
-
-    __slots__ = ("seen",)
-
-    def col(self, i: int) -> dict:
-        out = self.seen.get(i)
-        if out is None:
-            out = self.seen[i] = self.compute(i)
-        return out
 
 
 class _Chain(_Kept):
@@ -247,22 +228,21 @@ class _Chain(_Kept):
     __slots__ = ("first", "rest")
 
     def __init__(self, factors):
-        self.seen = {}
         self.first = factors[0]
         self.rest = factors[1:]
 
     def compute(self, i: int) -> dict:
-        vec = self.first.col(i)
+        vec = self.first[i]
         for node in self.rest:
             if len(vec) == 1:
                 # the common case: one node column, shared rather than copied when c is 1
                 ((j, c),) = vec.items()
-                col = node.col(j)
+                col = node[j]
                 vec = col if c == 1 else {r: c * v for r, v in col.items()}
                 continue
             acc: dict[int, object] = {}
             for j, c in vec.items():
-                for r, v in node.col(j).items():
+                for r, v in node[j].items():
                     acc[r] = acc.get(r, 0) + c * v
             vec = {r: v for r, v in acc.items() if v}
         return vec
@@ -275,8 +255,7 @@ class _Kron:
     identity factor is held as ``_ID``.  Each factor reads its input digits
     at its own weight, by default the D^dom of the factors before it, so a
     strand permutation applied first folds into the weights (``after``).
-    It subscripts a stored map's node directly and keeps no columns of its
-    own.
+    It keeps no columns of its own.
     """
 
     __slots__ = ("factors",)
@@ -287,10 +266,9 @@ class _Kron:
             for _, dom, _ in factors:
                 weights.append(weight)
                 weight *= dom
-        # (the node if it is a stored map, else None, node, input weight, D^dom, D^cod)
+        # (node, input weight, D^dom, D^cod)
         self.factors = [
-            (node if type(node) is _Stored else None, node, weight, dom, cod)
-            for (node, dom, cod), weight in zip(factors, weights)
+            (node, weight, dom, cod) for (node, dom, cod), weight in zip(factors, weights)
         ]
 
     def after(self, perm: _Perm) -> _Kron:
@@ -299,16 +277,15 @@ class _Kron:
         sends to its own."""
         source = {weight: perm.dim**j for j, weight in enumerate(perm.weights)}
         return _Kron(
-            [(node, dom, cod) for _, node, _, dom, cod in self.factors],
-            [source[weight] if dom > 1 else weight for _, _, weight, dom, _ in self.factors],
+            [(node, dom, cod) for node, _, dom, cod in self.factors],
+            [source[weight] if dom > 1 else weight for _, weight, dom, _ in self.factors],
         )
 
-    def col(self, i: int) -> dict:
+    def __getitem__(self, i: int) -> dict:
         row, val, scale = 0, 1, 1
         wide = None  # the column so far, once a factor's column has other than one entry
-        for cols, node, weight, dom, cod in self.factors:
-            j = i // weight % dom
-            part = node.col(j) if cols is None else cols[j]
+        for node, weight, dom, cod in self.factors:
+            part = node[i // weight % dom]
             if wide is None and len(part) == 1:
                 ((r, v),) = part.items()
                 row += scale * r
@@ -335,7 +312,7 @@ class _Perm:
         self.p = p
         self.weights = [dim**j for j in p]
 
-    def col(self, i: int) -> dict:
+    def __getitem__(self, i: int) -> dict:
         d = self.dim
         out = 0
         for w in self.weights:
@@ -347,35 +324,32 @@ class _Perm:
 class _Whisker:
     """id(a) @ node @ id(b): the node acting on the middle strands."""
 
-    __slots__ = ("node", "cols", "lo", "mid", "out")
+    __slots__ = ("node", "lo", "mid", "out")
 
     def __init__(self, node, lo: int, mid: int, out: int):
         self.node = node
-        self.cols = node if type(node) is _Stored else None
         self.lo = lo  # D^a
         self.mid = mid  # D^dom and D^cod of the node
         self.out = out
 
-    def col(self, i: int) -> dict:
+    def __getitem__(self, i: int) -> dict:
         lo = self.lo
         rest, base = divmod(i, lo)
         rest, j = divmod(rest, self.mid)
         hi = lo * self.out * rest
-        part = self.node.col(j) if self.cols is None else self.cols[j]
-        return {base + lo * r + hi: v for r, v in part.items()}
+        return {base + lo * r + hi: v for r, v in self.node[j].items()}
 
 
 class _LinComb(_Kept):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        self.seen = {}
         self.parts = parts  # (nonzero scalar, node) pairs
 
     def compute(self, i: int) -> dict:
         acc: dict[int, object] = {}
         for scalar, node in self.parts:
-            for r, v in node.col(i).items():
+            for r, v in node[i].items():
                 acc[r] = acc.get(r, 0) + scalar * v
         return {r: v for r, v in acc.items() if v}
 
@@ -485,7 +459,7 @@ def _fold(dim: int, nodes):
             if p != list(range(len(p))):
                 out.append(_Perm(dim, p))
         elif type(last) is _Perm and type(node) is _Kron and all(
-            dom <= dim for _, _, _, dom, _ in node.factors
+            dom <= dim for _, _, dom, _ in node.factors
         ):
             out[-1] = node.after(last)
         else:
@@ -532,11 +506,13 @@ def _build_tensor(data: FrobeniusData, term: Term, t_value):
 def term_eval(data: FrobeniusData, term: Term, t_value=None) -> QMat:
     """Evaluate a term to its D^cod x D^dom matrix, column by column.
 
-    The root's columns stream into the matrix; the chain and combination
-    nodes below it keep theirs for later calls on the structure.
+    The root's columns stream into the matrix, unless it is a stored map;
+    the chain and combination nodes below it keep theirs for later calls on
+    the structure.
     """
     node = _compile(data, term, t_value)
-    column = node.compute if isinstance(node, _Kept) else node.col
+    stream = isinstance(node, _Kept) and type(node) is not _Stored
+    column = node.compute if stream else node.__getitem__
     return QMat._trusted_columns(data.dim**term.cod, data.dim**term.dom, column)
 
 

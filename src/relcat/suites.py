@@ -8,10 +8,11 @@ the standard target: the axiom pairs (``frobenius.frobenius_axiom_terms``)
 through the structure checker ``check_axioms``, the lemma pairs here.  A
 pair that fails on the structure names its first differing cell
 (``frobenius.first_difference``).  The axiom, lemma and relinfty suites
-charge what they will evaluate (``frobenius.check_steps``) in one running
-sum, before they evaluate on their standard target, which costs nothing
-to build: the axiom and lemma suites add each pair's sides as the pair is
-handed out, relinfty each draw's realizations after its trial price.  The
+build their standard target first, which costs nothing, and charge what
+they will evaluate at its D (``frobenius.check_steps``) in one running
+sum before they evaluate: the axiom and lemma suites add each pair's
+sides as the pair is handed out, relinfty each draw's realizations after
+its trial price.  The
 randomized suites charge their trials at a measured per-trial cost, in
 us, to the same work budget (``errors.charge``) before their first draw.
 The functor and stability suites compare the formal category against its
@@ -255,15 +256,13 @@ def suite_axioms(field: Fq, n: int = 1):
         check_steps,
         frobenius_axiom_terms,
         standard_target,
-        target_dim,
         term_eval,
     )
 
-    dim = target_dim(field, n)
-    dim_term = tm.t_compose(tm.atom("eps*"), tm.atom("eps"))
-    spent = check_steps(dim, [dim_term], "axioms")
-    pairs = _charged(frobenius_axiom_terms(field), dim, "axioms", spent)
     data = standard_target(field, n)
+    dim_term = tm.t_compose(tm.atom("eps*"), tm.atom("eps"))
+    spent = check_steps(data.dim, [dim_term], "axioms")
+    pairs = _charged(frobenius_axiom_terms(field), data.dim, "axioms", spent)
     out = run_term_pairs(field, pairs, None)
     for name, cell in check_axioms(data, pairs):
         out.append(SuiteResult(f"standard target {name}", cell is None,
@@ -278,10 +277,10 @@ def suite_axioms(field: Fq, n: int = 1):
 
 
 def suite_lemmas(field: Fq, n: int = 1, seed: int = 0):
-    from .frobenius import standard_target, target_dim
+    from .frobenius import standard_target
 
-    pairs = _charged(mu_lemma_terms(field, seed), target_dim(field, n), "lemmas")
-    return run_term_pairs(field, pairs, standard_target(field, n))
+    data = standard_target(field, n)
+    return run_term_pairs(field, _charged(mu_lemma_terms(field, seed), data.dim, "lemmas"), data)
 
 
 # Each per-trial cost below, in us, that a randomized suite charges to the
@@ -442,9 +441,9 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
     """Closure, zero defect, concrete realization, and rank stability; every
     trial is drawn before any is realized.  The trials' own work, in steps of
     about 1 us, is charged before the first draw, as knop and functor charge
-    theirs, and the realizations' steps at D = q are added to that sum as
-    the trials are drawn, so a refusal comes as soon as it is due and before
-    any realization is evaluated."""
+    theirs, and the realizations' steps at the D of the rank-1 standard
+    target are added to that sum as the trials are drawn, so a refusal comes
+    as soon as it is due and before any realization is evaluated."""
     from .concrete import rel_infty_stability
     from .frobenius import check_steps, hat_f, hat_f_term, standard_target
 
@@ -452,6 +451,7 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
     closure, realization, stability = _Tally(seed), _Tally(seed), _Tally(seed)
     closed_trials = []  # (r1, r2, r2 . r1, t2, r1 @ t2) of each closed trial
     realized = set()  # the distinct relations of the closed trials
+    data = standard_target(field, 1)
     # the trials' own work, then their realizations' hat_f evaluation steps
     us = _relinfty_trial_us(field, max_arity)
     steps = charge(trials * us, "relinfty", f"{trials} trials of about {us} us each")
@@ -468,8 +468,7 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
             closed_trials.append(trial)
             new = [hat_f_term(rel) for rel in dict.fromkeys(trial) if rel not in realized]
             realized.update(trial)
-            steps = check_steps(field.q, new, "relinfty realizations", steps)
-    data = standard_target(field, 1)
+            steps = check_steps(data.dim, new, "relinfty realizations", steps)
     for r1, r2, sr, t2, r1t2 in closed_trials:
         comp_ok = hat_f(data, r2) @ hat_f(data, r1) == hat_f(data, sr)
         ten_ok = hat_f(data, r1).kron(hat_f(data, t2)) == hat_f(data, r1t2)

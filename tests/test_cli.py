@@ -295,9 +295,7 @@ def test_oversized_identities_are_guard_errors(capsys):
 
 
 def test_specialize_guards_decide_from_exponents_and_count_cells(capsys):
-    # q^(n max(s, k, 1)) is refused from its exponent, before it is formed
-    assert_guard_error(capsys, "verify", "relinfty", "--q", "2", "--n", "100000000",
-                       "--trials", "1")
+    # q^(n max(s, k)) is refused from its exponent, before it is formed
     assert_guard_error(capsys, "specialize", "--q", "2", "--n", "100000000", "id(1)")
     # an f_R of 2^22 cells passes the size guard, and its cells are counted first
     err = assert_guard_error(capsys, "specialize", "--q", "2", "--n", "1", "rel(2;11,11;[])")
@@ -311,6 +309,28 @@ def test_specialize_guards_decide_from_exponents_and_count_cells(capsys):
     code, out, _ = run_cli(capsys, "specialize", "--q", "2", "--n", "1",
                            "(t - 2) * rel(2;10,10;[])")
     assert code == 0 and json.loads(out)["entries"] == []
+
+
+def test_maps_of_no_strands_are_one_cell_at_any_rank(capsys):
+    # a [0] -> [0] map is 1 x 1 at every n, so the size guard admits it and
+    # each command runs within 1 s; t = q^n is formed only for a coefficient
+    # that uses t, and is refused by its digit count first
+    argvs = [
+        ["specialize", "--q", "2", "--n", "23", "id(0)"],
+        ["specialize", "--q", "3", "--n", "100000000", "id(0)"],
+        ["verify", "relinfty", "--q", "2053", "--max-arity", "0", "--trials", "1"],
+        ["verify", "relinfty", "--q", "3", "--n", "100000000", "--trials", "1"],
+    ]
+    for argv in argvs:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0 and code == 0 and err == "", (argv, err)
+        if argv[0] == "specialize":
+            assert json.loads(out)["entries"] == [[0, 0, 1]], out
+    err = assert_guard_error(capsys, "specialize", "--q", "3", "--n", "100000000", "t * id(0)")
+    assert err == "error: specialize: t = q^n has more than 4300 digits at n = 100000000\n", err
+    code, out, _ = run_cli(capsys, "specialize", "--q", "2", "--n", "100", "t * id(0)")
+    assert code == 0 and json.loads(out)["entries"] == [[0, 0, 2**100]], out
 
 
 def test_checks_cut_short_by_the_arity_guard_are_guard_errors(capsys):
@@ -349,11 +369,13 @@ def test_pair_suites_guard_before_building_pairs(capsys):
 
 
 def test_pair_suites_charge_before_they_build(capsys, monkeypatch):
-    # a refused run builds no standard target, and a refusal at the first
-    # axiom pair builds no other pair; an admitted run builds its target
-    # once, after every pair has been charged
+    # each pair suite builds its standard target first, as it costs nothing;
+    # a refused run evaluates no term, and a refusal at the first axiom pair
+    # builds no other pair; an admitted run charges every pair before it
+    # evaluates any term
     events = []
     real_target, real_axioms = frobenius.standard_target, frobenius.frobenius_axiom_terms
+    real_eval = frobenius.term_eval
 
     def target(field, n):
         events.append("target")
@@ -364,19 +386,27 @@ def test_pair_suites_charge_before_they_build(capsys, monkeypatch):
             events.append("pair")
             yield pair
 
+    def evaluate(*args):
+        events.append("eval")
+        return real_eval(*args)
+
     monkeypatch.setattr(frobenius, "standard_target", target)
     monkeypatch.setattr(frobenius, "frobenius_axiom_terms", axioms)
-    assert_guard_error(capsys, "verify", "lemmas", "--q", "2^3")
-    assert_guard_error(capsys, "verify", "relinfty", "--q", "2", "--trials", "14000")
-    assert events == []
+    monkeypatch.setattr(frobenius, "term_eval", evaluate)
+    for argv in (["lemmas", "--q", "2^3"], ["relinfty", "--q", "2", "--trials", "14000"]):
+        assert_guard_error(capsys, "verify", *argv)
+        assert events == ["target"], argv
+        events.clear()
     # the first pair's 6D^3 steps refuse D = 101 and D = 4093; eps* . eps,
     # charged before the pairs, refuses D = 101^8 past the budget on its own
     for q, built in (("101", ["pair"]), ("4093", ["pair"]), ("101^8", [])):
         err = assert_guard_error(capsys, "verify", "axioms", "--q", q)
-        assert err.startswith("error: axioms: evaluation steps at D = ") and events == built
+        assert err.startswith("error: axioms: evaluation steps at D = ")
+        assert events == ["target", *built], q
         events.clear()
     code, _, _ = run_cli(capsys, "verify", "axioms", "--q", "2")
-    assert code == 0 and events == ["pair"] * 42 + ["target"]
+    assert code == 0 and events[:43] == ["target"] + ["pair"] * 42
+    assert set(events[43:]) == {"eval"}
 
 
 def test_one_sum_counts_the_trials_and_their_draws(capsys, monkeypatch):
@@ -401,9 +431,11 @@ def test_pair_suite_guard_counts_pair_steps_at_q_to_the_n(capsys):
     assert_guard_error(capsys, "verify", "axioms", "--q", "2^8")
     assert_guard_error(capsys, "verify", "axioms", "--q", "2^6", "--n", "2")
     assert_guard_error(capsys, "verify", "lemmas", "--q", "2^6", "--n", "2")
-    # a D past the budget's bit length is named as q^n, not formed
+    # a D past the budget's bit length is named as q^n, not formed, by the
+    # standard target that each pair suite builds first
     err = assert_guard_error(capsys, "verify", "axioms", "--q", "2", "--n", "100000000")
-    assert err == f"error: axioms: evaluation steps at D = 2^100000000, {BUDGET}\n", err
+    expected = "error: standard target: D = 2^100000000, more than the work budget of 4194304\n"
+    assert err == expected, err
     assert_guard_error(capsys, "verify", "axioms", "--q", "61")
 
 

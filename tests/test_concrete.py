@@ -18,17 +18,14 @@ from helpers import (
 )
 
 from relcat import category as cat
-from relcat import matrix, poly, relations
+from relcat import concrete, matrix, poly, relations
 from relcat.category import Morphism
 from relcat.concrete import (
     ConcreteMap,
-    code_tuple,
-    embed_code,
     f_r_matrix,
     independence_check,
     rel_infty_stability,
     specialize,
-    tuple_code,
 )
 from relcat.errors import ArityMismatch, NotRelInfty, TooLarge
 from relcat.field import Fq
@@ -46,15 +43,6 @@ from relcat.relations import (
 F2, F3, F4, F5 = Fq(2), Fq(3), Fq(2, 2), Fq(5)
 # the characteristic-2 XOR and odd-characteristic table paths of Fq.translate
 F8, F9 = Fq(2, 3), Fq(3, 2)
-
-
-def test_codec_round_trip():
-    rng = random.Random(40)
-    for _ in range(100):
-        F = rng.choice([F2, F3])
-        n, count = rng.randrange(1, 3), rng.randrange(4)
-        code = rng.randrange(F.q ** (n * count))
-        assert tuple_code(F, n, code_tuple(F, n, code, count)) == code
 
 
 def _reference_cells(rel: Relation, n: int) -> dict:
@@ -300,19 +288,20 @@ def test_faithful_at_large_rank():
 def action_matrix(g: MatFq, s: int, n: int) -> QMat:
     """Permutation matrix of an invertible n x n matrix g acting on s-tuples over F_q^n."""
     F = g.field
-    size = F.q ** (n * s)
+    q, size = F.q, F.q ** (n * s)
     data = {}
     for col in range(size):
-        moved = []
-        for vec in code_tuple(F, n, col, s):
-            image = []
-            for i in range(n):
+        # the base-q digits of the index: coordinate j of vector i weighs q^(n i + j)
+        digits = [col // q**d % q for d in range(n * s)]
+        moved = 0
+        for i in range(s):
+            vec = digits[n * i : n * (i + 1)]
+            for j in range(n):
                 acc = 0
-                for c, v in zip(g.row(i), vec):
+                for c, v in zip(g.row(j), vec):
                     acc = F.add(acc, F.mul(c, v))
-                image.append(acc)
-            moved.append(tuple(image))
-        data[(tuple_code(F, n, moved), col)] = 1
+                moved += acc * q ** (n * i + j)
+        data[(moved, col)] = 1
     return QMat(size, size, data)
 
 
@@ -351,6 +340,38 @@ def test_rel_infty_stability_random():
         assert rel_infty_stability(rel, n)
 
 
+def test_rel_infty_stability_refuses_a_moved_cell(monkeypatch):
+    # cell (0, 0) of a rank-(n+1) f_R, in the embedded column 0, moved out of
+    # place: to row 1, to row q^n (a last coordinate 1, so not embedded), or
+    # to column q^n (not embedded)
+    rng = random.Random(47)
+    real = concrete.f_r_matrix
+    cases = 0
+    for _ in range(20):
+        n, s, k = rng.choice([1, 2]), rng.randrange(1, 3), rng.randrange(1, 3)
+        if F2.q ** ((n + 1) * (s + k)) > 2**12:
+            continue
+        rel = random_rel_infty(rng, F2, s, k)
+        big = real(rel, n + 1).mat
+        cells = big.vec()
+        assert cells[0] == 1
+        for moved in (big.cols, 2**n * big.cols, 2**n):
+            if moved in cells:
+                continue
+            data = dict(cells)
+            del data[0]
+            data[moved] = 1
+            fake = ConcreteMap(F2, n + 1, s, k, QMat._trusted(big.rows, big.cols, data))
+
+            def f_r(r, m, fake=fake):
+                return fake if m > n else real(r, m)
+
+            monkeypatch.setattr(concrete, "f_r_matrix", f_r)
+            assert not rel_infty_stability(rel, n), (rel, n, moved)
+            cases += 1
+    assert cases > 10
+
+
 def test_orbit_matrices():
     # orbit-basis matrices at rank >= s+k live on disjoint index sets and
     # sum back to the plain basis matrices
@@ -369,11 +390,6 @@ def test_orbit_matrices():
     for rel in rels:
         recovered = specialize(cat.orbit_invert(cat.orbit_expand(rel), F2, 1, 1), n)
         assert recovered.mat == f_r_matrix(rel, n).mat
-
-
-def test_embed_code():
-    # embedding pads each vector with a trailing zero coordinate
-    assert embed_code(F2, 1, 0b11, 2) == 0b0101
 
 
 def test_concrete_shape_checks():

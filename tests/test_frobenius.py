@@ -651,7 +651,7 @@ def compiled_nodes(node):
         if isinstance(node, _Chain):
             stack += [node.first, *node.rest]
         elif isinstance(node, _Kron):
-            stack += [factor[1] for factor in node.factors]
+            stack += [node for node, _, _, _ in node.factors]
         elif isinstance(node, frobenius._Whisker):
             stack.append(node.node)
         elif isinstance(node, frobenius._LinComb):
@@ -668,16 +668,32 @@ def test_roots_and_tensor_nodes_keep_no_columns():
         data = standard_target(F3, 1)
         term_eval(data, term)
         root = _compile(data, term, None)
-        if isinstance(root, frobenius._Kept):
-            assert root.seen == {}, term
+        # a stored map keeps its columns, as a root too; chains and combinations
+        # keep theirs below the root only
+        if isinstance(root, (_Chain, frobenius._LinComb)):
+            assert dict(root) == {}, term
         for node in compiled_nodes(root):
             if isinstance(node, _Kron):
                 krons += 1
-                assert not hasattr(node, "seen") and not hasattr(node, "__dict__")
-            elif node is not root and isinstance(node, frobenius._Kept):
-                kept += bool(node.seen)
+                assert not isinstance(node, dict) and not hasattr(node, "__dict__")
+            elif node is not root and isinstance(node, (_Chain, frobenius._LinComb)):
+                kept += bool(dict(node))
     # the walk met tensor nodes, and chain nodes below a root that kept columns
     assert krons and kept
+
+
+def test_chain_reads_compute_each_column_once(monkeypatch):
+    # every node answers node[j]; a chain keeps the column it computes, so a
+    # second read at the index computes nothing
+    data = standard_target(F3, 1)
+    chain = _compile(data, tm.t_compose(G("m"), G("sigma"), G("m*")), None)
+    assert isinstance(chain, _Chain)
+    calls = []
+    real = _Chain.compute
+    monkeypatch.setattr(_Chain, "compute", lambda self, i: calls.append(i) or real(self, i))
+    first = chain[2]
+    assert chain[2] is first and calls == [2] and dict(chain) == {2: first}
+    assert first == {2: 1}
 
 
 def test_deep_composite_evaluates():
@@ -917,7 +933,7 @@ def test_mu_literal_compiles_to_split_scale_add(rows, cols):
     # the scaling reads its input digits in the transposed order
     scale = node.rest[0]
     assert isinstance(scale, _Kron) and len(scale.factors) == rows * cols
-    assert [weight for _, _, weight, _, _ in scale.factors] == [
+    assert [weight for _, weight, _, _ in scale.factors] == [
         3 ** (j * rows + i) for i in range(rows) for j in range(cols)
     ]
 

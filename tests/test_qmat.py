@@ -186,7 +186,7 @@ def test_every_operation_matches_dense_reference():
         assert (qa == qa2) == (a == a2)
         columns = qa.columns()
         assert columns == [{i: a[i][j] for i in range(r) if a[i][j]} for j in range(m)]
-        assert QMat._trusted_columns(r, m, columns) == qa
+        assert QMat._trusted_columns(r, m, columns.__getitem__) == qa
         rows = [{j: v for j, v in enumerate(row) if v} for row in a]
         assert QMat._trusted_rows(r, m, rows) == qa
         assert qa.vec() == {i * m + j: v for (i, j), v in _dense_entries(a)}
