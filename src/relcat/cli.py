@@ -7,7 +7,13 @@ output is byte-identical across runs.
 
 The argparse parser is built on the first ``main`` call, not at import, and
 then shared by every later call in the process: it holds no state between
-calls, and each ``parse_args`` returns a fresh namespace.
+calls, and each parse returns a fresh namespace.  ``main`` hands a command
+line whose first word is a subcommand straight to that subcommand's own
+parser, as the top parser would, and refuses the words it leaves with the
+top parser's "unrecognized arguments" error; any other command line (no
+words, a help flag, an unknown command, an option before the command) goes
+to the top parser.  Both give the same namespace, help pages and error
+lines; the direct path skips the top parser's pass over the words.
 
 Importing this module loads only ``errors`` and ``field`` of the package;
 each ``cmd_*`` imports the layers it runs when it runs, so a one-shot
@@ -304,8 +310,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """The namespace the shared parser gives argv, by the direct path for a
+    command line that starts with a subcommand (see the module docstring)."""
+    top = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = top._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    if parser is None:
+        return top.parse_args(argv)
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:
+        top.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         _check_counts(args)
         return args.fn(args)

@@ -24,6 +24,11 @@ rel(...) or muM(...) literal is part of the literal.  mu scalars and
 matrix entries are reduced into the ambient field, which is why parsing
 takes the field as an argument.
 
+An addend tries its scalar prefix, and backs out of it, only where a scalar
+can start: at 't', '-', a number, or a '(' followed by '+', '-', 't' or a
+number.  At any other token it reads the morphism at once, so a plain
+generator chain parses without backtracking.
+
 The tokenizer cuts the source in one ``finditer`` pass.  A coefficient of
 1 (a bare term or an explicit ``1 *``) and every ``t^d`` are the shared
 instances of ``poly``, and a generator atom or ``id(k)`` evaluates to the
@@ -118,7 +123,16 @@ class _Parser:
     # -- scalar (polynomial) layer -------------------------------------
 
     def try_scalar_prefix(self):
-        """Parse 'scalar *' if present; returns PolyQ or None (backtracks)."""
+        """Parse 'scalar *' if present; returns PolyQ or None (backtracks).
+
+        A scalar starts only at 't', '-', a number, or a '(' followed by
+        '+', '-', 't' or a number; at any other token this returns None
+        without trying, so a plain generator chain raises no ParseError."""
+        tok, starts = self.peek(), ("t", "-")
+        if tok == "(":
+            tok, starts = self.tokens[self.i + 1][0], ("t", "-", "+")
+        if tok not in starts and not tok.isdigit():
+            return None
         save = self.i
         try:
             poly = self.parse_scalar()

@@ -43,7 +43,9 @@ class Relation:
     """A subspace R ⊂ F_q^{s+k} typed as an arrow [s] -> [k].
 
     Relations are immutable and key many dicts (formal terms, f_R builds),
-    so the hash is computed on first use and kept in ``_hash``.
+    so the hash is computed on first use and kept in ``_hash``.  It reads
+    only the arities and the basis entries, so relations over two fields
+    with equal entries hash alike; equality still compares the field.
     """
 
     __slots__ = ("field", "s", "k", "basis", "_hash")
@@ -86,7 +88,7 @@ class Relation:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.field, self.s, self.k, self.basis))
+            h = self._hash = hash((self.s, self.k, self.basis.entries))
         return h
 
     def sort_key(self):

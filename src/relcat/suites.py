@@ -487,8 +487,14 @@ def suite_relinfty(field: Fq, n: int, trials: int, seed: int, max_arity: int = 3
         r = random_rel_infty(rng, field, s_, k_)
         stability.record(rel_infty_stability(r, n), lambda: f"r = {r.to_text()}")
     _check_ran("relinfty rank stability", stability.runs, wanted, field, n + 1)
+    stable = stability.result(f"rank stability n={n}")
+    if not limit:
+        # a [0] -> [0] relation has f_R = [[1]] at every rank, so say that
+        # nothing else was checked
+        stable.detail += (f"; every draw was [0] -> [0], as no relation with a strand has an "
+                          f"f_R of at most {HOM_CELLS} cells at q = {field.q}, n = {n + 1}")
     return [
         closure.result(f"closure and zero defect q={field.q} ({trials} trials)"),
         realization.result(f"generator-level realization q={field.q}"),
-        stability.result(f"rank stability n={n}"),
+        stable,
     ]

@@ -13,8 +13,8 @@ import pytest
 
 from helpers import stored_maps
 
-from relcat import concrete, frobenius, suites
-from relcat.cli import build_parser, main
+from relcat import cli, concrete, frobenius, suites
+from relcat.cli import COMMANDS, build_parser, main
 from relcat.concrete import ConcreteMap, f_r_matrix, rel_infty_stability
 from relcat.errors import TooLarge
 from relcat.field import Fq
@@ -688,12 +688,29 @@ def test_rank_stability_passes_only_on_checks_that_ran(capsys, monkeypatch):
                                  "--trials", "1", "--max-arity", "1", "--seed", str(seed))
         if calls:
             line = out.splitlines()[2]
-            assert code == 0 and line == "PASS rank stability n=20  [0 failures]", (seed, line)
+            assert code == 0 and line == (
+                "PASS rank stability n=20  [0 failures; every draw was [0] -> [0], as no relation "
+                "with a strand has an f_R of at most 4096 cells at q = 2, n = 21]"
+            ), (seed, line)
         else:
             assert code == 3 and out == "", (seed, out)
             assert err.startswith("error: relinfty rank stability: only 0 of 1 trials"), err
         outcomes.add(bool(calls))
     assert outcomes == {True, False}
+
+
+def test_rank_stability_names_draws_without_strands(capsys):
+    # past q = 64 at n = 1 no f_R with a strand fits HOM_CELLS at rank 2, so
+    # every stability draw is [0] -> [0], and the line says so
+    code, out, _ = run_cli(capsys, "verify", "relinfty", "--q", "2053", "--max-arity", "0",
+                           "--trials", "1")
+    assert code == 0 and out.splitlines()[2] == (
+        "PASS rank stability n=1  [0 failures; every draw was [0] -> [0], as no relation "
+        "with a strand has an f_R of at most 4096 cells at q = 2053, n = 2]"
+    )
+    # at q = 2, n = 1 draws with strands run, and the line is as before
+    code, out, _ = run_cli(capsys, "verify", "relinfty", "--q", "2", "--trials", "1")
+    assert code == 0 and out.splitlines()[2] == "PASS rank stability n=1  [0 failures]"
 
 
 def test_oversized_numbers_are_guard_errors(capsys):
@@ -828,3 +845,40 @@ def test_help_matches_a_fresh_parser():
     sub = next(a for a in fresh._actions if a.dest == "command")
     for name, parser in sub.choices.items():
         assert run_in_process([name, "--help"]) == (0, parser.format_help()), name
+
+
+# command lines that main hands to a subcommand's parser, and ones it hands
+# to the top parser: help pages, refusals and the golden cases
+PARSE_CORPUS = [case["argv"] for case in CASES] + [
+    [], ["-h"], ["--help"], *([name, "--help"] for name, *_ in COMMANDS),
+    ["bogus"], ["eval"], ["eval", "m", "--bogus"], ["eval", "--q", "3", "m", "extra"],
+    ["--q", "3", "eval", "m"], ["verify", "nosuch"], ["verify", "knop", "--t", "1"],
+    ["count", "--t", "1"], ["gram", "--t", "-1/2"], ["gram", "--t=-1/2"], ["eval", "--", "-m"],
+    ["eval", "--format", "xml", "m"], ["specialize", "--n", "x", "m"], ["eval", "m", "--q"],
+]
+
+
+def _parsed(parse, argv):
+    """Exit code (None when parsing returns), namespace, stdout and stderr of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    args = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, args, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_main_parses_as_the_top_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert _parsed(cli._parse_args, argv) == _parsed(build_parser().parse_args, argv)
+
+
+def test_a_command_line_with_a_subcommand_skips_the_top_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top parser ran")
+
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    assert run_cli(capsys, "count", "--q", "3") == (0, "6\n", "")

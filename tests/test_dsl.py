@@ -11,6 +11,7 @@ from helpers import reference_tokenize, zero_space
 
 from relcat import category as cat
 from relcat import terms as tm
+from relcat.cli import main
 from relcat.concrete import specialize
 from relcat.dsl import _tokenize, eval_formal, parse, parse_program
 from relcat.errors import (
@@ -94,6 +95,53 @@ def test_parse_rejects_negative_powers_and_zero_denominators():
     for src in ("t^-1 * id(1)", "(1 + t^-2) * id(1)", "2 * t^-1 * id(1)", "1/0 * id(1)"):
         with pytest.raises(ScalarParseError):
             parse(src, F2)
+
+
+def test_plain_chains_try_no_scalar_prefix(monkeypatch):
+    # a scalar starts only at 't', '-', a number or a '(' before one of
+    # '+', '-', 't' or a number, so a chain without one raises no ParseError
+    raised = []
+    init = ParseError.__init__
+
+    def counted(self, message, position):
+        raised.append(message)
+        init(self, message, position)
+
+    monkeypatch.setattr(ParseError, "__init__", counted)
+    for src in ("m* . (z @ eps*) . (id(1) @ eps*)",
+                "(coev @ z* @ m) . (id(1) @ eps* @ m*) . (m* @ z) . m . coev",
+                "mu(1) . id(1) . m . (z @ mu(0) @ eps*) . (id(1) @ mu(0))",
+                "(m . sigma) + plus - (m)"):
+        parse(src, F3)
+    assert raised == []
+    # where a scalar can start, the prefix is still tried and backed out of
+    parse("(t * m) . m*", F3)
+    assert raised
+
+
+# eval over F_2 of inputs that start a scalar, or look as if they might:
+# exit code, stdout and stderr
+SCALAR_STARTS = {
+    "2 * m": (0, "2 * rel(2;2,1;[[1,0,1],[0,1,1]])\n", ""),
+    "-m + t^2 * m": (0, "(t^2 - 1) * rel(2;2,1;[[1,0,1],[0,1,1]])\n", ""),
+    "m - -2 * m": (0, "3 * rel(2;2,1;[[1,0,1],[0,1,1]])\n", ""),
+    "(-1/2) * m": (0, "-1/2 * rel(2;2,1;[[1,0,1],[0,1,1]])\n", ""),
+    "(t + 1) * id(1)": (0, "(t + 1) * rel(2;1,1;[[1,1]])\n", ""),
+    "(+t - 1) * m": (0, "(t - 1) * rel(2;2,1;[[1,0,1],[0,1,1]])\n", ""),
+    "(+ m) . m*": (0, "rel(2;1,1;[[1,1]])\n", ""),
+    "(m)": (0, "rel(2;2,1;[[1,0,1],[0,1,1]])\n", ""),
+    "(t) . m": (2, "", "error: expected a morphism atom, found 't' (at position 1)\n"),
+    "1/0 * m": (2, "", "error: zero denominator in 1/0 (at position 2)\n"),
+    "t^-1 * m": (2, "", "error: negative power t^-1 (at position 2); "
+                 "scalars are polynomials in t\n"),
+}
+
+
+@pytest.mark.parametrize("src", SCALAR_STARTS)
+def test_scalar_prefixes_read_as_before(src, capsys):
+    code = main(["eval", src])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == SCALAR_STARTS[src]
 
 
 def test_parse_minus_folds_into_coefficient():

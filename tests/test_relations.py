@@ -405,3 +405,13 @@ def test_equal_relations_hash_equal_and_keep_their_hash():
     # a different typing or field of the same rows is a different relation
     assert built != built.retype(2, 1) and built != Relation.from_rows(F2, 1, 2, rows)
     assert built == built and built != "rel(3;1,2;[[1,0,2],[0,1,1]])"
+
+
+def test_relations_over_two_fields_share_a_hash_but_not_a_key():
+    # the hash reads the arities and the entries; equality compares the field
+    rows = [[1, 0, 1], [0, 1, 1]]
+    over_f2, over_f3 = Relation.from_rows(F2, 1, 2, rows), Relation.from_rows(F3, 1, 2, rows)
+    assert over_f2.basis.entries == over_f3.basis.entries
+    assert hash(over_f2) == hash(over_f3) and over_f2 != over_f3
+    keys = {over_f2: "F_2", over_f3: "F_3"}
+    assert len(keys) == 2 and keys[Relation.from_rows(F3, 1, 2, rows)] == "F_3"
