@@ -122,12 +122,20 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
     """
     F, s, k = rel.field, rel.s, rel.k
     _guard(F, n, s, k)
-    _check_cells(F, n, [rel], f"f_R of a [{s}] -> [{k}] relation")
     q, m = F.q, s + k
-    width = q ** (n * s)
-    # the flat offset of a point at slot 0: domain coordinate i weighs
-    # q^(n i), codomain coordinate i weighs width * q^(n i)
-    weights = [q ** (n * i) for i in range(s)] + [width * q ** (n * i) for i in range(k)]
+    if capped_power(q, n * (m - rel.basis.rows), CELL_GUARD) > CELL_GUARD:
+        raise TooLarge(
+            f"f_R of a [{s}] -> [{k}] relation: more than {CELL_GUARD} f_R cells at n = {n}"
+        )
+    # the flat offset of a point at slot 0: coordinate i weighs q^(n i), as
+    # the codomain block starts at width = q^(n s); q^n is formed only for a
+    # map with strands, whose size guard bounds it
+    weights = [1]
+    if m:
+        qn = q**n
+        for _ in range(m):
+            weights.append(weights[-1] * qn)
+    width, height = weights[s], weights[k]
     entries = rel.basis.entries
     # each RREF row's pivot, its first nonzero entry, lies right of the one
     # above, and the columns passed over on the way to it are free
@@ -144,6 +152,7 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
     for c in free:
         w = weights[c]
         offsets = [o + step for step in range(0, w * q, w) for o in offsets]
+    neg, mul, translate = F.neg, F.mul, F.translate
     for base, pc in zip(bases, pivots):
         # the pivot value at a point is the sum of -row[c] times free value c
         row = [entries[base + c] for c in free]
@@ -152,10 +161,10 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
         values = [0]
         for x in row:
             if x:
-                x = F.neg(x)
+                x = neg(x)
                 grown = values[:]
                 for v in range(1, q):
-                    grown += F.translate(values, F.mul(v, x))
+                    grown += translate(values, mul(v, x))
                 values = grown
             else:
                 values = values * q
@@ -163,10 +172,12 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
         offsets = [o + w * v for o, v in zip(offsets, values)]
     cells = offsets if n else [0]  # at rank 0 the one cell is (0, 0)
     if free:  # else the kernel is 0, and its one cell is (0, 0) at every n
-        for j in range(1, n):
-            shifted = [o * q**j for o in offsets]
+        qj = 1
+        for _ in range(1, n):
+            qj *= q
+            shifted = [o * qj for o in offsets]
             cells = [cell + o for cell in cells for o in shifted]
-    mat = QMat._trusted(q ** (n * k), width, dict.fromkeys(cells, 1))
+    mat = QMat._trusted(height, width, dict.fromkeys(cells, 1))
     return ConcreteMap._trusted(F, n, s, k, mat)
 
 

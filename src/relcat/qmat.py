@@ -16,9 +16,16 @@ A product has two paths.  The sparse loop groups the right factor's cells
 by row and adds each left cell's products into the result.  When both
 factors hold only the int 1, as the functor's f_R matrices do, and
 nnz(A) * nnz(B) passes ``DENSE_PRODUCT`` times the inner dimension, each
-row of A and each column of B becomes one int bitmask over the inner
-index, and cell (r, c) is the bit count of their AND.  A Fraction(1)
-entry keeps the sparse loop, so its results stay Fractions.
+factor is written as byte rows: a bytearray of one byte per cell, 1 where
+a cell is stored, whose index is the cell's flat key.  Row r of A and
+column c of B are read from it as ints (``int.from_bytes`` of a slice, a
+strided one for a column), and cell (r, c) is the bit count of their AND,
+as every byte is 0 or 1.  The two buffers may hold at most
+``DENSE_PRODUCT`` bytes per stored cell of the factors, so a large sparse
+factor keeps the sparse loop and allocates no buffer.  A Fraction(1) entry
+keeps the sparse loop, so its results stay Fractions.  The Kronecker
+product of two factors that hold only the int 1 stores the int 1 in each
+cell without multiplying.
 
 The Kronecker convention throughout the library is that the FIRST factor
 is the least significant index block: kron(a, b) has entry
@@ -36,11 +43,14 @@ from math import gcd, lcm
 
 from .errors import ShapeMismatch
 
-# A product of two 0/1 matrices runs on bitmasks once nnz(A) * nnz(B) passes
-# this many times the inner dimension: for evenly spread cells the sparse
-# loop then makes more than this many multiply-adds.  On the functor suite's
-# 0/1 products the bitmask form was 1.4x slower below 64, even from 64 to
-# 4096, and 5.8x faster past 4096 (2-vCPU x86-64 VM, Python 3.11).
+# A product of two 0/1 matrices runs on byte rows once nnz(A) * nnz(B) passes
+# this many times the inner dimension (for evenly spread cells the sparse loop
+# then makes more than this many multiply-adds), and while its two buffers,
+# rows * mid + mid * width bytes, stay within this many bytes per stored cell.
+# On the functor suite's 0/1 products (q, n = 2,1; 2,2; 3,1; seeds 1-6) the
+# byte rows were 1.3-1.6x slower below 64, 2.0-2.4x faster from 64 to 4096
+# and 6-9x faster past it; at (2,2) and (3,1) any bound from 16 to 128 gave
+# the same total within 3% (2-vCPU x86-64 VM, Python 3.11).
 DENSE_PRODUCT = 64
 
 
@@ -159,31 +169,45 @@ class QMat:
     def matmul(self, other: "QMat") -> "QMat":
         """The product, by the sparse loop; dense 0/1 factors by bit counts.
 
-        When both factors hold only the int 1 and nnz(A) * nnz(B) passes
-        DENSE_PRODUCT * mid, cell (r, c) is the bit count of row r's mask of
-        A ANDed with column c's mask of B, for each nonempty row and column.
+        When both factors hold only the int 1, nnz(A) * nnz(B) passes
+        DENSE_PRODUCT * mid and the two byte buffers fit in DENSE_PRODUCT
+        bytes per stored cell, each factor is written as one byte per cell
+        in its own row-major layout, which is its flat index.  Row r of A
+        and column c of B are then ints read from a slice of those bytes,
+        and cell (r, c) is the bit count of their AND: each byte is 0 or 1.
         """
         if self.cols != other.rows:
             raise ShapeMismatch(f"matmul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        mid, width = self.cols, other.cols
+        rows, mid, width = self.rows, self.cols, other.cols
         a, b = self.data, other.data
-        if len(a) * len(b) > DENSE_PRODUCT * mid and _ones(a) and _ones(b):
-            row_masks: dict[int, int] = {}
+        if (
+            len(a) * len(b) > DENSE_PRODUCT * mid
+            and (rows + width) * mid <= DENSE_PRODUCT * (len(a) + len(b))
+            and _ones(a)
+            and _ones(b)
+        ):
+            left = bytearray(rows * mid)
             for k in a:
-                r, m = divmod(k, mid)
-                row_masks[r] = row_masks.get(r, 0) | 1 << m
-            col_masks: dict[int, int] = {}
+                left[k] = 1
+            right = bytearray(mid * width)
             for k in b:
-                m, c = divmod(k, width)
-                col_masks[c] = col_masks.get(c, 0) | 1 << m
-            cols = list(col_masks.items())
+                right[k] = 1
+            from_bytes = int.from_bytes
+            row_masks = [
+                (r * width, rm)
+                for r in range(rows)
+                if (rm := from_bytes(left[r * mid : r * mid + mid], "little"))
+            ]
+            col_masks = [
+                (c, cm) for c in range(width) if (cm := from_bytes(right[c::width], "little"))
+            ]
             out = {
-                r * width + c: v
-                for r, rm in row_masks.items()
-                for c, cm in cols
+                base + c: v
+                for base, rm in row_masks
+                for c, cm in col_masks
                 if (v := (rm & cm).bit_count())
             }
-            return QMat._trusted(self.rows, width, out)
+            return QMat._trusted(rows, width, out)
         by_mid: dict[int, list[tuple[int, object]]] = {}
         for k, v in b.items():
             m, c = divmod(k, width)
@@ -198,7 +222,7 @@ class QMat:
                 out[key] = get(key, 0) + lv * rv
         if not all(out.values()):
             out = {k: v for k, v in out.items() if v}
-        return QMat._trusted(self.rows, width, out)
+        return QMat._trusted(rows, width, out)
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -207,16 +231,18 @@ class QMat:
         """Kronecker product, self as the least significant block."""
         c1, c2 = self.cols, other.cols
         width = c1 * c2
-        big = self.rows * width
-        mine = []
-        for k, v in self.data.items():
-            r, c = divmod(k, c1)
-            mine.append((r * width + c, v))
-        theirs = []
-        for k, v in other.data.items():
-            r, c = divmod(k, c2)
-            theirs.append((r * big + c * c1, v))
-        data = {x + y: u * w for y, w in theirs for x, u in mine}
+        a, b = self.data, other.data
+        # cell k = r * c1 + c of a moves to r * width + c = k + r * step_a, and
+        # cell k = r * c2 + c of b to r * rows(a) * width + c * c1 = c1 * k + r * step_b
+        step_a, step_b = width - c1, (self.rows - 1) * width
+        if _ones(a) and _ones(b):
+            mine = [k + k // c1 * step_a for k in a]
+            theirs = [c1 * k + k // c2 * step_b for k in b]
+            data = {x + y: 1 for y in theirs for x in mine}
+        else:
+            mine = [(k + k // c1 * step_a, v) for k, v in a.items()]
+            theirs = [(c1 * k + k // c2 * step_b, v) for k, v in b.items()]
+            data = {x + y: u * w for y, w in theirs for x, u in mine}
         return QMat._trusted(self.rows * other.rows, width, data)
 
     def rank(self) -> int:

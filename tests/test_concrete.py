@@ -152,6 +152,39 @@ def test_f_r_matrix_does_no_elimination(monkeypatch):
         assert nonzero_cells(f_r_matrix(rel, 1).mat) == cells
 
 
+def test_f_r_matrix_refuses_one_relation_past_the_cell_guard(monkeypatch):
+    # the first cell counts past CELL_GUARD = 2^18 (2^19 at q = 2, 3^12 at
+    # q = 3) are refused with the words of the shared cell count, before a
+    # cell is built; 2^18 and 3^11 cells pass the count
+    assert concrete.CELL_GUARD == 2**18
+    past = [
+        (Relation.from_rows(F2, 9, 10, []), 1),
+        (Relation.from_rows(F2, 10, 10, [[1] + [0] * 19]), 1),
+        (Relation.from_rows(F2, 5, 5, []), 2),
+        (Relation.from_rows(F3, 6, 6, []), 1),
+    ]
+    for rel, n in past:
+        words = f"f_R of a [{rel.s}] -> [{rel.k}] relation"
+        with pytest.raises(TooLarge) as shared:
+            concrete._check_cells(rel.field, n, [rel], words)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge) as inline:
+            f_r_matrix(rel, n)
+        assert time.perf_counter() - start < 1.0, (rel, n)
+        assert str(inline.value) == str(shared.value), (rel, n)
+    assert str(inline.value) == "f_R of a [6] -> [6] relation: more than 262144 f_R cells at n = 1"
+    for rel, n in ((Relation.from_rows(F2, 9, 9, []), 1), (Relation.from_rows(F3, 6, 5, []), 1)):
+        concrete._check_cells(rel.field, n, [rel], "at the bound")
+    # with a guard of 16 cells, an f_R of exactly 16 cells is built and one
+    # of 32 is refused
+    monkeypatch.setattr(concrete, "CELL_GUARD", 16)
+    assert f_r_matrix(Relation.from_rows(F2, 2, 2, []), 1).mat.nnz() == 16
+    assert f_r_matrix(Relation.from_rows(F2, 1, 1, []), 2).mat.nnz() == 16
+    with pytest.raises(TooLarge) as refused:
+        f_r_matrix(Relation.from_rows(F2, 2, 3, []), 1)
+    assert str(refused.value) == "f_R of a [2] -> [3] relation: more than 16 f_R cells at n = 1"
+
+
 def test_all_ones_map():
     rel = zero_space(F2, 1, 1)
     assert to_dense(f_r_matrix(rel, 1).mat) == [[1, 1], [1, 1]]

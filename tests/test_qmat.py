@@ -249,6 +249,69 @@ def test_dense_0_1_products_take_the_bitmask_path():
         assert "bit_count" not in _c_calls(lambda: left @ right)
 
 
+def test_byte_row_products_match_the_dense_reference():
+    # inner dimensions past 255, so that a cell counts more bytes than one
+    # byte holds, and inner dimensions that are not multiples of 8; row 0 and
+    # inner index mid - 1 of A are empty, and so are inner index 0 and the
+    # last column of B; shapes are rectangular
+    rng = random.Random(52)
+    cases = [(2, 300, 3), (3, 257, 2), (1, 256, 1)]
+    cases += [(rng.randrange(1, 12), mid, rng.randrange(1, 12)) for mid in (3, 7, 13, 21, 29)]
+    byte_rows = 0
+    for rows, mid, width in cases:
+        a = [[0] * mid] + [[int(rng.random() < 0.9) for _ in range(mid)] for _ in range(rows)]
+        b = [[0] * (width + 1)] + [
+            [int(rng.random() < 0.9) for _ in range(width)] + [0] for _ in range(mid - 1)
+        ]
+        for row in a:
+            row[-1] = 0
+        qa, qb = _from_dense(a, mid), _from_dense(b, width + 1)
+        fits = (rows + 1 + width + 1) * mid <= qmat.DENSE_PRODUCT * (qa.nnz() + qb.nnz())
+        dense = qa.nnz() * qb.nnz() > qmat.DENSE_PRODUCT * mid and fits
+        byte_rows += dense
+        assert ("from_bytes" in _c_calls(lambda: qa @ qb)) == dense, (rows, mid, width)
+        got = qa @ qb
+        _check(got, _dense_matmul(a, b, mid, width + 1), width + 1)
+        assert all(type(v) is int for v in got.vec().values())
+    assert byte_rows >= len(cases) - 2, byte_rows
+    big = _from_dense([[1] * 300] * 2, 300) @ _from_dense([[1] * 3] * 300, 3)
+    assert nonzero_cells(big) == {(i, j): 300 for i in range(2) for j in range(3)}
+
+
+def test_a_dense_rule_product_with_large_buffers_stays_sparse():
+    # 65 ones in column 0 of a tall A, times [[1]]: nnz(A) * nnz(B) = 65
+    # passes DENSE_PRODUCT * mid = 64, so only the buffer bound, rows + 1
+    # bytes against DENSE_PRODUCT * 66, decides the path
+    limit = qmat.DENSE_PRODUCT * 66
+    one = QMat.identity(1)
+    for rows, byte_rows in ((limit - 1, True), (limit, False), (10**5, False)):
+        tall = QMat(rows, 1, {(i, 0): 1 for i in range(65)})
+        assert ("from_bytes" in _c_calls(lambda: tall @ one)) == byte_rows, rows
+        assert tall @ one == tall
+
+
+def test_kron_of_0_1_factors_stores_int_ones():
+    rng = random.Random(53)
+    for _ in range(20):
+        shape_a = rng.randrange(1, 5), rng.randrange(1, 5)
+        shape_b = rng.randrange(1, 5), rng.randrange(1, 5)
+        a = [[int(rng.random() < 0.6) for _ in range(shape_a[1])] for _ in range(shape_a[0])]
+        b = [[int(rng.random() < 0.6) for _ in range(shape_b[1])] for _ in range(shape_b[0])]
+        a[0][0] = b[-1][-1] = 1
+        qa, qb = _from_dense(a, shape_a[1]), _from_dense(b, shape_b[1])
+        cols = shape_a[1] * shape_b[1]
+        got = qa.kron(qb)
+        _check(got, _dense_kron(a, b, shape_a, shape_b), cols)
+        assert all(type(v) is int and v == 1 for v in got.vec().values())
+        # a Fraction(1) factor keeps Fraction products, and an entry of 2 its 2
+        fractions = QMat(*shape_a, dict.fromkeys(nonzero_cells(qa), Fraction(1)))
+        for product in (fractions.kron(qb), qb.kron(fractions)):
+            assert product.nnz() == got.nnz()
+            assert all(type(v) is Fraction and v == 1 for v in product.vec().values())
+        b[-1][-1] = 2
+        _check(qa.kron(_from_dense(b, shape_b[1])), _dense_kron(a, b, shape_a, shape_b), cols)
+
+
 def test_scale_by_one_is_the_matrix_itself():
     a = QMat(2, 2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 1): -1})
     assert a.scale(1) is a and a.scale(Fraction(1)) is a
