@@ -91,12 +91,21 @@ def _guard(field: Fq, n: int, s: int, k: int):
         raise TooLarge(f"q^(n*max(s,k)) exceeds {SIZE_GUARD}")
 
 
+def _cells(field: Fq, n: int, rel: Relation) -> int:
+    """The cells of rel's f_R at rank n, q^(n dim ker), or a number past
+    CELL_GUARD if there are more."""
+    return capped_power(field.q, n * (rel.s + rel.k - rel.basis.rows), CELL_GUARD)
+
+
+def _too_many_cells(source: str, n: int) -> TooLarge:
+    return TooLarge(f"{source}: more than {CELL_GUARD} f_R cells at n = {n}")
+
+
 def _check_cells(field: Fq, n: int, rels, source: str):
     """TooLarge if the f_R of the relations at rank n have more than
-    CELL_GUARD cells in all: q^(n dim ker) each."""
-    cells = sum(capped_power(field.q, n * (r.s + r.k - r.basis.rows), CELL_GUARD) for r in rels)
-    if cells > CELL_GUARD:
-        raise TooLarge(f"{source}: more than {CELL_GUARD} f_R cells at n = {n}")
+    CELL_GUARD cells in all."""
+    if sum(_cells(field, n, r) for r in rels) > CELL_GUARD:
+        raise _too_many_cells(source, n)
 
 
 def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
@@ -123,10 +132,8 @@ def f_r_matrix(rel: Relation, n: int) -> ConcreteMap:
     F, s, k = rel.field, rel.s, rel.k
     _guard(F, n, s, k)
     q, m = F.q, s + k
-    if capped_power(q, n * (m - rel.basis.rows), CELL_GUARD) > CELL_GUARD:
-        raise TooLarge(
-            f"f_R of a [{s}] -> [{k}] relation: more than {CELL_GUARD} f_R cells at n = {n}"
-        )
+    if _cells(F, n, rel) > CELL_GUARD:
+        raise _too_many_cells(f"f_R of a [{s}] -> [{k}] relation", n)
     # the flat offset of a point at slot 0: coordinate i weighs q^(n i), as
     # the codomain block starts at width = q^(n s); q^n is formed only for a
     # map with strands, whose size guard bounds it

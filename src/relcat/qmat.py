@@ -23,9 +23,7 @@ strided one for a column), and cell (r, c) is the bit count of their AND,
 as every byte is 0 or 1.  The two buffers may hold at most
 ``DENSE_PRODUCT`` bytes per stored cell of the factors, so a large sparse
 factor keeps the sparse loop and allocates no buffer.  A Fraction(1) entry
-keeps the sparse loop, so its results stay Fractions.  The Kronecker
-product of two factors that hold only the int 1 stores the int 1 in each
-cell without multiplying.
+keeps the sparse loop, so its results stay Fractions.
 
 The Kronecker convention throughout the library is that the FIRST factor
 is the least significant index block: kron(a, b) has entry
@@ -235,14 +233,9 @@ class QMat:
         # cell k = r * c1 + c of a moves to r * width + c = k + r * step_a, and
         # cell k = r * c2 + c of b to r * rows(a) * width + c * c1 = c1 * k + r * step_b
         step_a, step_b = width - c1, (self.rows - 1) * width
-        if _ones(a) and _ones(b):
-            mine = [k + k // c1 * step_a for k in a]
-            theirs = [c1 * k + k // c2 * step_b for k in b]
-            data = {x + y: 1 for y in theirs for x in mine}
-        else:
-            mine = [(k + k // c1 * step_a, v) for k, v in a.items()]
-            theirs = [(c1 * k + k // c2 * step_b, v) for k, v in b.items()]
-            data = {x + y: u * w for y, w in theirs for x, u in mine}
+        mine = [(k + k // c1 * step_a, v) for k, v in a.items()]
+        theirs = [(c1 * k + k // c2 * step_b, v) for k, v in b.items()]
+        data = {x + y: u * w for y, w in theirs for x, u in mine}
         return QMat._trusted(self.rows * other.rows, width, data)
 
     def rank(self) -> int:
